@@ -49,9 +49,9 @@ from .generators import (
 )
 from .hasse import (
     HasseDiagram,
+    InvalidMatching,
     OrientedHasse,
     Pair,
-    d_interface,
     hasse,
     max_cardinality_matching,
     orient,
@@ -88,6 +88,7 @@ __all__ = [
     "ErasabilityResult",
     "FrontierResult",
     "HasseDiagram",
+    "InvalidMatching",
     "MorseInequalityReport",
     "MorseMatching",
     "OracleResult",
@@ -107,7 +108,6 @@ __all__ = [
     "collapse_sequence",
     "coreduction_matching",
     "critical_profile",
-    "d_interface",
     "dim_of",
     "dunce_hat",
     "erasability",

@@ -4,9 +4,11 @@ Subcommands: stats, match, validate, gen, bench.  Reports print as
 aligned text or, with --json, as stable JSON (sorted keys; the elapsed_s
 field is the only run-dependent value and --no-timing drops it).
 
-Exit codes: 0 success, 2 validation failure, 3 parse error, 4 oracle
-budget exhausted.  The oracle budget comes from --budget or the
-MORSE_ORACLE_BUDGET environment variable.
+Exit codes: 0 success, 2 validation failure (including a cyclic result
+from match or bench, whose report is still printed; in bench it takes
+precedence over 4), 3 parse error, 4 oracle budget exhausted.  The
+oracle budget comes from --budget or the MORSE_ORACLE_BUDGET environment
+variable.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .generators import (
     simplex_boundary,
     wedge,
 )
-from .hasse import hasse, max_cardinality_matching
+from .hasse import InvalidMatching, hasse, max_cardinality_matching, validate_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import (
     canonicalize_single_critical_vertex,
@@ -147,7 +149,6 @@ def cmd_match(args) -> int:
     payload["input"] = args.input
     payload["config"] = {
         "algo": args.algo,
-        "seed": args.seed,
         "canonicalize": args.canonicalize,
         "budget": _oracle_budget(args),
     }
@@ -158,6 +159,8 @@ def cmd_match(args) -> int:
             fh.write(serialize_matching(mm.pairs))
         payload["matching_file"] = args.out
     _emit(payload, args)
+    if not mm.acyclic:
+        return EXIT_INVALID
     if extras is not None and not extras["optimal"]:
         return EXIT_BUDGET
     return EXIT_OK
@@ -167,19 +170,11 @@ def cmd_validate(args) -> int:
     K = read_complex(args.input)
     with open(args.matching, encoding="utf-8") as fh:
         pairs = parse_matching(fh.read())
-    problems = []
-    used = set()
-    for i, (s, t) in enumerate(pairs, start=1):
-        if s not in K:
-            problems.append(f"pair {i}: unknown simplex {' '.join(map(str, s))}")
-        if t not in K:
-            problems.append(f"pair {i}: unknown simplex {' '.join(map(str, t))}")
-        if s in K and t in K and not (len(t) == len(s) + 1 and set(s) < set(t)):
-            problems.append(f"pair {i}: not a covering pair")
-        for x in (s, t):
-            if x in used:
-                problems.append(f"pair {i}: simplex {' '.join(map(str, x))} matched twice")
-            used.add(x)
+    try:
+        validate_matching(K, pairs)
+        problems = []
+    except InvalidMatching as exc:
+        problems = exc.describe(lambda x: " ".join(map(str, x)))
     payload = {
         "input": args.input,
         "matching": args.matching,
@@ -263,6 +258,7 @@ def cmd_bench(args) -> int:
     budget = _oracle_budget(args)
     rows = []
     exhausted = False
+    cyclic = False
     for name in names:
         K = read_complex(os.path.join(args.corpus, name))
         for algo in algos:
@@ -270,6 +266,7 @@ def cmd_bench(args) -> int:
             row = _match_report(K, algo, mm, extras)
             row["complex"] = name
             rows.append(row)
+            cyclic = cyclic or not mm.acyclic
             if extras is not None and not extras["optimal"]:
                 exhausted = True
     agg = {}
@@ -301,6 +298,8 @@ def cmd_bench(args) -> int:
                 f"criticals={a['mean_critical_total']} "
                 f"ratio={a['mean_ratio_vs_max_matching']}"
             )
+    if cyclic:
+        return EXIT_INVALID
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo", default="frontier",
         choices=["frontier", "coreduction", "reduction", "oracle"],
     )
-    sp.add_argument("--seed", type=int, default=None, help="echoed into the report")
     sp.add_argument(
         "--canonicalize", type=int, default=None, metavar="P",
         help="rebuild vertex pairs so vertex P is the only critical vertex",

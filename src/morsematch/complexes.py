@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 
 Simplex = tuple[int, ...]
 
@@ -43,9 +44,14 @@ def facets_of(s: Simplex) -> list[Simplex]:
 
 
 class SimplicialComplex:
-    """A downward-closed finite set of simplices."""
+    """A downward-closed finite set of simplices.
 
-    __slots__ = ("simplices", "by_dim", "dim", "n", "_members", "_cofacets")
+    The complex is the package's one incidence store: facets are computed
+    on demand by facets_of, and the codimension-1 cofaces of every simplex
+    are kept in canonical order in the read-only cofacet_map.
+    """
+
+    __slots__ = ("simplices", "by_dim", "dim", "n", "_members", "cofacet_map")
 
     def __init__(self, simplices):
         members = sorted({simplex(s) for s in simplices}, key=canonical_key)
@@ -68,7 +74,7 @@ class SimplicialComplex:
         for t in members:
             for f in facets_of(t):
                 cofacets[f].append(t)
-        self._cofacets = {s: tuple(ts) for s, ts in cofacets.items()}
+        self.cofacet_map = MappingProxyType({s: tuple(ts) for s, ts in cofacets.items()})
 
     def __contains__(self, s) -> bool:
         return s in self._members
@@ -98,11 +104,21 @@ class SimplicialComplex:
         """Codimension-1 cofaces of s, in canonical order."""
         if s not in self._members:
             raise ValueError(f"unknown simplex {s}")
-        return self._cofacets[s]
+        return self.cofacet_map[s]
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
-        return tuple(s for s in self.simplices if not self._cofacets[s])
+        return tuple(s for s in self.simplices if not self.cofacet_map[s])
+
+
+def proper_cofaces(K: SimplicialComplex) -> dict[Simplex, list[Simplex]]:
+    """Every proper coface of every simplex, each list in canonical order."""
+    cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in K.simplices}
+    for t in K.simplices:
+        for k in range(1, len(t)):
+            for f in combinations(t, k):
+                cofaces[f].append(t)
+    return cofaces
 
 
 def from_maximal_simplices(facets) -> SimplicialComplex:

@@ -10,6 +10,11 @@ its facet edges join the component without closing a directed cycle, and
 reversed (backward) otherwise.  Kept edges stay matched; reversed ones
 drop out of the matching.
 
+A component takes every facet edge of each coface it classifies out of
+the working diagram, so the state between components is just the set of
+absorbed cofaces: bfs_component and leading_up_edges take it and never
+step into or onto an absorbed coface.
+
 Cycles alternate up and down edges and need at least three up-edges, so
 the first processed level of a component can never reverse anything.
 Counting forward, backward and still-frontier edges after each processed
@@ -47,8 +52,6 @@ class FrontierResult:
     morse: MorseMatching
     components: tuple[EdgeComponent, ...]
     source_matching_size: int
-    oriented: OrientedHasse
-    residual_edges: frozenset[Edge]
 
 
 def facet_edges(oh: OrientedHasse, beta: Simplex) -> list[Edge]:
@@ -57,34 +60,27 @@ def facet_edges(oh: OrientedHasse, beta: Simplex) -> list[Edge]:
         raise ValueError(f"unknown simplex {beta}")
     if len(beta) < 2:
         raise ValueError("facet edges undefined for a vertex")
-    out = []
-    for alpha in facets_of(beta):
-        if oh.is_up(alpha, beta):
-            out.append((alpha, beta))
-        else:
-            out.append((beta, alpha))
-    return out
+    return [oh.oriented_edge(beta, alpha) for alpha in facets_of(beta)]
 
 
-def leading_up_edges(oh: OrientedHasse, chi: Pair, available=None) -> list[Pair]:
+def leading_up_edges(oh: OrientedHasse, chi: Pair, absorbed=frozenset()) -> list[Pair]:
     """Up-edges reachable from chi through one down-edge of its coface.
 
-    With available given (a set of frozenset node pairs), both the down
-    step and the up-edge must still be present in it.
+    absorbed holds the cofaces whose facet edges earlier components took
+    out of the diagram: nothing is reachable from chi when its coface is
+    absorbed, and an up-edge whose coface is absorbed is gone.
     """
     alpha, beta = chi
     if not oh.is_up(alpha, beta):
         raise ValueError(f"not an up-edge: {alpha} -> {beta}")
+    if beta in absorbed:
+        return []
     out = []
     for a2 in facets_of(beta):
         if a2 == alpha:
             continue
-        if available is not None and frozenset((beta, a2)) not in available:
-            continue
         b2 = oh.up_partner(a2)
-        if b2 is None:
-            continue
-        if available is not None and frozenset((a2, b2)) not in available:
+        if b2 is None or b2 in absorbed:
             continue
         out.append((a2, b2))
     return out
@@ -109,7 +105,7 @@ def _reaches(adj: dict, extra: list[Edge], start: Simplex, goal: Simplex) -> boo
     return False
 
 
-def bfs_component(oh: OrientedHasse, seed: Pair, available=None) -> EdgeComponent:
+def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeComponent:
     """Classify every up-edge reachable from the seed, reversing cycle makers.
 
     Mutates oh: backward-classified pairs are unmatched.  The component
@@ -117,6 +113,8 @@ def bfs_component(oh: OrientedHasse, seed: Pair, available=None) -> EdgeComponen
     survives when no directed path from b back to a exists through the
     edges gathered so far plus b's own facet edges.  The trace records
     (forward, backward, frontier) totals after each processed queue node.
+    Cofaces in absorbed belong to earlier components and are not entered
+    (see leading_up_edges).
     """
     alpha0, beta0 = seed
     if not oh.is_up(alpha0, beta0):
@@ -133,13 +131,13 @@ def bfs_component(oh: OrientedHasse, seed: Pair, available=None) -> EdgeComponen
     forward = [seed]
     backward: list[Pair] = []
     classified = {seed}
-    frontier = set(leading_up_edges(oh, seed, available))
+    frontier = set(leading_up_edges(oh, seed, absorbed))
     trace = []
     queue = deque([seed])
     while queue:
         chi = queue.popleft()
         absorb(facet_edges(oh, chi[1]))
-        for cand in leading_up_edges(oh, chi, available):
+        for cand in leading_up_edges(oh, chi, absorbed):
             if cand in classified:
                 continue
             classified.add(cand)
@@ -153,7 +151,7 @@ def bfs_component(oh: OrientedHasse, seed: Pair, available=None) -> EdgeComponen
                 forward.append(cand)
                 queue.append(cand)
                 frontier.update(
-                    le for le in leading_up_edges(oh, cand, available)
+                    le for le in leading_up_edges(oh, cand, absorbed)
                     if le not in classified
                 )
         trace.append((len(forward), len(backward), len(frontier)))
@@ -170,32 +168,25 @@ def bfs_component(oh: OrientedHasse, seed: Pair, available=None) -> EdgeComponen
 def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     """Run the full pipeline: match, orient, classify component by component.
 
-    Seeds are taken smallest first by (dimension, coface); each component's
-    edges leave the working diagram before the next seed is chosen.  The
-    returned matching is re-certified from scratch rather than trusted.
+    Seeds are taken smallest first by (dimension, coface).  A component
+    absorbs all facet edges of every coface it classifies, so a covering
+    edge leaves the working diagram exactly when its coface is absorbed,
+    and a seed is skipped once its coface is.  The returned matching is
+    re-certified from scratch rather than trusted.
     """
     H = hasse(K)
     M = max_cardinality_matching(H)
     oh = orient(H, M)
-    available = {frozenset(e) for e in H.edges}
+    absorbed: set[Simplex] = set()
     components = []
-    while True:
-        ups = [p for p in oh.up_pairs() if frozenset(p) in available]
-        if not ups:
-            break
-        seed = min(ups, key=lambda p: (len(p[1]), p[1]))
-        comp = bfs_component(oh, seed, available=available)
-        available -= {frozenset(e) for e in comp.edges}
+    for seed in sorted(oh.up_pairs(), key=lambda p: (len(p[1]), p[1])):
+        if seed[1] in absorbed:
+            continue
+        comp = bfs_component(oh, seed, absorbed)
+        absorbed.update(beta for _, beta in comp.forward + comp.backward)
         components.append(comp)
-    residual = []
-    for tau, sigma in H.edges:
-        if frozenset((tau, sigma)) in available:
-            residual.append(oh.oriented_edge(tau, sigma))
-    morse = certify(K, oh.pairs)
     return FrontierResult(
-        morse=morse,
+        morse=certify(K, oh.pairs),
         components=tuple(components),
         source_matching_size=len(M),
-        oriented=oh,
-        residual_edges=frozenset(residual),
     )

@@ -39,34 +39,6 @@ def hasse(K: SimplicialComplex) -> HasseDiagram:
     return HasseDiagram(K)
 
 
-class Interface:
-    """Nodes and directed edges of one d-interface."""
-
-    __slots__ = ("d", "nodes", "edges")
-
-    def __init__(self, d, nodes, edges):
-        self.d = d
-        self.nodes = nodes
-        self.edges = edges
-
-
-def d_interface(H, d: int) -> Interface:
-    """Restriction of a (possibly oriented) Hasse diagram to dimensions d-1, d."""
-    K = H.complex
-    if not 1 <= d <= K.dim:
-        raise ValueError(f"interface dimension {d} out of range 1..{K.dim}")
-    nodes = K.by_dim[d - 1] + K.by_dim[d]
-    edges = []
-    oriented = isinstance(H, OrientedHasse)
-    for tau in K.by_dim[d]:
-        for sigma in facets_of(tau):
-            if oriented and H.is_up(sigma, tau):
-                edges.append((sigma, tau))
-            else:
-                edges.append((tau, sigma))
-    return Interface(d, tuple(nodes), tuple(edges))
-
-
 def max_cardinality_matching(H: HasseDiagram) -> frozenset[Pair]:
     """Maximum matching on the covering graph by alternating-path augmentation.
 
@@ -75,12 +47,15 @@ def max_cardinality_matching(H: HasseDiagram) -> frozenset[Pair]:
     lexicographic within one, with adjacency in canonical order, so ties
     between maximum matchings resolve the same way on every run.  Seeding
     from the top tends to leave the leftover matching closer to acyclic.
+    A node's neighbours, its facets followed by its stored cofacets, are
+    already in canonical order: facets_of yields canonical order and every
+    facet is shorter than every cofacet.  They are joined the first time
+    the search pops the node; on dense complexes a node is popped many
+    times over.
     """
     K = H.complex
-    adj: dict[Simplex, tuple[Simplex, ...]] = {}
-    for s in K.simplices:
-        nbrs = [f for f in facets_of(s)] + list(K.cofacets_of(s))
-        adj[s] = tuple(sorted(nbrs, key=canonical_key))
+    cofacets = K.cofacet_map
+    nbrs: dict[Simplex, tuple[Simplex, ...]] = {}
     left = sorted(
         (s for s in K.simplices if len(s) % 2 == 1),
         key=lambda s: (-len(s), s),
@@ -95,7 +70,10 @@ def max_cardinality_matching(H: HasseDiagram) -> frozenset[Pair]:
         end = None
         while q and end is None:
             x = q.popleft()
-            for y in adj[x]:
+            adj = nbrs.get(x)
+            if adj is None:
+                adj = nbrs[x] = (*facets_of(x), *cofacets[x])
+            for y in adj:
                 if y in prev:
                     continue
                 prev[y] = x
@@ -122,24 +100,46 @@ def max_cardinality_matching(H: HasseDiagram) -> frozenset[Pair]:
     return frozenset(pairs)
 
 
+class InvalidMatching(ValueError):
+    """Every problem validate_matching found, in pair order.
+
+    Each problem is (pair number counted from 1, message, simplex it
+    concerns); the message has a {} slot where it names the simplex.
+    """
+
+    def __init__(self, problems):
+        self.problems = tuple(problems)
+        super().__init__("; ".join(self.describe(repr)))
+
+    def describe(self, show) -> list[str]:
+        """One line per problem, each simplex rendered by show."""
+        return [f"pair {i}: " + text.format(show(s)) for i, text, s in self.problems]
+
+
 def validate_matching(K: SimplicialComplex, pairs) -> frozenset[Pair]:
-    """Check pairs form a matching by covering relations; return them frozen."""
+    """Check pairs form a matching by covering relations; return them frozen.
+
+    Raises InvalidMatching listing every unknown simplex, non-covering
+    pair and simplex matched twice.
+    """
+    problems = []
     seen: set[Simplex] = set()
     out = set()
-    for sigma, tau in pairs:
-        if sigma not in K:
-            raise ValueError(f"unknown simplex {sigma}")
-        if tau not in K:
-            raise ValueError(f"unknown simplex {tau}")
-        if len(tau) != len(sigma) + 1 or not set(sigma) < set(tau):
-            raise ValueError(f"not a covering pair: {sigma} -> {tau}")
-        if sigma in seen:
-            raise ValueError(f"simplex matched twice: {sigma}")
-        if tau in seen:
-            raise ValueError(f"simplex matched twice: {tau}")
-        seen.add(sigma)
-        seen.add(tau)
+    for i, (sigma, tau) in enumerate(pairs, start=1):
         out.add((sigma, tau))
+        for x in (sigma, tau):
+            if x not in K:
+                problems.append((i, "unknown simplex {}", x))
+        if sigma in K and tau in K and not (
+            len(tau) == len(sigma) + 1 and set(sigma) < set(tau)
+        ):
+            problems.append((i, "not a covering pair", tau))
+        for x in (sigma, tau):
+            if x in seen:
+                problems.append((i, "simplex {} matched twice", x))
+            seen.add(x)
+    if problems:
+        raise InvalidMatching(problems)
     return frozenset(out)
 
 
@@ -163,9 +163,6 @@ class OrientedHasse:
 
     def is_up(self, sigma: Simplex, tau: Simplex) -> bool:
         return self._partner.get(sigma) == tau
-
-    def partner_of(self, s: Simplex):
-        return self._partner.get(s)
 
     def up_partner(self, s: Simplex):
         """The coface s is matched to, or None."""

@@ -18,16 +18,6 @@ from .complexes import SimplicialComplex, Simplex, facets_of
 from .morse import MorseMatching, certify
 
 
-def _cofacet_map(K: SimplicialComplex) -> dict[Simplex, list[Simplex]]:
-    out: dict[Simplex, list[Simplex]] = {s: [] for s in K.simplices}
-    for s in K.simplices:
-        if len(s) < 2:
-            continue
-        for f in facets_of(s):
-            out[f].append(s)
-    return out
-
-
 def coreduction_matching(K: SimplicialComplex) -> MorseMatching:
     """Pair each simplex with its unique remaining facet when one exists.
 
@@ -38,7 +28,7 @@ def coreduction_matching(K: SimplicialComplex) -> MorseMatching:
     """
     alive = set(K.simplices)
     n_facets = {s: len(s) if len(s) > 1 else 0 for s in K.simplices}
-    cofacets = _cofacet_map(K)
+    cofacets = K.cofacet_map
 
     pairs: list[tuple[Simplex, Simplex]] = []
     pair_heap: list[tuple[int, Simplex]] = []
@@ -79,7 +69,7 @@ def reduction_matching(K: SimplicialComplex) -> MorseMatching:
     cofacets inside the original complex stays accurate.
     """
     alive = set(K.simplices)
-    cofacets = _cofacet_map(K)
+    cofacets = K.cofacet_map
     n_cofacets = {s: len(cs) for s, cs in cofacets.items()}
 
     pairs: list[tuple[Simplex, Simplex]] = []

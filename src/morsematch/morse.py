@@ -18,6 +18,7 @@ from .complexes import (
     canonical_key,
     facets_of,
     is_connected,
+    proper_cofaces,
 )
 from .hasse import Pair, OrientedHasse, hasse, orient
 
@@ -263,13 +264,8 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
             raise ValueError(f"not matched away: {s}")
     work = {(s, t) for s, t in mm.pairs if s in removed}
 
-    cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in K.simplices}
-    for t in K.simplices:
-        for k in range(1, len(t)):
-            for f in combinations(t, k):
-                cofaces[f].append(t)
     alive = set(K.simplices)
-    count = {s: len(cofaces[s]) for s in K.simplices}
+    count = {s: len(cs) for s, cs in proper_cofaces(K).items()}
 
     heap: list[tuple[tuple, Pair]] = []
     for s, t in work:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex, Simplex, betti_gf2, facets_of
+from .complexes import SimplicialComplex, Simplex, betti_gf2, facets_of, proper_cofaces
 from .hasse import Pair, hasse, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import MorseMatching, certify
@@ -117,6 +117,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     n = K.n
     remaining = [len(level) for level in K.by_dim]
     fac = {s: facets_of(s) for s in order if len(s) > 1}
+    cofacets = K.cofacet_map
     partner: dict[Simplex, Simplex] = {}
     pairs: list[Pair] = []
     nodes = 0
@@ -139,7 +140,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
         s = order[i]
         d = len(s) - 1
         remaining[d] -= 1
-        for t in K.cofacets_of(s):
+        for t in cofacets[s]:
             if t in partner or _would_cycle(partner, fac, s, t):
                 continue
             partner[s] = t
@@ -202,13 +203,7 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
     """
     if K.n == 1:
         return CollapsibilityResult(True, False, 0, ())
-    coface_map: dict[Simplex, list[Simplex]] = {s: [] for s in K.simplices}
-    for t in K.simplices:
-        if len(t) == 1:
-            continue
-        for k in range(1, len(t)):
-            for s in combinations(t, k):
-                coface_map[s].append(t)
+    coface_map = proper_cofaces(K)
 
     start = frozenset(K.simplices)
     if K.n % 2 == 0 or not _free_pairs(start, coface_map):

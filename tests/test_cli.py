@@ -1,6 +1,7 @@
 """Command-line behavior: reports, exit codes, file outputs."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from morsematch import (
     from_maximal_simplices,
     parse_complex,
     parse_matching,
+    random_complex,
     rp2,
     simplex_boundary,
     write_complex,
@@ -29,6 +31,15 @@ def sphere_file(tmp_path):
 def circle_file(tmp_path):
     path = tmp_path / "circle.txt"
     write_complex(from_maximal_simplices([(0, 1), (1, 2), (0, 2)]), path)
+    return str(path)
+
+
+@pytest.fixture
+def cyclic_file(tmp_path):
+    # frontier returns a cyclic matching here (a known defect)
+    path = tmp_path / "random3d.txt"
+    K = random_complex(2, dim=3, n_vertices=30, n_facets=60, connected=True)
+    write_complex(K, path)
     return str(path)
 
 
@@ -84,6 +95,13 @@ def test_match_all_algorithms_on_sphere(capsys, sphere_file, algo):
     if algo == "oracle":
         assert payload["optimal"] is True
         assert payload["critical_total"] == 2
+
+
+def test_match_cyclic_result_exits_2_with_report(capsys, cyclic_file):
+    code, payload = run_json(capsys, ["match", cyclic_file, "--algo", "frontier"])
+    assert code == 2
+    assert payload["acyclic"] is False
+    assert payload["n"] == 299
 
 
 def test_match_writes_matching_file(capsys, sphere_file, tmp_path):
@@ -219,6 +237,20 @@ def test_bench_over_corpus(tmp_path, capsys):
         "coreduction",
         "reduction",
     }
+
+
+def test_bench_cyclic_result_exits_2_over_budget_exhaustion(tmp_path, capsys, cyclic_file):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(cyclic_file, corpus / "random3d.txt")
+    write_complex(dunce_hat(), corpus / "dunce.txt")
+    code, payload = run_json(
+        capsys, ["bench", str(corpus), "--algos", "frontier,oracle", "--budget", "50"]
+    )
+    assert code == 2
+    rows = {(r["complex"], r["algorithm"]): r for r in payload["rows"]}
+    assert rows[("random3d.txt", "frontier")]["acyclic"] is False
+    assert rows[("dunce.txt", "oracle")]["optimal"] is False
 
 
 def test_bench_human_output_is_a_table(tmp_path, capsys):

@@ -8,6 +8,7 @@ from morsematch import (
     critical_profile,
     dunce_hat,
     facet_edges,
+    facets_of,
     from_maximal_simplices,
     frontier_edges_matching,
     hasse,
@@ -150,17 +151,32 @@ def test_frontier_up_edges_come_from_source_matching():
 
 
 def test_frontier_edge_partition_covers_every_hasse_edge():
-    for K in [CIRCLE, TRIANGLE, rp2(), dunce_hat()]:
+    # Component edges are disjoint Hasse edges, exactly the facet edges of
+    # the cofaces each component classified; the facet edges of the cofaces
+    # no component reached make up the rest of the diagram.
+    for K in [CIRCLE, TRIANGLE, rp2(), dunce_hat(), random_complex(3)]:
         result = frontier_edges_matching(K)
-        total = len(hasse(K).edges)
-        by_component = sum(len(c.edges) for c in result.components)
-        assert by_component + len(result.residual_edges) == total
+        hasse_edges = {frozenset(e) for e in hasse(K).edges}
         seen: set = set()
+        absorbed: set = set()
         for comp in result.components:
-            for a, b in comp.edges:
-                key = frozenset((a, b))
-                assert key not in seen
-                seen.add(key)
+            keys = {frozenset(e) for e in comp.edges}
+            assert len(keys) == len(comp.edges)
+            assert keys <= hasse_edges
+            assert not keys & seen
+            seen |= keys
+            cofaces = {b for _, b in comp.forward + comp.backward}
+            assert keys == {
+                frozenset((b, a)) for b in cofaces for a in facets_of(b)
+            }
+            absorbed |= cofaces
+        rest = {
+            frozenset((b, a))
+            for b in K.simplices if b not in absorbed
+            for a in facets_of(b)
+        }
+        assert not rest & seen
+        assert seen | rest == hasse_edges
 
 
 def test_frontier_components_have_disjoint_up_edges():
@@ -172,6 +188,15 @@ def test_frontier_components_have_disjoint_up_edges():
             ups = set(comp.forward)
             assert not ups & seen
             seen |= ups
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: frontier can return a cyclic matching in dimension 3",
+)
+def test_frontier_is_acyclic_on_a_3d_random_complex():
+    K = random_complex(2, dim=3, n_vertices=30, n_facets=60, connected=True)
+    assert frontier_edges_matching(K).morse.acyclic
 
 
 def test_ratio_guarantee_exact_arithmetic():

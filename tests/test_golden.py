@@ -1,0 +1,52 @@
+"""Golden output: `morse bench --json --no-timing` over a fixed corpus.
+
+The checksum pins every row and aggregate the three polynomial
+algorithms report, so a refactor that claims unchanged behaviour can be
+checked mechanically.  The `corpus` field is a temporary path and is left
+out.  The exit code is not pinned: it reflects the acyclicity of the rows,
+which the rows themselves already carry.
+"""
+
+import hashlib
+import json
+
+from morsematch import (
+    dunce_hat,
+    random_complex,
+    rp2,
+    simplex_boundary,
+    wedge,
+    write_complex,
+)
+from morsematch.cli import main
+
+GOLDEN_SHA256 = "9d36d975d39c68c175cc942e84bc9ad22b8daf3228508ae5faddbc1970c54c6b"
+
+
+def golden_corpus():
+    out = {
+        "dunce_wedge3.txt": wedge(dunce_hat(), 1, 3),
+        "rp2_wedge3.txt": wedge(rp2(), 1, 3),
+        "sphere4.txt": simplex_boundary(4)[0],
+        "random3d.txt": random_complex(
+            2, dim=3, n_vertices=30, n_facets=60, connected=True
+        ),
+    }
+    for s in range(4):
+        out[f"random2d_{s}.txt"] = random_complex(s)
+    return out
+
+
+def test_bench_output_matches_golden_checksum(tmp_path, capsys):
+    for name, K in golden_corpus().items():
+        write_complex(K, tmp_path / name)
+    main([
+        "bench", str(tmp_path), "--algos", "frontier,coreduction,reduction",
+        "--json", "--no-timing",
+    ])
+    payload = json.loads(capsys.readouterr().out)
+    body = json.dumps(
+        {"rows": payload["rows"], "aggregates": payload["aggregates"]},
+        sort_keys=True,
+    )
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_SHA256

@@ -4,8 +4,8 @@ import pytest
 
 from morsematch import (
     HasseDiagram,
+    InvalidMatching,
     OrientedHasse,
-    d_interface,
     from_maximal_simplices,
     hasse,
     max_cardinality_matching,
@@ -43,21 +43,17 @@ def test_hasse_circle_is_hexagon():
     assert len(degree) == 6 and all(d == 2 for d in degree.values())
 
 
+def interface_counts(K, d):
+    """Nodes and Hasse edges of the d-interface: dimensions d-1 and d."""
+    nodes = len(K.by_dim[d - 1]) + len(K.by_dim[d])
+    edges = sum(1 for tau, _ in hasse(K).edges if len(tau) == d + 1)
+    return nodes, edges
+
+
 def test_d_interface_counts():
-    H = hasse(TRIANGLE)
-    top = d_interface(H, 2)
-    assert len(top.nodes) == 4 and len(top.edges) == 3
-    low = d_interface(H, 1)
-    assert len(low.nodes) == 6 and len(low.edges) == 6
-    sphere_low = d_interface(hasse(SPHERE), 1)
-    assert len(sphere_low.nodes) == 10 and len(sphere_low.edges) == 12
-
-
-def test_d_interface_range_error():
-    with pytest.raises(ValueError, match="out of range 1..2"):
-        d_interface(hasse(TRIANGLE), 3)
-    with pytest.raises(ValueError, match="out of range"):
-        d_interface(hasse(TRIANGLE), 0)
+    assert interface_counts(TRIANGLE, 2) == (4, 3)
+    assert interface_counts(TRIANGLE, 1) == (6, 6)
+    assert interface_counts(SPHERE, 1) == (10, 12)
 
 
 def test_max_matching_sizes():
@@ -126,13 +122,14 @@ def test_oriented_edge_direction():
 def test_partner_and_unmatch():
     M = frozenset({((0,), (0, 1))})
     oh = orient(hasse(CIRCLE), M)
-    assert oh.partner_of((0,)) == (0, 1)
-    assert oh.partner_of((0, 1)) == (0,)
-    assert oh.partner_of((2,)) is None
+    assert oh.is_up((0,), (0, 1))
+    assert not oh.is_up((1,), (0, 1))
     assert oh.up_partner((0,)) == (0, 1)
     assert oh.up_partner((0, 1)) is None
+    assert oh.up_partner((2,)) is None
     oh.unmatch((0,), (0, 1))
-    assert oh.partner_of((0,)) is None
+    assert not oh.is_up((0,), (0, 1))
+    assert oh.up_partner((0,)) is None
     assert len(oh.pairs) == 0
     with pytest.raises(ValueError, match="not an up-edge"):
         oh.unmatch((1,), (1, 2))
@@ -145,6 +142,19 @@ def test_validate_matching_rejects_bad_pairs():
         validate_matching(CIRCLE, {((0,), (1, 2))})
     with pytest.raises(ValueError, match="matched twice"):
         validate_matching(CIRCLE, {((0,), (0, 1)), ((0,), (0, 2))})
+
+
+def test_validate_matching_lists_every_problem_in_pair_order():
+    pairs = [((9,), (0, 1)), ((0,), (1, 2)), ((0,), (0, 1)), ((0,), (0, 2))]
+    with pytest.raises(InvalidMatching) as exc:
+        validate_matching(CIRCLE, pairs)
+    assert exc.value.describe(repr) == [
+        "pair 1: unknown simplex (9,)",
+        "pair 2: not a covering pair",
+        "pair 3: simplex (0,) matched twice",
+        "pair 3: simplex (0, 1) matched twice",
+        "pair 4: simplex (0,) matched twice",
+    ]
 
 
 def test_hasse_edge_count_identity():
