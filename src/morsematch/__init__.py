@@ -34,7 +34,6 @@ from .frontier import (
     EdgeComponent,
     FrontierResult,
     bfs_component,
-    facet_edges,
     frontier_edges_matching,
     leading_up_edges,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "dunce_hat",
     "erasability",
     "euler_characteristic",
-    "facet_edges",
     "facets_of",
     "from_maximal_simplices",
     "frontier_edges_matching",

@@ -85,11 +85,16 @@ def _ratio(num: int, den: int) -> float:
     return 1.0 if den == 0 else round(num / den, 6)
 
 
-def _match_report(K: SimplicialComplex, algo: str, mm, extras) -> dict:
+def _complex_facts(K: SimplicialComplex) -> tuple[int, list[int]]:
+    """Maximum matching size and Betti numbers, the same for every algorithm."""
+    return len(max_cardinality_matching(hasse(K))), list(betti_gf2(K))
+
+
+def _match_report(K: SimplicialComplex, algo: str, mm, extras, facts) -> dict:
     prof = critical_profile(K, mm)
     if prof.total + 2 * len(mm.pairs) != K.n:
         raise RuntimeError("report inconsistent: criticals + matched != n")
-    max_m = len(max_cardinality_matching(hasse(K)))
+    max_m, betti = facts
     rep = {
         "algorithm": algo,
         "n": K.n,
@@ -99,7 +104,7 @@ def _match_report(K: SimplicialComplex, algo: str, mm, extras) -> dict:
         "critical_counts": list(prof.counts),
         "critical_total": prof.total,
         "euler": euler_characteristic(K),
-        "betti": list(betti_gf2(K)),
+        "betti": betti,
         "acyclic": mm.acyclic,
         "max_matching": max_m,
         "ratio_vs_max_matching": _ratio(len(mm.pairs), max_m),
@@ -145,7 +150,7 @@ def cmd_match(args) -> int:
     mm, extras = _run_algo(K, args.algo, _oracle_budget(args))
     if args.canonicalize is not None:
         mm = canonicalize_single_critical_vertex(K, mm, args.canonicalize)
-    payload = _match_report(K, args.algo, mm, extras)
+    payload = _match_report(K, args.algo, mm, extras, _complex_facts(K))
     payload["input"] = args.input
     payload["config"] = {
         "algo": args.algo,
@@ -261,9 +266,10 @@ def cmd_bench(args) -> int:
     cyclic = False
     for name in names:
         K = read_complex(os.path.join(args.corpus, name))
+        facts = _complex_facts(K)
         for algo in algos:
             mm, extras = _run_algo(K, algo, budget)
-            row = _match_report(K, algo, mm, extras)
+            row = _match_report(K, algo, mm, extras, facts)
             row["complex"] = name
             rows.append(row)
             cyclic = cyclic or not mm.acyclic

@@ -6,9 +6,12 @@ through shared facets: from an up-edge (a, b), each facet of b other than
 a that is itself matched upward carries a "leading" up-edge one step away.
 The search grows a component of examined edges breadth-first.  Every
 leading up-edge it meets is classified exactly once: kept (forward) when
-its facet edges join the component without closing a directed cycle, and
-reversed (backward) otherwise.  Kept edges stay matched; reversed ones
-drop out of the matching.
+pairing it closes no alternating cycle through the pairs the component
+has kept so far, and reversed (backward) otherwise.  Kept edges stay
+matched; reversed ones drop out of the matching.  A kept pair joins the
+cycle test when it is classified, not when it later leaves the queue, so
+every candidate is tested against all kept pairs it could close a cycle
+with, and the output is acyclic in every dimension.
 
 A component takes every facet edge of each coface it classifies out of
 the working diagram, so the state between components is just the set of
@@ -30,18 +33,18 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, Simplex, facets_of
 from .hasse import Pair, OrientedHasse, hasse, max_cardinality_matching, orient
-from .morse import MorseMatching, certify
-
-Edge = tuple[Simplex, Simplex]
+from .morse import MorseMatching, certify, closes_cycle
 
 
 @dataclass(frozen=True)
 class EdgeComponent:
-    """One BFS component: its edges, classifications, and per-step trace."""
+    """One BFS component: its classifications and per-step trace.
+
+    Its edges are the facet edges of the cofaces in forward and backward.
+    """
 
     seed: Pair
     dim: int
-    edges: frozenset[Edge]
     forward: tuple[Pair, ...]
     backward: tuple[Pair, ...]
     trace: tuple[tuple[int, int, int], ...]
@@ -52,15 +55,6 @@ class FrontierResult:
     morse: MorseMatching
     components: tuple[EdgeComponent, ...]
     source_matching_size: int
-
-
-def facet_edges(oh: OrientedHasse, beta: Simplex) -> list[Edge]:
-    """Edges between beta and its facets, with their current orientation."""
-    if beta not in oh.complex:
-        raise ValueError(f"unknown simplex {beta}")
-    if len(beta) < 2:
-        raise ValueError("facet edges undefined for a vertex")
-    return [oh.oriented_edge(beta, alpha) for alpha in facets_of(beta)]
 
 
 def leading_up_edges(oh: OrientedHasse, chi: Pair, absorbed=frozenset()) -> list[Pair]:
@@ -86,48 +80,22 @@ def leading_up_edges(oh: OrientedHasse, chi: Pair, absorbed=frozenset()) -> list
     return out
 
 
-def _reaches(adj: dict, extra: list[Edge], start: Simplex, goal: Simplex) -> bool:
-    """Directed reachability start -> goal over adj plus the extra edges."""
-    t_adj: dict[Simplex, list[Simplex]] = {}
-    for a, b in extra:
-        t_adj.setdefault(a, []).append(b)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for nbrs in (adj.get(x, ()), t_adj.get(x, ())):
-            for y in nbrs:
-                if y == goal:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return False
-
-
 def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeComponent:
     """Classify every up-edge reachable from the seed, reversing cycle makers.
 
-    Mutates oh: backward-classified pairs are unmatched.  The component
-    keeps its edge set acyclic throughout: a candidate up-edge (a, b) only
-    survives when no directed path from b back to a exists through the
-    edges gathered so far plus b's own facet edges.  The trace records
-    (forward, backward, frontier) totals after each processed queue node.
-    Cofaces in absorbed belong to earlier components and are not entered
-    (see leading_up_edges).
+    Mutates oh: backward-classified pairs are unmatched.  partner holds
+    the seed and every pair kept so far; a kept pair enters it when it is
+    classified, not when it leaves the queue.  A candidate up-edge (a, b)
+    survives only when closes_cycle finds no alternating path from b back
+    to a through those pairs, so the kept pairs stay acyclic in every
+    dimension.  The trace records (forward, backward, frontier) totals
+    after each processed queue node.  Cofaces in absorbed belong to
+    earlier components and are not entered (see leading_up_edges).
     """
     alpha0, beta0 = seed
     if not oh.is_up(alpha0, beta0):
         raise ValueError(f"not an up-edge: {alpha0} -> {beta0}")
-    d = len(beta0) - 1
-    adj: dict[Simplex, list[Simplex]] = {}
-    edges: list[Edge] = []
-
-    def absorb(es: list[Edge]) -> None:
-        for a, b in es:
-            adj.setdefault(a, []).append(b)
-            edges.append((a, b))
-
+    partner = {alpha0: beta0, beta0: alpha0}
     forward = [seed]
     backward: list[Pair] = []
     classified = {seed}
@@ -136,18 +104,18 @@ def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeCo
     queue = deque([seed])
     while queue:
         chi = queue.popleft()
-        absorb(facet_edges(oh, chi[1]))
         for cand in leading_up_edges(oh, chi, absorbed):
             if cand in classified:
                 continue
             classified.add(cand)
             frontier.discard(cand)
             a_i, b_i = cand
-            if _reaches(adj, facet_edges(oh, b_i), b_i, a_i):
+            if closes_cycle(partner, facets_of, a_i, b_i):
                 oh.unmatch(a_i, b_i)
-                absorb(facet_edges(oh, b_i))
                 backward.append(cand)
             else:
+                partner[a_i] = b_i
+                partner[b_i] = a_i
                 forward.append(cand)
                 queue.append(cand)
                 frontier.update(
@@ -157,8 +125,7 @@ def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeCo
         trace.append((len(forward), len(backward), len(frontier)))
     return EdgeComponent(
         seed=seed,
-        dim=d,
-        edges=frozenset(edges),
+        dim=len(beta0) - 1,
         forward=tuple(forward),
         backward=tuple(backward),
         trace=tuple(trace),

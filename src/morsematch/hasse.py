@@ -189,9 +189,6 @@ class OrientedHasse:
         del self._partner[sigma]
         del self._partner[tau]
 
-    def oriented_edge(self, tau: Simplex, sigma: Simplex) -> tuple[Simplex, Simplex]:
-        return (sigma, tau) if self.is_up(sigma, tau) else (tau, sigma)
-
 
 def orient(H: HasseDiagram, pairs) -> OrientedHasse:
     """Orient a Hasse diagram by a matching, validating the matching first."""

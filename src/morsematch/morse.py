@@ -81,6 +81,35 @@ def _directed_cycle(adj: dict, order) -> list | None:
     return None
 
 
+def closes_cycle(partner: dict, facets, alpha: Simplex, beta: Simplex) -> bool:
+    """True when matching alpha with beta closes an alternating cycle.
+
+    partner maps each matched simplex to its mate and must itself be
+    acyclic, so any new cycle runs through the new pair; facets(b) gives
+    the facets of b.  Walks the interface of dimension len(beta)-1: down
+    from a matched coface to any facet except its partner, then up along
+    that facet's own matched coface, looking for a path from beta back
+    to alpha.  This is the incremental test for a growing matching;
+    is_acyclic certifies a finished one independently.
+    """
+    top = len(beta)
+    seen = {beta}
+    stack = [beta]
+    while stack:
+        b = stack.pop()
+        mate = alpha if b == beta else partner[b]
+        for y in facets(b):
+            if y == mate:
+                continue
+            if y == alpha:
+                return True
+            up = partner.get(y)
+            if up is not None and len(up) == top and up not in seen:
+                seen.add(up)
+                stack.append(up)
+    return False
+
+
 def is_acyclic(oh: OrientedHasse):
     """Certify the orientation, one d-interface at a time.
 

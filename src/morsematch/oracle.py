@@ -17,7 +17,7 @@ from itertools import combinations
 from .complexes import SimplicialComplex, Simplex, betti_gf2, facets_of, proper_cofaces
 from .hasse import Pair, hasse, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
-from .morse import MorseMatching, certify
+from .morse import MorseMatching, certify, closes_cycle
 
 SIZE_LIMIT = 40
 
@@ -36,31 +36,6 @@ class _Exhausted(Exception):
 
 class _Solved(Exception):
     pass
-
-
-def _would_cycle(partner: dict, fac: dict, alpha: Simplex, beta: Simplex) -> bool:
-    """True when matching alpha with beta closes an alternating cycle.
-
-    Walks the interface of dimension len(beta)-1: down from a matched
-    coface to any facet except its partner, then up along that facet's
-    own matched coface, looking for a path from beta back to alpha.
-    """
-    top = len(beta)
-    seen = {beta}
-    stack = [beta]
-    while stack:
-        b = stack.pop()
-        mate = alpha if b == beta else partner[b]
-        for y in fac[b]:
-            if y == mate:
-                continue
-            if y == alpha:
-                return True
-            up = partner.get(y)
-            if up is not None and len(up) == top and up not in seen:
-                seen.add(up)
-                stack.append(up)
-    return False
 
 
 def _chain_bound(remaining: list[int]) -> int:
@@ -116,7 +91,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     order = K.simplices
     n = K.n
     remaining = [len(level) for level in K.by_dim]
-    fac = {s: facets_of(s) for s in order if len(s) > 1}
+    facets = {s: facets_of(s) for s in order if len(s) > 1}.__getitem__
     cofacets = K.cofacet_map
     partner: dict[Simplex, Simplex] = {}
     pairs: list[Pair] = []
@@ -141,7 +116,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
         d = len(s) - 1
         remaining[d] -= 1
         for t in cofacets[s]:
-            if t in partner or _would_cycle(partner, fac, s, t):
+            if t in partner or closes_cycle(partner, facets, s, t):
                 continue
             partner[s] = t
             partner[t] = s

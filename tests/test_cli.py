@@ -8,16 +8,20 @@ import sys
 import pytest
 
 from morsematch import (
+    certify,
     dunce_hat,
     from_maximal_simplices,
     parse_complex,
     parse_matching,
-    random_complex,
     rp2,
     simplex_boundary,
     write_complex,
 )
+from morsematch import cli
 from morsematch.cli import main
+
+CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
+HEXAGON = frozenset({((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))})
 
 
 @pytest.fixture
@@ -30,17 +34,21 @@ def sphere_file(tmp_path):
 @pytest.fixture
 def circle_file(tmp_path):
     path = tmp_path / "circle.txt"
-    write_complex(from_maximal_simplices([(0, 1), (1, 2), (0, 2)]), path)
+    write_complex(CIRCLE, path)
     return str(path)
 
 
 @pytest.fixture
-def cyclic_file(tmp_path):
-    # frontier returns a cyclic matching here (a known defect)
-    path = tmp_path / "random3d.txt"
-    K = random_complex(2, dim=3, n_vertices=30, n_facets=60, connected=True)
-    write_complex(K, path)
-    return str(path)
+def cyclic_file(circle_file, monkeypatch):
+    # frontier is swapped for a stand-in that returns the circle's perfect
+    # matching, one alternating cycle, and the real result elsewhere.
+    real = cli.HEURISTICS["frontier"]
+
+    def cyclic_on_circle(K):
+        return certify(K, HEXAGON) if K == CIRCLE else real(K)
+
+    monkeypatch.setitem(cli.HEURISTICS, "frontier", cyclic_on_circle)
+    return circle_file
 
 
 def run_json(capsys, argv):
@@ -101,7 +109,7 @@ def test_match_cyclic_result_exits_2_with_report(capsys, cyclic_file):
     code, payload = run_json(capsys, ["match", cyclic_file, "--algo", "frontier"])
     assert code == 2
     assert payload["acyclic"] is False
-    assert payload["n"] == 299
+    assert payload["n"] == 6
 
 
 def test_match_writes_matching_file(capsys, sphere_file, tmp_path):
@@ -242,14 +250,14 @@ def test_bench_over_corpus(tmp_path, capsys):
 def test_bench_cyclic_result_exits_2_over_budget_exhaustion(tmp_path, capsys, cyclic_file):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    shutil.copy(cyclic_file, corpus / "random3d.txt")
+    shutil.copy(cyclic_file, corpus / "circle.txt")
     write_complex(dunce_hat(), corpus / "dunce.txt")
     code, payload = run_json(
         capsys, ["bench", str(corpus), "--algos", "frontier,oracle", "--budget", "50"]
     )
     assert code == 2
     rows = {(r["complex"], r["algorithm"]): r for r in payload["rows"]}
-    assert rows[("random3d.txt", "frontier")]["acyclic"] is False
+    assert rows[("circle.txt", "frontier")]["acyclic"] is False
     assert rows[("dunce.txt", "oracle")]["optimal"] is False
 
 

@@ -20,7 +20,7 @@ from morsematch import (
 )
 from morsematch.cli import main
 
-GOLDEN_SHA256 = "9d36d975d39c68c175cc942e84bc9ad22b8daf3228508ae5faddbc1970c54c6b"
+GOLDEN_SHA256 = "dceea2b130c68a080d84993a8389d598aa3351b5f2f807a8b814bd5bf3ae3597"
 
 
 def golden_corpus():

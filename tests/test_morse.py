@@ -1,5 +1,7 @@
 """Acyclicity certification, critical profiles, canonicalization, collapses."""
 
+import random
+
 import pytest
 
 from morsematch import (
@@ -9,13 +11,16 @@ from morsematch import (
     collapse_sequence,
     critical_profile,
     euler_characteristic,
+    facets_of,
     from_maximal_simplices,
     gamma_graph,
     is_acyclic,
     random_complex,
     simplex_boundary,
 )
+from morsematch.morse import closes_cycle
 from helpers import (
+    covering_pairs,
     euler,
     has_directed_cycle,
     named_complexes,
@@ -74,6 +79,33 @@ def test_is_acyclic_matches_whole_graph_search():
     for K, pairs in matchings:
         naive = not has_directed_cycle(oriented_adjacency(K.simplices, pairs))
         assert certify(K, pairs).acyclic == naive
+
+
+def test_closes_cycle_matches_whole_graph_search():
+    # Grow random acyclic matchings one free covering pair at a time; the
+    # walk must agree with a cycle search over the whole oriented diagram.
+    checks = positives = 0
+    for seed in range(30):
+        for dim in (2, 3):
+            K = random_complex(seed, dim=dim, n_vertices=7, n_facets=6)
+            candidates = covering_pairs(K.simplices)
+            random.Random(seed).shuffle(candidates)
+            partner: dict = {}
+            pairs: list = []
+            for a, b in candidates:
+                if a in partner or b in partner:
+                    continue
+                naive = has_directed_cycle(
+                    oriented_adjacency(K.simplices, pairs + [(a, b)])
+                )
+                assert closes_cycle(partner, facets_of, a, b) == naive, (seed, a, b)
+                checks += 1
+                positives += naive
+                if not naive:
+                    partner[a] = b
+                    partner[b] = a
+                    pairs.append((a, b))
+    assert checks > 600 and positives > 30, (checks, positives)
 
 
 def test_critical_profile_counts_unmatched():
