@@ -13,7 +13,6 @@ from .complexes import (
     betti_gf2,
     boundary_matrix_gf2,
     canonical_key,
-    dim_of,
     euler_characteristic,
     facets_of,
     from_maximal_simplices,
@@ -47,7 +46,6 @@ from .generators import (
     wedge,
 )
 from .hasse import (
-    HasseDiagram,
     InvalidMatching,
     OrientedHasse,
     Pair,
@@ -86,7 +84,6 @@ __all__ = [
     "EdgeComponent",
     "ErasabilityResult",
     "FrontierResult",
-    "HasseDiagram",
     "InvalidMatching",
     "MorseInequalityReport",
     "MorseMatching",
@@ -107,7 +104,6 @@ __all__ = [
     "collapse_sequence",
     "coreduction_matching",
     "critical_profile",
-    "dim_of",
     "dunce_hat",
     "erasability",
     "euler_characteristic",

@@ -13,6 +13,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ from .generators import (
     simplex_boundary,
     wedge,
 )
-from .hasse import InvalidMatching, hasse, max_cardinality_matching, validate_matching
+from .hasse import InvalidMatching, max_cardinality_matching, validate_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import (
     canonicalize_single_critical_vertex,
@@ -87,7 +88,7 @@ def _ratio(num: int, den: int) -> float:
 
 def _complex_facts(K: SimplicialComplex) -> tuple[int, list[int]]:
     """Maximum matching size and Betti numbers, the same for every algorithm."""
-    return len(max_cardinality_matching(hasse(K))), list(betti_gf2(K))
+    return len(max_cardinality_matching(K)), list(betti_gf2(K))
 
 
 def _match_report(K: SimplicialComplex, algo: str, mm, extras, facts) -> dict:
@@ -309,7 +310,9 @@ def cmd_bench(args) -> int:
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by main."""
     p = argparse.ArgumentParser(
         prog="morse",
         description="Discrete Morse matchings on simplicial complexes.",

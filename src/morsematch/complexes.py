@@ -32,10 +32,6 @@ def canonical_key(s: Simplex):
     return (len(s), s)
 
 
-def dim_of(s: Simplex) -> int:
-    return len(s) - 1
-
-
 def facets_of(s: Simplex) -> list[Simplex]:
     """Codimension-1 faces of s, in canonical order."""
     if len(s) <= 1:

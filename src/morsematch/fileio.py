@@ -1,8 +1,9 @@
 """Plain-text formats for complexes and matchings.
 
 A complex file lists one maximal simplex per line as whitespace-separated
-vertex ids; `#` starts a comment line and blank lines are skipped.  The
-parser rebuilds the downward closure, so parse(serialize(K)) == K.
+vertex ids, each a run of ASCII decimal digits (so non-negative); `#`
+starts a comment line and blank lines are skipped.  The parser rebuilds
+the downward closure, so parse(serialize(K)) == K.
 
 A matching file has one pair per line, face and coface separated by a
 semicolon: "0 1 ; 0 1 2".
@@ -19,10 +20,9 @@ class ParseError(ValueError):
 def _parse_vertices(token_text: str, lineno: int) -> Simplex:
     verts = []
     for tok in token_text.split():
-        try:
-            verts.append(int(tok))
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad vertex id {tok!r}") from None
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"line {lineno}: bad vertex id {tok!r}")
+        verts.append(int(tok))
     if not verts:
         raise ParseError(f"line {lineno}: no vertices")
     if len(set(verts)) != len(verts):

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, Simplex, facets_of
-from .hasse import Pair, OrientedHasse, hasse, max_cardinality_matching, orient
+from .hasse import Pair, OrientedHasse, max_cardinality_matching, orient
 from .morse import MorseMatching, certify, closes_cycle
 
 
@@ -141,9 +141,8 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     and a seed is skipped once its coface is.  The returned matching is
     re-certified from scratch rather than trusted.
     """
-    H = hasse(K)
-    M = max_cardinality_matching(H)
-    oh = orient(H, M)
+    M = max_cardinality_matching(K)
+    oh = orient(K, M)
     absorbed: set[Simplex] = set()
     components = []
     for seed in sorted(oh.up_pairs(), key=lambda p: (len(p[1]), p[1])):

@@ -1,9 +1,13 @@
-"""Hasse diagrams of face posets and matchings on their covering graphs.
+"""Matchings on the covering graph of a face poset.
 
-Edges of the Hasse diagram join each simplex to its codimension-1 faces.
-A matching selects disjoint covering pairs; orienting the diagram by a
-matching points matched edges up (face to coface) and everything else
-down.
+The Hasse diagram of a complex is the covering graph of its face poset:
+one edge joins each simplex to each of its codimension-1 faces.  The
+complex already stores that incidence (facets_of and K.cofacet_map), so
+there is no separate diagram object: matching, validation and
+orientation take the complex itself, and hasse(K) lists the covering
+edges only for a caller that wants them as data.  A matching selects
+disjoint covering pairs; orienting the diagram by a matching points
+matched edges up (face to coface) and everything else down.
 """
 from __future__ import annotations
 
@@ -14,32 +18,12 @@ from .complexes import Simplex, SimplicialComplex, canonical_key, facets_of
 Pair = tuple[Simplex, Simplex]
 
 
-class HasseDiagram:
-    """Covering graph of a complex, one edge per covering pair."""
-
-    __slots__ = ("complex", "edges")
-
-    def __init__(self, K: SimplicialComplex):
-        self.complex = K
-        edges = []
-        for tau in K.simplices:
-            for sigma in facets_of(tau):
-                edges.append((tau, sigma))
-        self.edges: tuple[tuple[Simplex, Simplex], ...] = tuple(edges)
-
-    @property
-    def nodes(self) -> tuple[Simplex, ...]:
-        return self.complex.simplices
-
-    def __repr__(self) -> str:
-        return f"HasseDiagram(nodes={len(self.nodes)}, edges={len(self.edges)})"
+def hasse(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
+    """Covering edges (coface, facet) of K, cofaces and facets in canonical order."""
+    return [(tau, sigma) for tau in K.simplices for sigma in facets_of(tau)]
 
 
-def hasse(K: SimplicialComplex) -> HasseDiagram:
-    return HasseDiagram(K)
-
-
-def max_cardinality_matching(H: HasseDiagram) -> frozenset[Pair]:
+def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
     """Maximum matching on the covering graph by alternating-path augmentation.
 
     The graph is bipartite between even and odd dimensions.  Scan order is
@@ -53,7 +37,6 @@ def max_cardinality_matching(H: HasseDiagram) -> frozenset[Pair]:
     the search pops the node; on dense complexes a node is popped many
     times over.
     """
-    K = H.complex
     cofacets = K.cofacet_map
     nbrs: dict[Simplex, tuple[Simplex, ...]] = {}
     left = sorted(
@@ -151,18 +134,18 @@ class OrientedHasse:
     matchings rely on this.
     """
 
-    __slots__ = ("hasse", "complex", "_partner")
+    __slots__ = ("complex", "_partner")
 
-    def __init__(self, H: HasseDiagram, pairs):
-        self.hasse = H
-        self.complex = H.complex
+    def __init__(self, K: SimplicialComplex, pairs):
+        self.complex = K
         self._partner: dict[Simplex, Simplex] = {}
         for sigma, tau in pairs:
             self._partner[sigma] = tau
             self._partner[tau] = sigma
 
     def is_up(self, sigma: Simplex, tau: Simplex) -> bool:
-        return self._partner.get(sigma) == tau
+        """Whether the covering edge from face sigma to coface tau is matched."""
+        return self._partner.get(sigma) == tau and len(sigma) < len(tau)
 
     def up_partner(self, s: Simplex):
         """The coface s is matched to, or None."""
@@ -190,6 +173,6 @@ class OrientedHasse:
         del self._partner[tau]
 
 
-def orient(H: HasseDiagram, pairs) -> OrientedHasse:
-    """Orient a Hasse diagram by a matching, validating the matching first."""
-    return OrientedHasse(H, validate_matching(H.complex, pairs))
+def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
+    """Orient the Hasse diagram of K by a matching, validating the matching first."""
+    return OrientedHasse(K, validate_matching(K, pairs))

@@ -20,7 +20,7 @@ from .complexes import (
     is_connected,
     proper_cofaces,
 )
-from .hasse import Pair, OrientedHasse, hasse, orient
+from .hasse import Pair, OrientedHasse, orient
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def is_acyclic(oh: OrientedHasse):
 
 def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     """Validate a matching and attach its acyclicity certificate."""
-    oh = orient(hasse(K), pairs)
+    oh = orient(K, pairs)
     ok, witness = is_acyclic(oh)
     return MorseMatching(pairs=oh.pairs, acyclic=ok, witness=witness)
 

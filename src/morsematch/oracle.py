@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex, Simplex, betti_gf2, facets_of, proper_cofaces
-from .hasse import Pair, hasse, max_cardinality_matching
+from .hasse import Pair, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import MorseMatching, certify, closes_cycle
 
@@ -82,7 +82,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     sum_beta = sum(betti_gf2(K))
     if (K.n - sum_beta) % 2:
         sum_beta += 1
-    ub = min((K.n - sum_beta) // 2, len(max_cardinality_matching(hasse(K))))
+    ub = min((K.n - sum_beta) // 2, len(max_cardinality_matching(K)))
 
     best: list[Pair] = list(seed.pairs)
     if len(best) >= ub:

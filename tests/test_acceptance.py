@@ -21,7 +21,6 @@ from morsematch import (
     euler_characteristic,
     frontier_edges_matching,
     full_simplex,
-    hasse,
     is_collapsible,
     max_cardinality_matching,
     optimal_morse_matching,
@@ -165,8 +164,7 @@ def test_criterion_05_oracle_agreement_small_complexes(corpus):
     small = [(n, K) for n, K in list(named_complexes().items()) + corpus if K.n <= 16]
     checked = 0
     for label, K in small:
-        H = hasse(K)
-        M = max_cardinality_matching(H)
+        M = max_cardinality_matching(K)
         brute = brute_max_matching_size(K.simplices)
         if len(M) != brute:
             violations.append(f"{label}: matching {len(M)} vs brute {brute}")

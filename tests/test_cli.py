@@ -279,6 +279,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "repeated vertex" in err
 
 
+def test_stats_negative_vertex_id_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1\n-1 3\n")
+    assert main(["stats", str(bad)]) == 3
+    assert "line 2: bad vertex id '-1'" in capsys.readouterr().err
+
+
+def test_validate_negative_vertex_id_is_a_parse_error(tmp_path, capsys, circle_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 ; 0 1\n-1 ; 0 1\n")
+    assert main(["validate", circle_file, str(bad)]) == 3
+    assert "line 2: bad vertex id '-1'" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["stats", "/nonexistent/nowhere.txt"]) == 3
 

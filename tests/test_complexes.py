@@ -6,7 +6,6 @@ from morsematch import (
     betti_gf2,
     boundary_matrix_gf2,
     canonical_key,
-    dim_of,
     euler_characteristic,
     facets_of,
     from_maximal_simplices,
@@ -58,7 +57,6 @@ def test_facets_of_is_lexicographic():
     assert facets_of((0, 1, 2)) == [(0, 1), (0, 2), (1, 2)]
     assert facets_of((3, 7)) == [(3,), (7,)]
     assert facets_of((0,)) == []
-    assert dim_of((0, 1, 2)) == 2
 
 
 def test_cofacets_of():

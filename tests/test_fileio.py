@@ -1,5 +1,7 @@
 """Text round-trips for complexes and matchings."""
 
+import re
+
 import pytest
 
 from morsematch import (
@@ -42,6 +44,16 @@ def test_parse_errors_carry_line_numbers():
         parse_complex("# nothing here\n")
     with pytest.raises(ParseError, match="line 3"):
         parse_complex("0 1\n1 2\n1 1\n")
+
+
+@pytest.mark.parametrize("tok", ["-1", "+1", "1_0"])
+def test_vertex_ids_are_plain_decimal_digits(tok):
+    # int() would take all three; the format allows only ASCII digits.
+    want = re.escape(f"line 2: bad vertex id '{tok}'")
+    with pytest.raises(ParseError, match=want):
+        parse_complex(f"0 1\n{tok} 3\n")
+    with pytest.raises(ParseError, match=want):
+        parse_matching(f"0 ; 0 1\n{tok} ; {tok} 3\n")
 
 
 def test_serialize_writes_maximal_simplices_only():

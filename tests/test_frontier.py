@@ -26,7 +26,7 @@ HEXAGON = frozenset({((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))})
 
 
 def hexagon_orientation():
-    return orient(hasse(CIRCLE), HEXAGON)
+    return orient(CIRCLE, HEXAGON)
 
 
 def component_edges(comp):
@@ -52,14 +52,12 @@ def test_leading_up_edges_on_hexagon():
 
 
 def test_leading_up_edges_without_matched_siblings():
-    oh = orient(hasse(CIRCLE), frozenset({((0,), (0, 1))}))
+    oh = orient(CIRCLE, frozenset({((0,), (0, 1))}))
     assert leading_up_edges(oh, ((0,), (0, 1))) == []
 
 
 def test_leading_up_edges_on_partial_matching():
-    oh = orient(
-        hasse(TRIANGLE), frozenset({((0,), (0, 1)), ((1,), (1, 2))})
-    )
+    oh = orient(TRIANGLE, frozenset({((0,), (0, 1)), ((1,), (1, 2))}))
     assert leading_up_edges(oh, ((0,), (0, 1))) == [((1,), (1, 2))]
 
 
@@ -78,7 +76,7 @@ def test_bfs_component_on_hexagon():
 
 
 def test_bfs_component_isolated_up_edge():
-    oh = orient(hasse(CIRCLE), frozenset({((0,), (0, 1))}))
+    oh = orient(CIRCLE, frozenset({((0,), (0, 1))}))
     comp = bfs_component(oh, ((0,), (0, 1)))
     assert comp.forward == (((0,), (0, 1)),)
     assert comp.backward == ()
@@ -94,8 +92,8 @@ def test_bfs_component_rejects_non_up_seed():
 
 def test_bfs_component_stays_in_one_interface():
     K, _ = simplex_boundary(3)
-    M = max_cardinality_matching(hasse(K))
-    oh = orient(hasse(K), M)
+    M = max_cardinality_matching(K)
+    oh = orient(K, M)
     seed = min(oh.up_pairs(), key=lambda p: (len(p[1]), p[1]))
     comp = bfs_component(oh, seed)
     d = len(seed[1]) - 1
@@ -127,7 +125,7 @@ def test_frontier_on_full_triangle_attains_optimum():
 
 def test_frontier_up_edges_come_from_source_matching():
     for K in [CIRCLE, TRIANGLE, rp2(), dunce_hat(), simplex_boundary(3)[0]]:
-        M = max_cardinality_matching(hasse(K))
+        M = max_cardinality_matching(K)
         result = frontier_edges_matching(K)
         assert result.morse.pairs <= M
         assert result.source_matching_size == len(M)
@@ -139,7 +137,7 @@ def test_frontier_edge_partition_covers_every_hasse_edge():
     # the rest of the diagram.
     for K in [CIRCLE, TRIANGLE, rp2(), dunce_hat(), random_complex(3), RANDOM_3D]:
         result = frontier_edges_matching(K)
-        hasse_edges = set(hasse(K).edges)
+        hasse_edges = set(hasse(K))
         seen: set = set()
         absorbed: set = set()
         for comp in result.components:

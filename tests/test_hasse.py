@@ -3,11 +3,12 @@
 import pytest
 
 from morsematch import (
-    HasseDiagram,
     InvalidMatching,
     OrientedHasse,
+    bfs_component,
     from_maximal_simplices,
     hasse,
+    leading_up_edges,
     max_cardinality_matching,
     orient,
     validate_matching,
@@ -20,24 +21,23 @@ SPHERE = from_maximal_simplices([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
 
 
 def test_hasse_nodes_and_edges_on_triangle():
-    H = hasse(TRIANGLE)
-    assert len(H.nodes) == 7
-    assert len(H.edges) == 9
+    edges = hasse(TRIANGLE)
+    assert len(TRIANGLE.simplices) == 7
+    assert len(edges) == 9
     # edges run coface to face
-    assert ((0, 1), (0,)) in set(H.edges)
-    assert ((0, 1, 2), (0, 1)) in set(H.edges)
+    assert ((0, 1), (0,)) in set(edges)
+    assert ((0, 1, 2), (0, 1)) in set(edges)
 
 
 def test_hasse_single_vertex():
-    H = hasse(from_maximal_simplices([(3,)]))
-    assert len(H.edges) == 0
+    assert len(hasse(from_maximal_simplices([(3,)]))) == 0
 
 
 def test_hasse_circle_is_hexagon():
-    H = hasse(CIRCLE)
-    assert len(H.edges) == 6
+    edges = hasse(CIRCLE)
+    assert len(edges) == 6
     degree: dict = {}
-    for tau, sigma in H.edges:
+    for tau, sigma in edges:
         degree[sigma] = degree.get(sigma, 0) + 1
         degree[tau] = degree.get(tau, 0) + 1
     assert len(degree) == 6 and all(d == 2 for d in degree.values())
@@ -46,7 +46,7 @@ def test_hasse_circle_is_hexagon():
 def interface_counts(K, d):
     """Nodes and Hasse edges of the d-interface: dimensions d-1 and d."""
     nodes = len(K.by_dim[d - 1]) + len(K.by_dim[d])
-    edges = sum(1 for tau, _ in hasse(K).edges if len(tau) == d + 1)
+    edges = sum(1 for tau, _ in hasse(K) if len(tau) == d + 1)
     return nodes, edges
 
 
@@ -57,14 +57,14 @@ def test_d_interface_counts():
 
 
 def test_max_matching_sizes():
-    assert len(max_cardinality_matching(hasse(TRIANGLE))) == 3
-    assert len(max_cardinality_matching(hasse(CIRCLE))) == 3
-    assert len(max_cardinality_matching(hasse(from_maximal_simplices([(9,)])))) == 0
+    assert len(max_cardinality_matching(TRIANGLE)) == 3
+    assert len(max_cardinality_matching(CIRCLE)) == 3
+    assert len(max_cardinality_matching(from_maximal_simplices([(9,)]))) == 0
 
 
 def test_max_matching_is_deterministic():
-    a = max_cardinality_matching(hasse(CIRCLE))
-    b = max_cardinality_matching(hasse(CIRCLE))
+    a = max_cardinality_matching(CIRCLE)
+    b = max_cardinality_matching(CIRCLE)
     assert a == b
     assert sorted(a) == [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))]
 
@@ -73,55 +73,55 @@ def test_max_matching_equals_brute_force_on_small_corpus():
     for name, K in named_complexes().items():
         if K.n > 16:
             continue
-        got = len(max_cardinality_matching(hasse(K)))
+        got = len(max_cardinality_matching(K))
         want = brute_max_matching_size(K.simplices)
         assert got == want, name
 
 
 def test_max_matching_pairs_are_coverings():
     for name, K in named_complexes().items():
-        M = max_cardinality_matching(hasse(K))
+        M = max_cardinality_matching(K)
         validate_matching(K, M)
         ends = [s for p in M for s in p]
         assert len(ends) == len(set(ends)), name
 
 
 def test_orient_empty_matching_points_all_down():
-    oh = orient(hasse(TRIANGLE), frozenset())
-    for tau, sigma in oh.hasse.edges:
+    oh = orient(TRIANGLE, frozenset())
+    for tau, sigma in hasse(TRIANGLE):
         assert not oh.is_up(sigma, tau)
     assert oh.up_pairs() == []
 
 
 def test_orient_single_pair():
     M = frozenset({((0, 1), (0, 1, 2))})
-    oh = orient(hasse(TRIANGLE), M)
+    oh = orient(TRIANGLE, M)
     ups = [
         (sigma, tau)
-        for tau, sigma in oh.hasse.edges
+        for tau, sigma in hasse(TRIANGLE)
         if oh.is_up(sigma, tau)
     ]
     assert ups == [((0, 1), (0, 1, 2))]
-    assert len(oh.hasse.edges) - len(ups) == 8
+    assert len(hasse(TRIANGLE)) - len(ups) == 8
 
 
 def test_orient_perfect_matching_reproduces_pairs():
     M = frozenset({((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))})
-    oh = orient(hasse(CIRCLE), M)
+    oh = orient(CIRCLE, M)
     assert frozenset(oh.up_pairs()) == M
     assert oh.pairs == M
 
 
 def test_oriented_edge_direction():
     M = frozenset({((0,), (0, 1))})
-    oh = orient(hasse(CIRCLE), M)
+    oh = orient(CIRCLE, M)
     assert oh.is_up((0,), (0, 1))
     assert not oh.is_up((1,), (0, 1))
 
 
 def test_partner_and_unmatch():
     M = frozenset({((0,), (0, 1))})
-    oh = orient(hasse(CIRCLE), M)
+    oh = orient(CIRCLE, M)
     assert oh.is_up((0,), (0, 1))
     assert not oh.is_up((1,), (0, 1))
     assert oh.up_partner((0,)) == (0, 1)
@@ -133,6 +133,22 @@ def test_partner_and_unmatch():
     assert len(oh.pairs) == 0
     with pytest.raises(ValueError, match="not an up-edge"):
         oh.unmatch((1,), (1, 2))
+
+
+def test_reversed_matched_edge_is_not_up():
+    # The pair read coface first is the same covering edge pointing down,
+    # so every step that needs an up-edge refuses it.
+    M = frozenset({((0,), (0, 1))})
+    oh = orient(CIRCLE, M)
+    assert oh.is_up((0,), (0, 1))
+    assert not oh.is_up((0, 1), (0,))
+    with pytest.raises(ValueError, match="not an up-edge"):
+        leading_up_edges(oh, ((0, 1), (0,)))
+    with pytest.raises(ValueError, match="not an up-edge"):
+        bfs_component(oh, ((0, 1), (0,)))
+    with pytest.raises(ValueError, match="not an up-edge"):
+        oh.unmatch((0, 1), (0,))
+    assert oh.pairs == M
 
 
 def test_validate_matching_rejects_bad_pairs():
@@ -161,12 +177,10 @@ def test_hasse_edge_count_identity():
     # every d-simplex contributes exactly d+1 covering edges downward
     for name, K in named_complexes().items():
         want = sum(len(s) for s in K.simplices if len(s) > 1)
-        assert len(hasse(K).edges) == want, name
+        assert len(hasse(K)) == want, name
 
 
-def test_hasse_type_is_reusable():
-    H = hasse(CIRCLE)
-    assert isinstance(H, HasseDiagram)
-    oh = orient(H, frozenset())
+def test_orient_keeps_the_complex():
+    oh = orient(CIRCLE, frozenset())
     assert isinstance(oh, OrientedHasse)
-    assert oh.hasse is H
+    assert oh.complex is CIRCLE
