@@ -5,6 +5,11 @@ A complex stores every face (downward closure) and is immutable once
 built.  Orderings are canonical throughout: simplices compare by
 (dimension, vertex tuple), which keeps every derived structure
 deterministic.
+
+Each simplex also has an integer id, its position in the canonical
+order, and the complex stores its incidence once as tuples of facet ids
+and cofacet ids.  Algorithms keep their state in lists indexed by id and
+speak simplex tuples only at the API edge.
 """
 from __future__ import annotations
 
@@ -42,38 +47,57 @@ def facets_of(s: Simplex) -> list[Simplex]:
 class SimplicialComplex:
     """A downward-closed finite set of simplices.
 
-    The complex is the package's one incidence store: facets are computed
-    on demand by facets_of, and the codimension-1 cofaces of every simplex
-    are kept in canonical order in the read-only cofacet_map.
+    The complex is the package's one incidence store.  Every simplex has
+    an id, its position in simplices, so ids sort in canonical order and
+    the ids of one dimension are contiguous.  The read-only index maps a
+    simplex to its id; facet_ids[i] and cofacet_ids[i] hold the ids of
+    the codimension-1 faces and cofaces of simplex i, ascending, so in
+    canonical order.  Hot loops run on ids and turn them back into
+    simplices at the edge.
+    The maximum matching and the Betti numbers are filled in on first
+    request and kept, since the complex never changes.
     """
 
-    __slots__ = ("simplices", "by_dim", "dim", "n", "_members", "cofacet_map")
+    __slots__ = (
+        "simplices", "by_dim", "dim", "n", "index", "facet_ids", "cofacet_ids",
+        "_max_matching", "_betti",
+    )
 
     def __init__(self, simplices):
-        members = sorted({simplex(s) for s in simplices}, key=canonical_key)
+        members = sorted({simplex(s) for s in simplices})
         if not members:
             raise ValueError("empty complex")
-        member_set = frozenset(members)
-        for s in members:
-            for f in facets_of(s):
-                if f not in member_set:
-                    raise ValueError(f"not downward closed: missing face {f}")
+        members.sort(key=len)
+        index = {s: i for i, s in enumerate(members)}
+        facet_ids: list[tuple[int, ...]] = []
+        cofacets: list[list[int]] = [[] for _ in members]
+        for i, s in enumerate(members):
+            k = len(s) - 1
+            if not k:
+                facet_ids.append(())
+                continue
+            try:
+                fs = tuple(map(index.__getitem__, combinations(s, k)))
+            except KeyError as exc:
+                raise ValueError(f"not downward closed: missing face {exc.args[0]}") from None
+            facet_ids.append(fs)
+            for f in fs:
+                cofacets[f].append(i)
         self.simplices: tuple[Simplex, ...] = tuple(members)
-        self._members = member_set
+        self.index: MappingProxyType[Simplex, int] = MappingProxyType(index)
+        self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
+        self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, cofacets))
         self.dim: int = len(members[-1]) - 1
         self.n: int = len(members)
         by_dim: list[list[Simplex]] = [[] for _ in range(self.dim + 1)]
         for s in members:
             by_dim[len(s) - 1].append(s)
         self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(tuple(level) for level in by_dim)
-        cofacets: dict[Simplex, list[Simplex]] = {s: [] for s in members}
-        for t in members:
-            for f in facets_of(t):
-                cofacets[f].append(t)
-        self.cofacet_map = MappingProxyType({s: tuple(ts) for s, ts in cofacets.items()})
+        self._max_matching = None
+        self._betti = None
 
     def __contains__(self, s) -> bool:
-        return s in self._members
+        return s in self.index
 
     def __iter__(self):
         return iter(self.simplices)
@@ -96,24 +120,40 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         return tuple(s[0] for s in self.by_dim[0])
 
+    def offset(self, d: int) -> int:
+        """Id of the first d-simplex; the d-simplices hold ids offset(d) .. offset(d+1)-1."""
+        return sum(len(level) for level in self.by_dim[:d])
+
     def cofacets_of(self, s: Simplex) -> tuple[Simplex, ...]:
         """Codimension-1 cofaces of s, in canonical order."""
-        if s not in self._members:
+        i = self.index.get(s)
+        if i is None:
             raise ValueError(f"unknown simplex {s}")
-        return self.cofacet_map[s]
+        S = self.simplices
+        return tuple(S[j] for j in self.cofacet_ids[i])
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
-        return tuple(s for s in self.simplices if not self.cofacet_map[s])
+        return tuple(s for s, cs in zip(self.simplices, self.cofacet_ids) if not cs)
 
 
-def proper_cofaces(K: SimplicialComplex) -> dict[Simplex, list[Simplex]]:
-    """Every proper coface of every simplex, each list in canonical order."""
-    cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in K.simplices}
-    for t in K.simplices:
-        for k in range(1, len(t)):
-            for f in combinations(t, k):
-                cofaces[f].append(t)
+def proper_faces(K: SimplicialComplex, i: int) -> set[int]:
+    """Ids of every proper face of simplex i, read level by level from facet_ids."""
+    F = K.facet_ids
+    level = F[i]
+    faces = set(level)
+    while level:
+        level = {g for f in level for g in F[f]}
+        faces |= level
+    return faces
+
+
+def proper_cofaces(K: SimplicialComplex) -> list[list[int]]:
+    """Ids of every proper coface of every simplex, by id, each list ascending."""
+    cofaces: list[list[int]] = [[] for _ in range(K.n)]
+    for t in range(K.n):
+        for f in proper_faces(K, t):
+            cofaces[f].append(t)
     return cofaces
 
 
@@ -142,12 +182,13 @@ def boundary_matrix_gf2(K: SimplicialComplex, d: int) -> list[int]:
     """
     if not 1 <= d <= K.dim:
         raise ValueError(f"no boundary matrix in dimension {d}")
-    index = {s: i for i, s in enumerate(K.by_dim[d - 1])}
+    lo, start, stop = K.offset(d - 1), K.offset(d), K.offset(d + 1)
+    F = K.facet_ids
     rows = []
-    for s in K.by_dim[d]:
+    for i in range(start, stop):
         row = 0
-        for f in facets_of(s):
-            row |= 1 << index[f]
+        for f in F[i]:
+            row |= 1 << (f - lo)
         rows.append(row)
     return rows
 
@@ -172,14 +213,16 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     """Mod-2 Betti numbers (beta_0, ..., beta_D).
 
     beta_d = dim ker(boundary_d) - rank(boundary_{d+1}), with the boundary
-    maps taken over GF(2).
+    maps taken over GF(2).  Computed once per complex and kept.
     """
-    ranks = [0] * (K.dim + 2)
-    for d in range(1, K.dim + 1):
-        ranks[d] = gf2_rank(boundary_matrix_gf2(K, d))
-    return tuple(
-        len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)
-    )
+    if K._betti is None:
+        ranks = [0] * (K.dim + 2)
+        for d in range(1, K.dim + 1):
+            ranks[d] = gf2_rank(boundary_matrix_gf2(K, d))
+        K._betti = tuple(
+            len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)
+        )
+    return K._betti
 
 
 def is_connected(K: SimplicialComplex) -> bool:

@@ -83,19 +83,19 @@ def leading_up_edges(oh: OrientedHasse, chi: Pair, absorbed=frozenset()) -> list
 def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeComponent:
     """Classify every up-edge reachable from the seed, reversing cycle makers.
 
-    Mutates oh: backward-classified pairs are unmatched.  partner holds
-    the seed and every pair kept so far; a kept pair enters it when it is
-    classified, not when it leaves the queue.  A candidate up-edge (a, b)
-    survives only when closes_cycle finds no alternating path from b back
-    to a through those pairs, so the kept pairs stay acyclic in every
-    dimension.  The trace records (forward, backward, frontier) totals
+    Mutates oh: backward-classified pairs are unmatched.  up maps the
+    face of the seed and of every pair kept so far to its coface; a kept
+    pair enters it when it is classified, not when it leaves the queue.
+    A candidate up-edge (a, b) survives only when closes_cycle finds no
+    alternating path from b back to a through those pairs, so the kept
+    pairs stay acyclic in every dimension.  The trace records (forward, backward, frontier) totals
     after each processed queue node.  Cofaces in absorbed belong to
     earlier components and are not entered (see leading_up_edges).
     """
     alpha0, beta0 = seed
     if not oh.is_up(alpha0, beta0):
         raise ValueError(f"not an up-edge: {alpha0} -> {beta0}")
-    partner = {alpha0: beta0, beta0: alpha0}
+    up = {alpha0: beta0}
     forward = [seed]
     backward: list[Pair] = []
     classified = {seed}
@@ -110,12 +110,11 @@ def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeCo
             classified.add(cand)
             frontier.discard(cand)
             a_i, b_i = cand
-            if closes_cycle(partner, facets_of, a_i, b_i):
+            if closes_cycle(up, facets_of, a_i, b_i):
                 oh.unmatch(a_i, b_i)
                 backward.append(cand)
             else:
-                partner[a_i] = b_i
-                partner[b_i] = a_i
+                up[a_i] = b_i
                 forward.append(cand)
                 queue.append(cand)
                 frontier.update(

@@ -2,18 +2,18 @@
 
 The Hasse diagram of a complex is the covering graph of its face poset:
 one edge joins each simplex to each of its codimension-1 faces.  The
-complex already stores that incidence (facets_of and K.cofacet_map), so
-there is no separate diagram object: matching, validation and
-orientation take the complex itself, and hasse(K) lists the covering
-edges only for a caller that wants them as data.  A matching selects
-disjoint covering pairs; orienting the diagram by a matching points
-matched edges up (face to coface) and everything else down.
+complex already stores that incidence on simplex ids (K.facet_ids and
+K.cofacet_ids), so there is no separate diagram object: matching,
+validation and orientation take the complex itself and work on ids
+inside, and hasse(K) lists the covering edges only for a caller that
+wants them as data.  A matching selects disjoint covering pairs;
+orienting the diagram by a matching points matched edges up (face to
+coface) and everything else down.  Matchings go in and come out as
+pairs of simplex tuples.
 """
 from __future__ import annotations
 
-from collections import deque
-
-from .complexes import Simplex, SimplicialComplex, canonical_key, facets_of
+from .complexes import Simplex, SimplicialComplex, facets_of
 
 Pair = tuple[Simplex, Simplex]
 
@@ -31,56 +31,55 @@ def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
     lexicographic within one, with adjacency in canonical order, so ties
     between maximum matchings resolve the same way on every run.  Seeding
     from the top tends to leave the leftover matching closer to acyclic.
-    A node's neighbours, its facets followed by its stored cofacets, are
-    already in canonical order: facets_of yields canonical order and every
-    facet is shorter than every cofacet.  They are joined the first time
-    the search pops the node; on dense complexes a node is popped many
-    times over.
+    The search runs on simplex ids: a node's neighbours, its facet ids
+    followed by its cofacet ids, are already in canonical order, and are
+    joined the first time the search pops the node, since on dense
+    complexes a node is popped many times over.  stamp[x] == u marks x as
+    reached by the search from u, so no per-search set is built.  The
+    result is computed once per complex and kept on it.
     """
-    cofacets = K.cofacet_map
-    nbrs: dict[Simplex, tuple[Simplex, ...]] = {}
-    left = sorted(
-        (s for s in K.simplices if len(s) % 2 == 1),
-        key=lambda s: (-len(s), s),
-    )
-    match: dict[Simplex, Simplex] = {}
-    for u in left:
-        if u in match:
-            continue
-        prev: dict[Simplex, Simplex] = {}
-        seen = {u}
-        q = deque([u])
-        end = None
-        while q and end is None:
-            x = q.popleft()
-            adj = nbrs.get(x)
-            if adj is None:
-                adj = nbrs[x] = (*facets_of(x), *cofacets[x])
-            for y in adj:
-                if y in prev:
-                    continue
-                prev[y] = x
-                z = match.get(y)
-                if z is None:
-                    end = y
+    if K._max_matching is not None:
+        return K._max_matching
+    F, C = K.facet_ids, K.cofacet_ids
+    mate = [-1] * K.n
+    prev = [-1] * K.n
+    stamp = [-1] * K.n
+    nbrs: list = [None] * K.n
+    for d in range(K.dim - K.dim % 2, -1, -2):
+        for u in range(K.offset(d), K.offset(d + 1)):
+            if mate[u] >= 0:
+                continue
+            stamp[u] = u
+            q = [u]
+            end = -1
+            for x in q:
+                adj = nbrs[x]
+                if adj is None:
+                    adj = nbrs[x] = F[x] + C[x]
+                for y in adj:
+                    if stamp[y] == u:
+                        continue
+                    stamp[y] = u
+                    prev[y] = x
+                    z = mate[y]
+                    if z < 0:
+                        end = y
+                        break
+                    if stamp[z] != u:
+                        stamp[z] = u
+                        q.append(z)
+                if end >= 0:
                     break
-                if z not in seen:
-                    seen.add(z)
-                    q.append(z)
-        if end is None:
-            continue
-        y = end
-        while y is not None:
-            x = prev[y]
-            nxt = match.get(x)
-            match[x] = y
-            match[y] = x
-            y = nxt
-    pairs = set()
-    for a, b in match.items():
-        if len(a) < len(b):
-            pairs.add((a, b))
-    return frozenset(pairs)
+            y = end
+            while y >= 0:
+                x = prev[y]
+                nxt = mate[x]
+                mate[x] = y
+                mate[y] = x
+                y = nxt
+    S = K.simplices
+    K._max_matching = frozenset((S[i], S[j]) for i, j in enumerate(mate) if i < j)
+    return K._max_matching
 
 
 class InvalidMatching(ValueError):
@@ -105,17 +104,18 @@ def validate_matching(K: SimplicialComplex, pairs) -> frozenset[Pair]:
     Raises InvalidMatching listing every unknown simplex, non-covering
     pair and simplex matched twice.
     """
+    index, F = K.index, K.facet_ids
     problems = []
     seen: set[Simplex] = set()
     out = set()
     for i, (sigma, tau) in enumerate(pairs, start=1):
         out.add((sigma, tau))
-        for x in (sigma, tau):
-            if x not in K:
-                problems.append((i, "unknown simplex {}", x))
-        if sigma in K and tau in K and not (
-            len(tau) == len(sigma) + 1 and set(sigma) < set(tau)
-        ):
+        a, b = index.get(sigma), index.get(tau)
+        if a is None:
+            problems.append((i, "unknown simplex {}", sigma))
+        if b is None:
+            problems.append((i, "unknown simplex {}", tau))
+        if a is not None and b is not None and a not in F[b]:
             problems.append((i, "not a covering pair", tau))
         for x in (sigma, tau):
             if x in seen:
@@ -129,37 +129,42 @@ def validate_matching(K: SimplicialComplex, pairs) -> frozenset[Pair]:
 class OrientedHasse:
     """Hasse diagram oriented by a matching: matched covering pairs point up.
 
+    up[i] is the id of the coface that simplex i is matched up to, or -1.
     The orientation is mutable in one direction only; unmatching a pair
     turns its up-edge back into a down-edge.  Algorithms that repair
     matchings rely on this.
     """
 
-    __slots__ = ("complex", "_partner")
+    __slots__ = ("complex", "up")
 
     def __init__(self, K: SimplicialComplex, pairs):
         self.complex = K
-        self._partner: dict[Simplex, Simplex] = {}
+        self.up = [-1] * K.n
+        index = K.index
         for sigma, tau in pairs:
-            self._partner[sigma] = tau
-            self._partner[tau] = sigma
+            a, b = index[sigma], index[tau]
+            if a < b:
+                self.up[a] = b
+            else:
+                self.up[b] = a
 
     def is_up(self, sigma: Simplex, tau: Simplex) -> bool:
         """Whether the covering edge from face sigma to coface tau is matched."""
-        return self._partner.get(sigma) == tau and len(sigma) < len(tau)
+        index = self.complex.index
+        a, b = index.get(sigma), index.get(tau)
+        return a is not None and b is not None and self.up[a] == b
 
     def up_partner(self, s: Simplex):
         """The coface s is matched to, or None."""
-        p = self._partner.get(s)
-        if p is not None and len(p) > len(s):
-            return p
-        return None
+        a = self.complex.index.get(s)
+        if a is None or self.up[a] < 0:
+            return None
+        return self.complex.simplices[self.up[a]]
 
     def up_pairs(self) -> list[Pair]:
-        out = [
-            (s, t) for s, t in self._partner.items() if len(s) < len(t)
-        ]
-        out.sort(key=lambda p: canonical_key(p[0]))
-        return out
+        """Matched pairs (face, coface), faces in canonical order."""
+        S = self.complex.simplices
+        return [(S[a], S[b]) for a, b in enumerate(self.up) if b >= 0]
 
     @property
     def pairs(self) -> frozenset[Pair]:
@@ -169,8 +174,7 @@ class OrientedHasse:
         """Reverse the up-edge of a matched pair."""
         if not self.is_up(sigma, tau):
             raise ValueError(f"not an up-edge: {sigma} -> {tau}")
-        del self._partner[sigma]
-        del self._partner[tau]
+        self.up[self.complex.index[sigma]] = -1
 
 
 def orient(K: SimplicialComplex, pairs) -> OrientedHasse:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 
-from .complexes import SimplicialComplex, Simplex, facets_of
+from .complexes import SimplicialComplex, Simplex
 from .morse import MorseMatching, certify
 
 
@@ -23,42 +23,44 @@ def coreduction_matching(K: SimplicialComplex) -> MorseMatching:
 
     A fresh complex has no simplex with exactly one facet (a vertex has
     none, an edge has two), so the loop starts by removing one critical
-    vertex, which frees its neighbours.  Heaps hold candidates keyed
-    canonically; stale entries are skipped on pop.
+    vertex, which frees its neighbours.  Works on simplex ids, whose order
+    is canonical: a heap holds candidate cofaces and stale entries are
+    skipped on pop; criticals are taken smallest id first, which a
+    pointer over the ids gives without a heap.
     """
-    alive = set(K.simplices)
-    n_facets = {s: len(s) if len(s) > 1 else 0 for s in K.simplices}
-    cofacets = K.cofacet_map
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = bytearray(b"\x01") * K.n
+    left = K.n
+    n_facets = [len(fs) for fs in F]
 
-    pairs: list[tuple[Simplex, Simplex]] = []
-    pair_heap: list[tuple[int, Simplex]] = []
-    crit_heap = [(len(s), s) for s in K.simplices]
-    heapq.heapify(crit_heap)
+    pairs: list[tuple[int, int]] = []
+    pair_heap: list[int] = []
+    crit = 0
 
-    def remove(s: Simplex) -> None:
-        alive.discard(s)
-        for c in cofacets[s]:
-            if c in alive:
+    def remove(s: int) -> None:
+        nonlocal left
+        alive[s] = 0
+        left -= 1
+        for c in C[s]:
+            if alive[c]:
                 n_facets[c] -= 1
                 if n_facets[c] == 1:
-                    heapq.heappush(pair_heap, (len(c), c))
+                    heapq.heappush(pair_heap, c)
 
-    while alive:
+    while left:
         while pair_heap:
-            _, beta = heapq.heappop(pair_heap)
-            if beta in alive and n_facets[beta] == 1:
-                alpha = next(f for f in facets_of(beta) if f in alive)
+            beta = heapq.heappop(pair_heap)
+            if alive[beta] and n_facets[beta] == 1:
+                alpha = next(f for f in F[beta] if alive[f])
                 remove(beta)
                 remove(alpha)
                 pairs.append((alpha, beta))
                 break
         else:
-            while True:
-                _, s = heapq.heappop(crit_heap)
-                if s in alive:
-                    remove(s)
-                    break
-    return certify(K, pairs)
+            while not alive[crit]:
+                crit += 1
+            remove(crit)
+    return certify(K, _simplex_pairs(K, pairs))
 
 
 def reduction_matching(K: SimplicialComplex) -> MorseMatching:
@@ -66,44 +68,49 @@ def reduction_matching(K: SimplicialComplex) -> MorseMatching:
 
     Removal keeps the remaining set downward closed (a pair is a maximal
     simplex plus a free facet, a critical is maximal), so counting
-    cofacets inside the original complex stays accurate.
+    cofacets inside the original complex stays accurate.  Works on ids
+    like coreduction: candidate faces on a heap, criticals taken by the
+    key (-dim, id), largest dimension first, through a pointer over the
+    ids in that order.
     """
-    alive = set(K.simplices)
-    cofacets = K.cofacet_map
-    n_cofacets = {s: len(cs) for s, cs in cofacets.items()}
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = bytearray(b"\x01") * K.n
+    left = K.n
+    n_cofacets = [len(cs) for cs in C]
 
-    pairs: list[tuple[Simplex, Simplex]] = []
-    pair_heap: list[tuple[tuple[int, Simplex], Simplex]] = []
-    crit_heap = [((-len(s), s), s) for s in K.simplices]
-    heapq.heapify(crit_heap)
+    pairs: list[tuple[int, int]] = []
+    pair_heap = [s for s, k in enumerate(n_cofacets) if k == 1]
+    crit_order = [
+        s for d in range(K.dim, -1, -1) for s in range(K.offset(d), K.offset(d + 1))
+    ]
+    crit = 0
 
-    for s, k in n_cofacets.items():
-        if k == 1:
-            heapq.heappush(pair_heap, ((len(s), s), s))
-
-    def remove(s: Simplex) -> None:
-        alive.discard(s)
-        if len(s) < 2:
-            return
-        for f in facets_of(s):
-            if f in alive:
+    def remove(s: int) -> None:
+        nonlocal left
+        alive[s] = 0
+        left -= 1
+        for f in F[s]:
+            if alive[f]:
                 n_cofacets[f] -= 1
                 if n_cofacets[f] == 1:
-                    heapq.heappush(pair_heap, ((len(f), f), f))
+                    heapq.heappush(pair_heap, f)
 
-    while alive:
+    while left:
         while pair_heap:
-            _, alpha = heapq.heappop(pair_heap)
-            if alpha in alive and n_cofacets[alpha] == 1:
-                beta = next(c for c in cofacets[alpha] if c in alive)
+            alpha = heapq.heappop(pair_heap)
+            if alive[alpha] and n_cofacets[alpha] == 1:
+                beta = next(c for c in C[alpha] if alive[c])
                 remove(beta)
                 remove(alpha)
                 pairs.append((alpha, beta))
                 break
         else:
-            while True:
-                _, s = heapq.heappop(crit_heap)
-                if s in alive:
-                    remove(s)
-                    break
-    return certify(K, pairs)
+            while not alive[crit_order[crit]]:
+                crit += 1
+            remove(crit_order[crit])
+    return certify(K, _simplex_pairs(K, pairs))
+
+
+def _simplex_pairs(K: SimplicialComplex, pairs) -> list[tuple[Simplex, Simplex]]:
+    S = K.simplices
+    return [(S[a], S[b]) for a, b in pairs]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from itertools import combinations
 
 from .complexes import (
     Simplex,
@@ -19,6 +18,7 @@ from .complexes import (
     facets_of,
     is_connected,
     proper_cofaces,
+    proper_faces,
 )
 from .hasse import Pair, OrientedHasse, orient
 
@@ -54,59 +54,32 @@ class MorseMatching:
         return len(self.pairs)
 
 
-def _directed_cycle(adj: dict, order) -> list | None:
-    """First directed cycle found by DFS over adj, or None; deterministic."""
-    state: dict = {}
-    for root in order:
-        if state.get(root):
-            continue
-        stack = [(root, iter(adj.get(root, ())))]
-        state[root] = 1
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                stack.pop()
-                path.pop()
-                state[node] = 2
-                continue
-            st = state.get(nxt, 0)
-            if st == 0:
-                state[nxt] = 1
-                path.append(nxt)
-                stack.append((nxt, iter(adj.get(nxt, ()))))
-            elif st == 1:
-                return path[path.index(nxt):]
-    return None
-
-
-def closes_cycle(partner: dict, facets, alpha: Simplex, beta: Simplex) -> bool:
+def closes_cycle(up, facets, alpha, beta) -> bool:
     """True when matching alpha with beta closes an alternating cycle.
 
-    partner maps each matched simplex to its mate and must itself be
-    acyclic, so any new cycle runs through the new pair; facets(b) gives
-    the facets of b.  Walks the interface of dimension len(beta)-1: down
-    from a matched coface to any facet except its partner, then up along
-    that facet's own matched coface, looking for a path from beta back
-    to alpha.  This is the incremental test for a growing matching;
-    is_acyclic certifies a finished one independently.
+    up maps each matched face to the coface it is matched with (anything
+    with .get, on simplices or on ids alike) and must itself be acyclic,
+    so any new cycle runs through the new pair; facets(b) gives the
+    facets of b.  Walks the interface of dimension dim(beta): down from a
+    matched coface to any of its facets, then up along that facet's own
+    matched coface, looking for a path from beta back to alpha.  The only
+    down-edge skipped is beta's to alpha; a coface's step down to its own
+    mate leads straight back to it.  This is the incremental test for a
+    growing matching; is_acyclic certifies a finished one independently.
     """
-    top = len(beta)
     seen = {beta}
     stack = [beta]
     while stack:
         b = stack.pop()
-        mate = alpha if b == beta else partner[b]
         for y in facets(b):
-            if y == mate:
-                continue
             if y == alpha:
+                if b == beta:
+                    continue
                 return True
-            up = partner.get(y)
-            if up is not None and len(up) == top and up not in seen:
-                seen.add(up)
-                stack.append(up)
+            c = up.get(y)
+            if c is not None and c not in seen:
+                seen.add(c)
+                stack.append(c)
     return False
 
 
@@ -115,24 +88,45 @@ def is_acyclic(oh: OrientedHasse):
 
     Returns (True, None) or (False, witness) where witness is an
     alternating cycle normalized to start at its smallest lower simplex.
+    A depth-first search runs over the ids of each interface, roots in
+    canonical order: a (d-1)-simplex leads up to its matched coface, a
+    d-simplex down to each facet it is not matched with.  state[x] is
+    2d-1 while x is on the search path and 2d once it is finished, so one
+    array serves every interface.
     """
     K = oh.complex
+    F, up = K.facet_ids, oh.up
+    state = [0] * K.n
     for d in range(1, K.dim + 1):
-        adj: dict[Simplex, list[Simplex]] = {}
-        for tau in K.by_dim[d]:
-            downs = []
-            for sigma in facets_of(tau):
-                if oh.is_up(sigma, tau):
-                    adj.setdefault(sigma, []).append(tau)
-                else:
-                    downs.append(sigma)
-            adj[tau] = downs
-        cycle = _directed_cycle(adj, K.by_dim[d - 1] + K.by_dim[d])
-        if cycle is not None:
-            lows = [i for i, s in enumerate(cycle) if len(s) == d]
-            start = min(lows, key=lambda i: canonical_key(cycle[i]))
-            witness = tuple(cycle[start:] + cycle[:start])
-            return False, witness
+        lo, mid, hi = K.offset(d - 1), K.offset(d), K.offset(d + 1)
+        on, done = 2 * d - 1, 2 * d
+
+        def out(x):
+            if x < mid:
+                return (up[x],) if up[x] >= 0 else ()
+            return [f for f in F[x] if up[f] != x]
+
+        for root in range(lo, hi):
+            if state[root] >= on:
+                continue
+            state[root] = on
+            path = [root]
+            stack = [iter(out(root))]
+            while stack:
+                nxt = next(stack[-1], -1)
+                if nxt < 0:
+                    stack.pop()
+                    state[path.pop()] = done
+                elif state[nxt] < on:
+                    state[nxt] = on
+                    path.append(nxt)
+                    stack.append(iter(out(nxt)))
+                elif state[nxt] == on:
+                    cycle = path[path.index(nxt):]
+                    lows = [i for i, x in enumerate(cycle) if x < mid]
+                    start = min(lows, key=cycle.__getitem__)
+                    S = K.simplices
+                    return False, tuple(S[x] for x in cycle[start:] + cycle[:start])
     return True, None
 
 
@@ -151,14 +145,20 @@ def _pairs_of(matching) -> frozenset[Pair]:
 
 def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
     """Count unmatched simplices per dimension."""
-    matched: set[Simplex] = set()
-    for sigma, tau in _pairs_of(matching):
-        matched.add(sigma)
-        matched.add(tau)
-    counts = tuple(
-        sum(1 for s in level if s not in matched) for level in K.by_dim
-    )
-    return CriticalProfile(counts)
+    index = K.index
+    matched = bytearray(K.n)
+    for pair in _pairs_of(matching):
+        for s in pair:
+            i = index.get(s)
+            if i is not None:
+                matched[i] = 1
+    counts = []
+    lo = 0
+    for level in K.by_dim:
+        hi = lo + len(level)
+        counts.append(len(level) - matched.count(1, lo, hi))
+        lo = hi
+    return CriticalProfile(tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -291,39 +291,38 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     for s in sorted(removed, key=canonical_key):
         if s not in partner or partner[s] not in removed:
             raise ValueError(f"not matched away: {s}")
-    work = {(s, t) for s, t in mm.pairs if s in removed}
+    index, S = K.index, K.simplices
+    mate = [-1] * K.n
+    work: set[int] = set()
+    for sigma, tau in mm.pairs:
+        mate[index[sigma]] = index[tau]
+        if sigma in removed:
+            work.add(index[sigma])
 
-    alive = set(K.simplices)
-    count = {s: len(cs) for s, cs in proper_cofaces(K).items()}
+    alive = bytearray(b"\x01") * K.n
+    count = [len(cs) for cs in proper_cofaces(K)]
+    heap = sorted(s for s in work if count[s] == 1)
 
-    heap: list[tuple[tuple, Pair]] = []
-    for s, t in work:
-        if count[s] == 1:
-            heappush(heap, (canonical_key(s), (s, t)))
-
-    def delete(x: Simplex) -> None:
-        alive.discard(x)
-        for k in range(1, len(x)):
-            for f in combinations(x, k):
-                if f in alive:
-                    count[f] -= 1
-                    if count[f] == 1 and f in partner:
-                        t = partner[f]
-                        if (f, t) in work:
-                            heappush(heap, (canonical_key(f), (f, t)))
+    def delete(x: int) -> None:
+        alive[x] = 0
+        for f in proper_faces(K, x):
+            if alive[f]:
+                count[f] -= 1
+                if count[f] == 1 and f in work:
+                    heappush(heap, f)
 
     out = []
     while work:
-        pair = None
+        s = -1
         while heap:
-            _, (s, t) = heappop(heap)
-            if (s, t) in work and count[s] == 1:
-                pair = (s, t)
+            s = heappop(heap)
+            if s in work and count[s] == 1:
                 break
-        if pair is None:
+            s = -1
+        if s < 0:
             raise RuntimeError("acyclicity violated: no free pair remains")
-        work.discard(pair)
-        delete(pair[0])
-        delete(pair[1])
-        out.append(pair)
+        work.discard(s)
+        delete(s)
+        delete(mate[s])
+        out.append((S[s], S[mate[s]]))
     return tuple(out)

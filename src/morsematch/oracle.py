@@ -30,14 +30,6 @@ class OracleResult:
     pair_upper_bound: int
 
 
-class _Exhausted(Exception):
-    pass
-
-
-class _Solved(Exception):
-    pass
-
-
 def _chain_bound(remaining: list[int]) -> int:
     """Max pairs if any cross-dimension pairing were allowed.
 
@@ -88,54 +80,75 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     if len(best) >= ub:
         return OracleResult(matching=seed, optimal=True, nodes=0, pair_upper_bound=ub)
 
-    order = K.simplices
     n = K.n
+    C = K.cofacet_ids
+    facets = K.facet_ids.__getitem__
+    dim = [d for d, level in enumerate(K.by_dim) for _ in level]
     remaining = [len(level) for level in K.by_dim]
-    facets = {s: facets_of(s) for s in order if len(s) > 1}.__getitem__
-    cofacets = K.cofacet_map
-    partner: dict[Simplex, Simplex] = {}
-    pairs: list[Pair] = []
+    matched = bytearray(n)
+    up: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
     nodes = 0
-
-    def search(i: int) -> None:
-        nonlocal nodes
-        while i < n and order[i] in partner:
-            i += 1
-        if i == n:
-            if len(pairs) > len(best):
-                best[:] = pairs
-                if len(best) >= ub:
-                    raise _Solved
-            return
-        if len(pairs) + _chain_bound(remaining) <= len(best):
-            return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _Exhausted
-        s = order[i]
-        d = len(s) - 1
-        remaining[d] -= 1
-        for t in cofacets[s]:
-            if t in partner or closes_cycle(partner, facets, s, t):
-                continue
-            partner[s] = t
-            partner[t] = s
-            pairs.append((s, t))
-            remaining[d + 1] -= 1
-            search(i + 1)
-            remaining[d + 1] += 1
-            pairs.pop()
-            del partner[s], partner[t]
-        search(i + 1)
-        remaining[d] += 1
-
     optimal = True
-    try:
-        search(0)
-    except _Exhausted:
-        optimal = False
-    except _Solved:
-        pass
+
+    # Depth-first over an explicit stack, in the order of the recursion
+    # search(i): skip matched ids from i; at the end record an improvement;
+    # otherwise prune on the bound, count the node, then try each free
+    # cofacet t of s = i that closes no cycle, each time continuing with
+    # search(s + 1), and last continue with s critical.  A frame [s, k, t]
+    # holds the position k of the next cofacet to try (len(C[s]) for the
+    # critical branch, beyond that for done) and the cofacet t that s is
+    # matched with in the branch below it, or -1.  i is the id the next
+    # search(i) starts from, or -1 when the top frame moves on instead.
+    stack: list[list[int]] = []
+    i = 0
+    while True:
+        if i >= 0:
+            while i < n and matched[i]:
+                i += 1
+            if i == n:
+                if len(pairs) > len(best):
+                    best[:] = [(K.simplices[a], K.simplices[b]) for a, b in pairs]
+                    if len(best) >= ub:
+                        break
+            elif len(pairs) + _chain_bound(remaining) > len(best):
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    optimal = False
+                    break
+                remaining[dim[i]] -= 1
+                stack.append([i, 0, -1])
+            i = -1
+        if not stack:
+            break
+        frame = stack[-1]
+        s, k, t = frame
+        if t >= 0:
+            remaining[dim[t]] += 1
+            pairs.pop()
+            del up[s]
+            matched[s] = matched[t] = 0
+        cofs = C[s]
+        while k < len(cofs):
+            t = cofs[k]
+            k += 1
+            if matched[t] or closes_cycle(up, facets, s, t):
+                continue
+            matched[s] = matched[t] = 1
+            up[s] = t
+            pairs.append((s, t))
+            remaining[dim[t]] -= 1
+            frame[1], frame[2] = k, t
+            i = s + 1
+            break
+        else:
+            frame[2] = -1
+            if k == len(cofs):
+                frame[1] = k + 1
+                i = s + 1
+            else:
+                remaining[dim[s]] += 1
+                stack.pop()
     return OracleResult(
         matching=certify(K, best),
         optimal=optimal,
@@ -157,13 +170,16 @@ class CollapsibilityResult:
         return self.collapsible
 
 
-def _free_pairs(alive: frozenset, coface_map: dict) -> list[Pair]:
+def _free_pairs(alive: frozenset, cofaces: list) -> list[tuple[int, int]]:
+    """(free simplex, its one live proper coface) as ids, in canonical order."""
     out = []
+    live_of = alive.intersection
     for s in alive:
-        live = [c for c in coface_map[s] if c in alive]
-        if len(live) == 1:
-            out.append((s, live[0]))
-    out.sort(key=lambda p: (len(p[0]), p[0]))
+        if cofaces[s]:
+            live = live_of(cofaces[s])
+            if len(live) == 1:
+                out.append((s, *live))
+    out.sort()
     return out
 
 
@@ -174,45 +190,47 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
     coface is then maximal and covers it, and removing both preserves the
     homotopy type.  Dead ends are memoized.  Cheap refutations first:
     even simplex count, homology differing from a point, or no free face
-    at all.  budget=None searches without limit.
+    at all.  budget=None searches without limit.  The search is depth
+    first over an explicit stack of (alive ids, untried free pairs), so
+    a long collapse sequence needs no recursion.
     """
     if K.n == 1:
         return CollapsibilityResult(True, False, 0, ())
-    coface_map = proper_cofaces(K)
+    cofaces = proper_cofaces(K)
 
-    start = frozenset(K.simplices)
-    if K.n % 2 == 0 or not _free_pairs(start, coface_map):
+    start = frozenset(range(K.n))
+    if K.n % 2 == 0 or not _free_pairs(start, cofaces):
         return CollapsibilityResult(False, False, 0, None)
     b = betti_gf2(K)
     if b[0] != 1 or any(b[1:]):
         return CollapsibilityResult(False, False, 0, None)
 
     failed: set[frozenset] = set()
-    trail: list[Pair] = []
-    nodes = 0
-
-    def search(alive: frozenset) -> bool:
-        nonlocal nodes
-        if len(alive) == 1:
-            return True
-        if alive in failed:
-            return False
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _Exhausted
-        for s, t in _free_pairs(alive, coface_map):
-            trail.append((s, t))
-            if search(alive - {s, t}):
-                return True
+    trail: list[tuple[int, int]] = []
+    nodes = 1
+    stack = [(start, iter(_free_pairs(start, cofaces)))]
+    while budget is None or nodes <= budget:
+        if not stack:
+            return CollapsibilityResult(False, False, nodes, None)
+        alive, untried = stack[-1]
+        pair = next(untried, None)
+        if pair is None:
+            failed.add(alive)
+            stack.pop()
+            if stack:
+                trail.pop()
+            continue
+        trail.append(pair)
+        child = alive.difference(pair)
+        if len(child) == 1:
+            S = K.simplices
+            return CollapsibilityResult(True, False, nodes, tuple((S[a], S[b]) for a, b in trail))
+        if child in failed:
             trail.pop()
-        failed.add(alive)
-        return False
-
-    try:
-        ok = search(start)
-    except _Exhausted:
-        return CollapsibilityResult(None, True, nodes, None)
-    return CollapsibilityResult(ok, False, nodes, tuple(trail) if ok else None)
+            continue
+        nodes += 1
+        stack.append((child, iter(_free_pairs(child, cofaces))))
+    return CollapsibilityResult(None, True, nodes, None)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from morsematch import (
     parse_matching,
     rp2,
     simplex_boundary,
+    wedge,
     write_complex,
 )
 from morsematch import cli
@@ -155,6 +156,18 @@ def test_match_oracle_budget_exhaustion_exit_code(capsys, tmp_path):
     assert code == 4
     assert payload["optimal"] is False
     assert payload["acyclic"] is True
+
+
+def test_match_oracle_deep_search_exhausts_budget_with_report(capsys, tmp_path):
+    path = tmp_path / "dunce80.txt"
+    write_complex(wedge(dunce_hat(), 1, 80), path)
+    code, payload = run_json(
+        capsys, ["match", str(path), "--algo", "oracle", "--budget", "3000"]
+    )
+    assert code == 4
+    assert payload["optimal"] is False
+    assert payload["acyclic"] is True
+    assert payload["n"] == 3841
 
 
 def test_oracle_budget_env_var(capsys, tmp_path, monkeypatch):

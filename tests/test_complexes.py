@@ -1,8 +1,11 @@
 """Core complex construction, incidence queries, and mod-2 homology."""
 
+import re
+
 import pytest
 
 from morsematch import (
+    SimplicialComplex,
     betti_gf2,
     boundary_matrix_gf2,
     canonical_key,
@@ -11,6 +14,7 @@ from morsematch import (
     from_maximal_simplices,
     gf2_rank,
     is_connected,
+    random_complex,
     simplex,
 )
 from helpers import betti_numpy, euler, named_complexes
@@ -67,6 +71,40 @@ def test_cofacets_of():
     assert circle.cofacets_of((0,)) == ((0, 1), (0, 2))
     with pytest.raises(ValueError, match="unknown simplex"):
         K.cofacets_of((9,))
+
+
+ID_CORPUS = [
+    random_complex(seed, dim=dim, n_vertices=9, n_facets=12, connected=True)
+    for dim in (2, 3, 4)
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("K", ID_CORPUS, ids=lambda K: f"n{K.n}-d{K.dim}")
+def test_id_arrays_map_back_to_the_incidence(K):
+    S = K.simplices
+    assert len(K.facet_ids) == len(K.cofacet_ids) == K.n
+    for i, s in enumerate(S):
+        assert K.index[s] == i
+        assert [S[j] for j in K.facet_ids[i]] == facets_of(s)
+        assert tuple(S[j] for j in K.cofacet_ids[i]) == K.cofacets_of(s)
+        assert list(K.facet_ids[i]) == sorted(K.facet_ids[i])
+        assert list(K.cofacet_ids[i]) == sorted(K.cofacet_ids[i])
+        for t in S:
+            if len(t) == len(s) + 1 and set(s) < set(t):
+                assert K.index[t] in K.cofacet_ids[i]
+    assert sorted(S, key=canonical_key) == list(S)
+    assert len(K.index) == K.n
+
+
+@pytest.mark.parametrize("K", ID_CORPUS, ids=lambda K: f"n{K.n}-d{K.dim}")
+def test_dropping_a_face_breaks_downward_closure(K):
+    top = K.simplices[-1]
+    missing = facets_of(top)[0]
+    rest = [s for s in K.simplices if s != missing]
+    message = re.escape(f"not downward closed: missing face {missing}")
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex(rest)
 
 
 def test_facets_returns_maximal_simplices():

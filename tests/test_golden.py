@@ -1,9 +1,11 @@
-"""Golden output: `morse bench --json --no-timing` over a fixed corpus.
+"""Golden output: `morse bench --json --no-timing` over fixed corpora.
 
-The checksum pins every row and aggregate the three polynomial
-algorithms report, so a refactor that claims unchanged behaviour can be
-checked mechanically.  The `corpus` field is a temporary path and is left
-out.  The exit code is not pinned: it reflects the acyclicity of the rows,
+One checksum pins every row and aggregate the three polynomial
+algorithms report, a second one those of the budgeted oracle (its node
+counts, optimal flags and pair upper bounds included), so a refactor
+that claims unchanged behaviour can be checked mechanically.  The
+`corpus` field is a temporary path and is left out.  The exit code is
+not pinned: it reflects the acyclicity and optimal flags of the rows,
 which the rows themselves already carry.
 """
 
@@ -21,6 +23,7 @@ from morsematch import (
 from morsematch.cli import main
 
 GOLDEN_SHA256 = "dceea2b130c68a080d84993a8389d598aa3351b5f2f807a8b814bd5bf3ae3597"
+ORACLE_GOLDEN_SHA256 = "b0aea383968ac56699ebec119a77cf03aedfcb520db33b0881e9909965701786"
 
 
 def golden_corpus():
@@ -37,16 +40,34 @@ def golden_corpus():
     return out
 
 
-def test_bench_output_matches_golden_checksum(tmp_path, capsys):
-    for name, K in golden_corpus().items():
+def oracle_corpus():
+    out = {
+        "dunce_wedge2.txt": wedge(dunce_hat(), 1, 2),
+        "rp2_wedge2.txt": wedge(rp2(), 1, 2),
+        "sphere3.txt": simplex_boundary(3)[0],
+    }
+    for s in range(4):
+        out[f"random2d_{s}.txt"] = random_complex(s)
+    return out
+
+
+def bench_digest(tmp_path, capsys, corpus, args):
+    for name, K in corpus.items():
         write_complex(K, tmp_path / name)
-    main([
-        "bench", str(tmp_path), "--algos", "frontier,coreduction,reduction",
-        "--json", "--no-timing",
-    ])
+    main(["bench", str(tmp_path), *args, "--json", "--no-timing"])
     payload = json.loads(capsys.readouterr().out)
     body = json.dumps(
         {"rows": payload["rows"], "aggregates": payload["aggregates"]},
         sort_keys=True,
     )
-    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_SHA256
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_bench_output_matches_golden_checksum(tmp_path, capsys):
+    algos = ["--algos", "frontier,coreduction,reduction"]
+    assert bench_digest(tmp_path, capsys, golden_corpus(), algos) == GOLDEN_SHA256
+
+
+def test_oracle_bench_output_matches_golden_checksum(tmp_path, capsys):
+    args = ["--algos", "oracle", "--budget", "2000"]
+    assert bench_digest(tmp_path, capsys, oracle_corpus(), args) == ORACLE_GOLDEN_SHA256

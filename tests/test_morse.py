@@ -90,20 +90,21 @@ def test_closes_cycle_matches_whole_graph_search():
             K = random_complex(seed, dim=dim, n_vertices=7, n_facets=6)
             candidates = covering_pairs(K.simplices)
             random.Random(seed).shuffle(candidates)
-            partner: dict = {}
+            up: dict = {}
+            matched: set = set()
             pairs: list = []
             for a, b in candidates:
-                if a in partner or b in partner:
+                if a in matched or b in matched:
                     continue
                 naive = has_directed_cycle(
                     oriented_adjacency(K.simplices, pairs + [(a, b)])
                 )
-                assert closes_cycle(partner, facets_of, a, b) == naive, (seed, a, b)
+                assert closes_cycle(up, facets_of, a, b) == naive, (seed, a, b)
                 checks += 1
                 positives += naive
                 if not naive:
-                    partner[a] = b
-                    partner[b] = a
+                    up[a] = b
+                    matched.update((a, b))
                     pairs.append((a, b))
     assert checks > 600 and positives > 30, (checks, positives)
 

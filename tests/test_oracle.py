@@ -16,6 +16,7 @@ from morsematch import (
     reduction_matching,
     rp2,
     simplex_boundary,
+    wedge,
 )
 from helpers import replay_collapses
 
@@ -73,6 +74,17 @@ def test_budget_exhaustion_reports_honestly():
     assert critical_profile(K, result.matching.pairs).total == 3
 
 
+def test_budgeted_search_deeper_than_the_recursion_limit():
+    # one search level per simplex: 3841 levels, more than Python's
+    # default recursion limit of 1000
+    K = wedge(dunce_hat(), 1, 80)
+    result = optimal_morse_matching(K, budget=3000)
+    assert not result.optimal
+    assert result.nodes == 3001
+    assert result.matching.acyclic
+    assert len(result.matching.pairs) <= result.pair_upper_bound
+
+
 def test_oracle_never_loses_to_other_algorithms():
     for seed in range(12):
         K = random_complex(seed, dim=2, n_vertices=7, n_facets=4)
@@ -125,6 +137,15 @@ def test_even_simplex_count_refutes_collapsibility_immediately():
     result = is_collapsible(K)
     assert result.collapsible is False
     assert result.nodes == 0
+
+
+def test_collapse_sequence_longer_than_the_recursion_limit():
+    path = from_maximal_simplices([(i, i + 1) for i in range(1500)])
+    assert path.n == 3001
+    result = is_collapsible(path)
+    assert result.collapsible is True
+    assert len(result.sequence) == 1500
+    assert len(replay_collapses(path.simplices, result.sequence)) == 1
 
 
 def test_collapsibility_indeterminate_under_tiny_budget():
