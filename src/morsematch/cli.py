@@ -8,7 +8,7 @@ Exit codes: 0 success, 2 validation failure (including a cyclic result
 from match or bench, whose report is still printed; in bench it takes
 precedence over 4), 3 parse error, 4 oracle budget exhausted.  The
 oracle budget comes from --budget or the MORSE_ORACLE_BUDGET environment
-variable.
+variable and must be a non-negative integer.
 """
 from __future__ import annotations
 
@@ -62,11 +62,23 @@ HEURISTICS = {
 }
 
 
+def _budget(text: str) -> int:
+    """Parse an oracle node budget, which must be a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _oracle_budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("MORSE_ORACLE_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return _budget(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"MORSE_ORACLE_BUDGET {exc}") from None
 
 
 def _run_algo(K: SimplicialComplex, algo: str, budget: int | None):
@@ -252,6 +264,8 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValueError(f"no algorithm in --algos {args.algos!r}")
     for a in algos:
         if a not in HEURISTICS and a != "oracle":
             raise ValueError(f"unknown algorithm {a}")
@@ -341,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--canonicalize", type=int, default=None, metavar="P",
         help="rebuild vertex pairs so vertex P is the only critical vertex",
     )
-    sp.add_argument("--budget", type=int, default=None, help="oracle node budget")
+    sp.add_argument("--budget", type=_budget, default=None, help="oracle node budget")
     sp.add_argument("--out", default=None, help="write the matching here ('-' = stdout)")
     common(sp)
     sp.set_defaults(fn=cmd_match)
@@ -370,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="compare algorithms over a corpus directory")
     sp.add_argument("corpus")
     sp.add_argument("--algos", default="frontier,coreduction,reduction")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_budget, default=None, help="oracle node budget")
     common(sp)
     sp.set_defaults(fn=cmd_bench)
     return p

@@ -138,7 +138,8 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     absorbs all facet edges of every coface it classifies, so a covering
     edge leaves the working diagram exactly when its coface is absorbed,
     and a seed is skipped once its coface is.  The returned matching is
-    re-certified from scratch rather than trusted.
+    re-certified from scratch rather than trusted: certify validates the
+    up array of the repaired orientation on ids and searches it anew.
     """
     M = max_cardinality_matching(K)
     oh = orient(K, M)
@@ -151,7 +152,7 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
         absorbed.update(beta for _, beta in comp.forward + comp.backward)
         components.append(comp)
     return FrontierResult(
-        morse=certify(K, oh.pairs),
+        morse=certify(K, oh),
         components=tuple(components),
         source_matching_size=len(M),
     )

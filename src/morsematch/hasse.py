@@ -8,8 +8,11 @@ validation and orientation take the complex itself and work on ids
 inside, and hasse(K) lists the covering edges only for a caller that
 wants them as data.  A matching selects disjoint covering pairs;
 orienting the diagram by a matching points matched edges up (face to
-coface) and everything else down.  Matchings go in and come out as
-pairs of simplex tuples.
+coface) and everything else down.  Matchings come out as pairs of
+simplex tuples and go in as such, with one exception: orient, the one
+matching validator, also takes an OrientedHasse whose up array the
+package's own algorithms filled on ids, so that certifying their
+results never maps ids to tuples and back.
 """
 from __future__ import annotations
 
@@ -83,7 +86,7 @@ def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
 
 
 class InvalidMatching(ValueError):
-    """Every problem validate_matching found, in pair order.
+    """Every problem the matching validator (orient) found, in pair order.
 
     Each problem is (pair number counted from 1, message, simplex it
     concerns); the message has a {} slot where it names the simplex.
@@ -101,52 +104,28 @@ class InvalidMatching(ValueError):
 def validate_matching(K: SimplicialComplex, pairs) -> frozenset[Pair]:
     """Check pairs form a matching by covering relations; return them frozen.
 
-    Raises InvalidMatching listing every unknown simplex, non-covering
-    pair and simplex matched twice.
+    Raises InvalidMatching as orient does.
     """
-    index, F = K.index, K.facet_ids
-    problems = []
-    seen: set[Simplex] = set()
-    out = set()
-    for i, (sigma, tau) in enumerate(pairs, start=1):
-        out.add((sigma, tau))
-        a, b = index.get(sigma), index.get(tau)
-        if a is None:
-            problems.append((i, "unknown simplex {}", sigma))
-        if b is None:
-            problems.append((i, "unknown simplex {}", tau))
-        if a is not None and b is not None and a not in F[b]:
-            problems.append((i, "not a covering pair", tau))
-        for x in (sigma, tau):
-            if x in seen:
-                problems.append((i, "simplex {} matched twice", x))
-            seen.add(x)
-    if problems:
-        raise InvalidMatching(problems)
-    return frozenset(out)
+    pairs = [(sigma, tau) for sigma, tau in pairs]
+    orient(K, pairs)
+    return frozenset(pairs)
 
 
 class OrientedHasse:
     """Hasse diagram oriented by a matching: matched covering pairs point up.
 
     up[i] is the id of the coface that simplex i is matched up to, or -1.
-    The orientation is mutable in one direction only; unmatching a pair
-    turns its up-edge back into a down-edge.  Algorithms that repair
+    The constructor takes that array as it is; orient builds a validated
+    one.  The orientation is mutable in one direction only; unmatching a
+    pair turns its up-edge back into a down-edge.  Algorithms that repair
     matchings rely on this.
     """
 
     __slots__ = ("complex", "up")
 
-    def __init__(self, K: SimplicialComplex, pairs):
+    def __init__(self, K: SimplicialComplex, up: list[int]):
         self.complex = K
-        self.up = [-1] * K.n
-        index = K.index
-        for sigma, tau in pairs:
-            a, b = index[sigma], index[tau]
-            if a < b:
-                self.up[a] = b
-            else:
-                self.up[b] = a
+        self.up = up
 
     def is_up(self, sigma: Simplex, tau: Simplex) -> bool:
         """Whether the covering edge from face sigma to coface tau is matched."""
@@ -178,5 +157,46 @@ class OrientedHasse:
 
 
 def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
-    """Orient the Hasse diagram of K by a matching, validating the matching first."""
-    return OrientedHasse(K, validate_matching(K, pairs))
+    """Orient the Hasse diagram of K by a matching, validating it on ids first.
+
+    pairs are (face, coface) simplex pairs, mapped to ids here (a simplex
+    K lacks gets an id from K.n on), or an OrientedHasse of K: the id
+    entry of the package's own algorithms, which hold their pairs as an
+    up array already.  Both go through this one validator, which raises
+    InvalidMatching listing every unknown simplex, non-covering pair and
+    simplex matched twice, in pair order.
+    """
+    n, F = K.n, K.facet_ids
+    unknown: dict[Simplex, int] = {}
+    if isinstance(pairs, OrientedHasse):
+        if pairs.complex is not K:
+            raise ValueError("orientation of another complex")
+        ids = [(a, b) for a, b in enumerate(pairs.up) if b >= 0]
+    else:
+        index = K.index
+
+        def id_of(s):
+            i = index.get(s)
+            return unknown.setdefault(s, n + len(unknown)) if i is None else i
+
+        ids = [(id_of(sigma), id_of(tau)) for sigma, tau in pairs]
+    up = [-1] * n
+    used = bytearray(n + len(unknown))
+    problems = []
+    for i, (a, b) in enumerate(ids, start=1):
+        if a >= n or b >= n:
+            problems += [(i, "unknown simplex {}", x) for x in (a, b) if x >= n]
+        elif a in F[b]:
+            up[a] = b
+        else:
+            problems.append((i, "not a covering pair", b))
+        if used[a] or used[b] or a == b:
+            for x in (a, b):
+                if used[x]:
+                    problems.append((i, "simplex {} matched twice", x))
+                used[x] = 1
+        used[a] = used[b] = 1
+    if problems:
+        S = [*K.simplices, *unknown]
+        raise InvalidMatching((i, text, S[x]) for i, text, x in problems)
+    return OrientedHasse(K, up)

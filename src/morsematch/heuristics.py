@@ -6,7 +6,10 @@ the smallest remaining simplex critical, working upward from vertices.
 Reduction pairs a simplex with its unique remaining cofacet and
 otherwise declares the largest remaining simplex critical, peeling from
 the top.  Both remove the involved simplices immediately, so the pairing
-order itself witnesses acyclicity; the result is still certified.
+order itself witnesses acyclicity; the result is still certified.  Both
+run on simplex ids and record each pair in an up array (face id to
+coface id), which certify takes as it is: validated on ids and searched
+for cycles without a detour through simplex tuples.
 
 Ties break on (dimension, vertex tuple) so runs are reproducible.
 """
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 
-from .complexes import SimplicialComplex, Simplex
+from .complexes import SimplicialComplex
+from .hasse import OrientedHasse
 from .morse import MorseMatching, certify
 
 
@@ -33,7 +37,7 @@ def coreduction_matching(K: SimplicialComplex) -> MorseMatching:
     left = K.n
     n_facets = [len(fs) for fs in F]
 
-    pairs: list[tuple[int, int]] = []
+    up = [-1] * K.n
     pair_heap: list[int] = []
     crit = 0
 
@@ -54,13 +58,13 @@ def coreduction_matching(K: SimplicialComplex) -> MorseMatching:
                 alpha = next(f for f in F[beta] if alive[f])
                 remove(beta)
                 remove(alpha)
-                pairs.append((alpha, beta))
+                up[alpha] = beta
                 break
         else:
             while not alive[crit]:
                 crit += 1
             remove(crit)
-    return certify(K, _simplex_pairs(K, pairs))
+    return certify(K, OrientedHasse(K, up))
 
 
 def reduction_matching(K: SimplicialComplex) -> MorseMatching:
@@ -78,7 +82,7 @@ def reduction_matching(K: SimplicialComplex) -> MorseMatching:
     left = K.n
     n_cofacets = [len(cs) for cs in C]
 
-    pairs: list[tuple[int, int]] = []
+    up = [-1] * K.n
     pair_heap = [s for s, k in enumerate(n_cofacets) if k == 1]
     crit_order = [
         s for d in range(K.dim, -1, -1) for s in range(K.offset(d), K.offset(d + 1))
@@ -102,15 +106,11 @@ def reduction_matching(K: SimplicialComplex) -> MorseMatching:
                 beta = next(c for c in C[alpha] if alive[c])
                 remove(beta)
                 remove(alpha)
-                pairs.append((alpha, beta))
+                up[alpha] = beta
                 break
         else:
             while not alive[crit_order[crit]]:
                 crit += 1
             remove(crit_order[crit])
-    return certify(K, _simplex_pairs(K, pairs))
+    return certify(K, OrientedHasse(K, up))
 
-
-def _simplex_pairs(K: SimplicialComplex, pairs) -> list[tuple[Simplex, Simplex]]:
-    S = K.simplices
-    return [(S[a], S[b]) for a, b in pairs]

@@ -3,8 +3,11 @@
 A matching is Morse when the matched-edges-up orientation of the Hasse
 diagram has no directed cycle.  Cycles can only live inside a single
 d-interface (a directed edge changes dimension by exactly one, up from
-d-1 or down from d), so acyclicity is checked one interface at a time.
-Critical simplices are the unmatched ones.
+d-1 or down from d), so acyclicity is checked one interface at a time,
+on simplex ids: certify takes simplex pairs from outside, or an up array
+of ids from the package's own algorithms, runs both through one
+validator and then a search over the matched cofaces alone.  Critical
+simplices are the unmatched ones.
 """
 from __future__ import annotations
 
@@ -88,50 +91,51 @@ def is_acyclic(oh: OrientedHasse):
 
     Returns (True, None) or (False, witness) where witness is an
     alternating cycle normalized to start at its smallest lower simplex.
-    A depth-first search runs over the ids of each interface, roots in
-    canonical order: a (d-1)-simplex leads up to its matched coface, a
-    d-simplex down to each facet it is not matched with.  state[x] is
-    2d-1 while x is on the search path and 2d once it is finished, so one
-    array serves every interface.
+    Unmatched (d-1)-simplices are sinks and unmatched d-simplices are
+    sources, so a depth-first search over the matched d-simplices alone
+    finds every cycle: from a coface b it steps to up[f] for each facet f
+    of b but b's mate, roots taken in the id order of their mates.
+    state[b] is 1 while b is on the search path and 2 once finished.  The
+    witness's lower simplices are the mates of its cofaces.
     """
     K = oh.complex
     F, up = K.facet_ids, oh.up
-    state = [0] * K.n
-    for d in range(1, K.dim + 1):
-        lo, mid, hi = K.offset(d - 1), K.offset(d), K.offset(d + 1)
-        on, done = 2 * d - 1, 2 * d
-
-        def out(x):
-            if x < mid:
-                return (up[x],) if up[x] >= 0 else ()
-            return [f for f in F[x] if up[f] != x]
-
-        for root in range(lo, hi):
-            if state[root] >= on:
-                continue
-            state[root] = on
-            path = [root]
-            stack = [iter(out(root))]
-            while stack:
-                nxt = next(stack[-1], -1)
-                if nxt < 0:
-                    stack.pop()
-                    state[path.pop()] = done
-                elif state[nxt] < on:
-                    state[nxt] = on
-                    path.append(nxt)
-                    stack.append(iter(out(nxt)))
-                elif state[nxt] == on:
-                    cycle = path[path.index(nxt):]
-                    lows = [i for i, x in enumerate(cycle) if x < mid]
-                    start = min(lows, key=cycle.__getitem__)
+    state = bytearray(K.n)
+    for root in up:
+        if root < 0 or state[root]:
+            continue
+        state[root] = 1
+        path = [root]
+        stack = [iter(F[root])]
+        while stack:
+            b = path[-1]
+            for f in stack[-1]:
+                c = up[f]
+                if c < 0 or c == b or state[c] == 2:
+                    continue
+                if state[c] == 1:
+                    cycle = path[path.index(c):]
+                    cycle = [(next(g for g in F[x] if up[g] == x), x) for x in cycle]
+                    k = cycle.index(min(cycle))
                     S = K.simplices
-                    return False, tuple(S[x] for x in cycle[start:] + cycle[:start])
+                    return False, tuple(S[x] for pair in cycle[k:] + cycle[:k] for x in pair)
+                state[c] = 1
+                path.append(c)
+                stack.append(iter(F[c]))
+                break
+            else:
+                stack.pop()
+                state[path.pop()] = 2
     return True, None
 
 
 def certify(K: SimplicialComplex, pairs) -> MorseMatching:
-    """Validate a matching and attach its acyclicity certificate."""
+    """Validate a matching and attach its acyclicity certificate.
+
+    pairs are (face, coface) simplex pairs or, from the package's own
+    algorithms, an OrientedHasse of K (see orient): both are validated
+    on ids by the same checks before is_acyclic searches them.
+    """
     oh = orient(K, pairs)
     ok, witness = is_acyclic(oh)
     return MorseMatching(pairs=oh.pairs, acyclic=ok, witness=witness)

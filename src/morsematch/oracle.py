@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex, Simplex, betti_gf2, facets_of, proper_cofaces
-from .hasse import Pair, max_cardinality_matching
+from .hasse import OrientedHasse, Pair, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import MorseMatching, certify, closes_cycle
 
@@ -58,9 +58,10 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     unmatched counts per dimension, capped globally by the maximum
     cardinality matching and by homology, which forces at least sum(beta)
     critical simplices (parity-adjusted).  The greedy results seed the
-    incumbent.  Without an explicit budget, complexes over 40 simplices
-    are refused; with one, exhaustion returns the incumbent flagged
-    non-optimal.
+    incumbent; an improvement is kept as its up map on ids and certified
+    through the id entry of certify.  Without an explicit budget,
+    complexes over 40 simplices are refused; with one, exhaustion returns
+    the incumbent flagged non-optimal.
     """
     if budget is None and K.n > SIZE_LIMIT:
         raise ValueError(
@@ -76,8 +77,9 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
         sum_beta += 1
     ub = min((K.n - sum_beta) // 2, len(max_cardinality_matching(K)))
 
-    best: list[Pair] = list(seed.pairs)
-    if len(best) >= ub:
+    best: dict[int, int] | None = None
+    best_len = len(seed.pairs)
+    if best_len >= ub:
         return OracleResult(matching=seed, optimal=True, nodes=0, pair_upper_bound=ub)
 
     n = K.n
@@ -107,11 +109,11 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
             while i < n and matched[i]:
                 i += 1
             if i == n:
-                if len(pairs) > len(best):
-                    best[:] = [(K.simplices[a], K.simplices[b]) for a, b in pairs]
-                    if len(best) >= ub:
+                if len(pairs) > best_len:
+                    best, best_len = dict(up), len(pairs)
+                    if best_len >= ub:
                         break
-            elif len(pairs) + _chain_bound(remaining) > len(best):
+            elif len(pairs) + _chain_bound(remaining) > best_len:
                 nodes += 1
                 if budget is not None and nodes > budget:
                     optimal = False
@@ -150,7 +152,9 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
                 remaining[dim[s]] += 1
                 stack.pop()
     return OracleResult(
-        matching=certify(K, best),
+        matching=seed if best is None else certify(
+            K, OrientedHasse(K, [best.get(s, -1) for s in range(n)])
+        ),
         optimal=optimal,
         nodes=nodes,
         pair_upper_bound=ub,

@@ -179,6 +179,35 @@ def test_oracle_budget_env_var(capsys, tmp_path, monkeypatch):
     assert payload["config"]["budget"] == 2000
 
 
+@pytest.mark.parametrize("command", ["match", "bench"])
+def test_negative_budget_is_rejected_at_parse_time(tmp_path, capsys, command):
+    write_complex(dunce_hat(), tmp_path / "dunce.txt")
+    target = str(tmp_path / "dunce.txt") if command == "match" else str(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "--budget: must be a non-negative integer, got '-5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_bad_budget_env_var_exits_2_naming_the_variable(capsys, tmp_path, monkeypatch, value):
+    path = tmp_path / "dunce.txt"
+    write_complex(dunce_hat(), path)
+    monkeypatch.setenv("MORSE_ORACLE_BUDGET", value)
+    assert main(["match", str(path), "--algo", "oracle"]) == 2
+    err = capsys.readouterr().err
+    assert f"MORSE_ORACLE_BUDGET must be a non-negative integer, got {value!r}" in err
+
+
+@pytest.mark.parametrize("algos", ["", ",", " , "])
+def test_bench_without_an_algorithm_exits_2(tmp_path, capsys, algos):
+    write_complex(rp2(), tmp_path / "rp2.txt")
+    assert main(["bench", str(tmp_path), "--algos", algos, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no algorithm in --algos" in captured.err
+
+
 def test_validate_accepts_good_matching(capsys, sphere_file, tmp_path):
     out = tmp_path / "m.txt"
     main(["match", sphere_file, "--algo", "coreduction", "--out", str(out), "--no-timing"])

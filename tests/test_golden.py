@@ -7,13 +7,21 @@ that claims unchanged behaviour can be checked mechanically.  The
 `corpus` field is a temporary path and is left out.  The exit code is
 not pinned: it reflects the acyclicity and optimal flags of the rows,
 which the rows themselves already carry.
+
+A third checksum pins what certify reports on a fixed set of matchings,
+most of them cyclic: the acyclic flag and the witness cycle, whose
+choice depends on the order of the cycle search.
 """
 
 import hashlib
 import json
+import random
 
 from morsematch import (
+    certify,
     dunce_hat,
+    facets_of,
+    max_cardinality_matching,
     random_complex,
     rp2,
     simplex_boundary,
@@ -24,6 +32,7 @@ from morsematch.cli import main
 
 GOLDEN_SHA256 = "dceea2b130c68a080d84993a8389d598aa3351b5f2f807a8b814bd5bf3ae3597"
 ORACLE_GOLDEN_SHA256 = "b0aea383968ac56699ebec119a77cf03aedfcb520db33b0881e9909965701786"
+WITNESS_GOLDEN_SHA256 = "7520845971ed6e38c97d051d94b3ea48c490ad33689973788cf19310c3472df8"
 
 
 def golden_corpus():
@@ -71,3 +80,26 @@ def test_bench_output_matches_golden_checksum(tmp_path, capsys):
 def test_oracle_bench_output_matches_golden_checksum(tmp_path, capsys):
     args = ["--algos", "oracle", "--budget", "2000"]
     assert bench_digest(tmp_path, capsys, oracle_corpus(), args) == ORACLE_GOLDEN_SHA256
+
+
+def witness_matchings():
+    """Maximum and seeded random maximal matchings, 1-D to 4-D."""
+    for dim in (1, 2, 3, 4):
+        for seed in range(6):
+            K = random_complex(seed, dim=dim, n_vertices=6 + 2 * dim, n_facets=5 * dim)
+            yield K, max_cardinality_matching(K)
+            edges = [(f, t) for t in K.simplices for f in facets_of(t)]
+            random.Random(seed).shuffle(edges)
+            used, pairs = set(), []
+            for a, b in edges:
+                if a not in used and b not in used:
+                    used.update((a, b))
+                    pairs.append((a, b))
+            yield K, pairs
+
+
+def test_certify_witnesses_match_golden_checksum():
+    results = [certify(K, pairs) for K, pairs in witness_matchings()]
+    assert sum(not r.acyclic for r in results) == 33
+    body = json.dumps([[r.acyclic, r.witness] for r in results])
+    assert hashlib.sha256(body.encode()).hexdigest() == WITNESS_GOLDEN_SHA256

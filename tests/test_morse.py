@@ -1,10 +1,14 @@
 """Acyclicity certification, critical profiles, canonicalization, collapses."""
 
 import random
+import re
 
 import pytest
 
 from morsematch import (
+    InvalidMatching,
+    OrientedHasse,
+    canonical_key,
     canonicalize_single_critical_vertex,
     certify,
     check_morse_inequalities,
@@ -15,6 +19,7 @@ from morsematch import (
     from_maximal_simplices,
     gamma_graph,
     is_acyclic,
+    max_cardinality_matching,
     random_complex,
     simplex_boundary,
 )
@@ -70,15 +75,74 @@ def test_perfect_circle_matching_is_cyclic_with_hexagon_witness():
         assert (witness[i], witness[i + 1]) in HEXAGON_MATCHING
 
 
+def _random_matchings():
+    """Seeded partial and maximum matchings on 1-D to 4-D random complexes."""
+    for dim in (1, 2, 3, 4):
+        for seed in range(25):
+            K = random_complex(seed, dim=dim, n_vertices=5 + 2 * dim, n_facets=4 + 3 * dim)
+            edges = covering_pairs(K.simplices)
+            rnd = random.Random(seed)
+            rnd.shuffle(edges)
+            used: set = set()
+            pairs = []
+            for a, b in edges:
+                if a not in used and b not in used and rnd.random() < 0.8:
+                    used.update((a, b))
+                    pairs.append((a, b))
+            yield K, pairs
+            yield K, max_cardinality_matching(K)
+
+
 def test_is_acyclic_matches_whole_graph_search():
     matchings = [
         (CIRCLE, frozenset()),
         (CIRCLE, HEXAGON_MATCHING),
         (TRIANGLE, frozenset({((0, 1), (0, 1, 2)), ((0,), (0, 2))})),
+        *_random_matchings(),
     ]
+    cyclic = 0
     for K, pairs in matchings:
-        naive = not has_directed_cycle(oriented_adjacency(K.simplices, pairs))
-        assert certify(K, pairs).acyclic == naive
+        result = certify(K, pairs)
+        assert result.acyclic == (not has_directed_cycle(oriented_adjacency(K.simplices, pairs)))
+        if result.acyclic:
+            assert result.witness is None
+            continue
+        cyclic += 1
+        # An alternating cycle of the oriented diagram: up along a matched
+        # pair, down along an unmatched covering edge, back to its start,
+        # which is its smallest lower simplex.
+        w = result.witness
+        matched = set(pairs)
+        assert len(w) >= 6 and len(w) % 2 == 0 and len(set(w)) == len(w)
+        for i in range(0, len(w), 2):
+            low, high, nxt = w[i], w[i + 1], w[(i + 2) % len(w)]
+            assert (low, high) in matched
+            assert nxt in facets_of(high) and (nxt, high) not in matched
+        assert w[0] == min(w[::2], key=canonical_key)
+    assert cyclic > len(matchings) // 2, (cyclic, len(matchings))
+
+
+def test_id_entry_still_validates():
+    # The package's own algorithms hand certify an up array of ids; it
+    # must still reject a non-covering pair and a simplex used twice.
+    i = CIRCLE.index
+    bad = {
+        "not a covering pair": {i[(0,)]: i[(1, 2)]},
+        "simplex (0, 1) matched twice": {i[(0,)]: i[(0, 1)], i[(1,)]: i[(0, 1)]},
+    }
+    for message, up in bad.items():
+        oh = OrientedHasse(CIRCLE, [up.get(x, -1) for x in range(CIRCLE.n)])
+        with pytest.raises(InvalidMatching, match=re.escape(message)):
+            certify(CIRCLE, oh)
+    # a simplex matched both as a face and as a coface
+    K = TRIANGLE
+    up = [-1] * K.n
+    up[K.index[(0,)]] = K.index[(0, 1)]
+    up[K.index[(0, 1)]] = K.index[(0, 1, 2)]
+    with pytest.raises(InvalidMatching, match="matched twice"):
+        certify(K, OrientedHasse(K, up))
+    with pytest.raises(ValueError, match="another complex"):
+        certify(TRIANGLE, OrientedHasse(CIRCLE, [-1] * CIRCLE.n))
 
 
 def test_closes_cycle_matches_whole_graph_search():
