@@ -80,22 +80,33 @@ def leading_up_edges(oh: OrientedHasse, chi: Pair, absorbed=frozenset()) -> list
     return out
 
 
-def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeComponent:
+def bfs_component(
+    oh: OrientedHasse, seed: Pair, absorbed=frozenset(), kept: list[int] | None = None
+) -> EdgeComponent:
     """Classify every up-edge reachable from the seed, reversing cycle makers.
 
-    Mutates oh: backward-classified pairs are unmatched.  up maps the
-    face of the seed and of every pair kept so far to its coface; a kept
+    Mutates oh: backward-classified pairs are unmatched.  kept is an id
+    array over the complex, -1 everywhere on entry; the face of the seed
+    and of every pair kept so far points to its coface there, and the
+    entries are cleared again on return, so one array serves every
+    component of a run (a fresh one is made when it is None).  A kept
     pair enters it when it is classified, not when it leaves the queue.
     A candidate up-edge (a, b) survives only when closes_cycle finds no
     alternating path from b back to a through those pairs, so the kept
-    pairs stay acyclic in every dimension.  The trace records (forward, backward, frontier) totals
-    after each processed queue node.  Cofaces in absorbed belong to
-    earlier components and are not entered (see leading_up_edges).
+    pairs stay acyclic in every dimension.  The trace records (forward,
+    backward, frontier) totals after each processed queue node.  Cofaces
+    in absorbed belong to earlier components and are not entered (see
+    leading_up_edges).
     """
     alpha0, beta0 = seed
     if not oh.is_up(alpha0, beta0):
         raise ValueError(f"not an up-edge: {alpha0} -> {beta0}")
-    up = {alpha0: beta0}
+    K = oh.complex
+    F, index = K.facet_ids, K.index
+    if kept is None:
+        kept = [-1] * K.n
+    faces = [index[alpha0]]
+    kept[faces[0]] = index[beta0]
     forward = [seed]
     backward: list[Pair] = []
     classified = {seed}
@@ -110,11 +121,13 @@ def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeCo
             classified.add(cand)
             frontier.discard(cand)
             a_i, b_i = cand
-            if closes_cycle(up, facets_of, a_i, b_i):
+            a, b = index[a_i], index[b_i]
+            if closes_cycle(kept, F, a, b):
                 oh.unmatch(a_i, b_i)
                 backward.append(cand)
             else:
-                up[a_i] = b_i
+                kept[a] = b
+                faces.append(a)
                 forward.append(cand)
                 queue.append(cand)
                 frontier.update(
@@ -122,6 +135,8 @@ def bfs_component(oh: OrientedHasse, seed: Pair, absorbed=frozenset()) -> EdgeCo
                     if le not in classified
                 )
         trace.append((len(forward), len(backward), len(frontier)))
+    for a in faces:
+        kept[a] = -1
     return EdgeComponent(
         seed=seed,
         dim=len(beta0) - 1,
@@ -144,11 +159,12 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     M = max_cardinality_matching(K)
     oh = orient(K, M)
     absorbed: set[Simplex] = set()
+    kept = [-1] * K.n
     components = []
     for seed in sorted(oh.up_pairs(), key=lambda p: (len(p[1]), p[1])):
         if seed[1] in absorbed:
             continue
-        comp = bfs_component(oh, seed, absorbed)
+        comp = bfs_component(oh, seed, absorbed, kept)
         absorbed.update(beta for _, beta in comp.forward + comp.backward)
         components.append(comp)
     return FrontierResult(

@@ -57,30 +57,30 @@ class MorseMatching:
         return len(self.pairs)
 
 
-def closes_cycle(up, facets, alpha, beta) -> bool:
-    """True when matching alpha with beta closes an alternating cycle.
+def closes_cycle(up: list[int], F, alpha: int, beta: int) -> bool:
+    """True when matching face alpha with coface beta closes an alternating cycle.
 
-    up maps each matched face to the coface it is matched with (anything
-    with .get, on simplices or on ids alike) and must itself be acyclic,
-    so any new cycle runs through the new pair; facets(b) gives the
-    facets of b.  Walks the interface of dimension dim(beta): down from a
-    matched coface to any of its facets, then up along that facet's own
-    matched coface, looking for a path from beta back to alpha.  The only
-    down-edge skipped is beta's to alpha; a coface's step down to its own
-    mate leads straight back to it.  This is the incremental test for a
-    growing matching; is_acyclic certifies a finished one independently.
+    Everything is on simplex ids: up[f] is the coface face f is matched
+    with, or -1, and F is K.facet_ids.  alpha and beta must both be
+    unmatched in up, and the pairs in up acyclic, so any new cycle runs
+    through the new pair.  Walks the interface of dimension dim(beta):
+    down from a matched coface to any of its facets, then up along that
+    facet's own matched coface, looking for a path from beta back to
+    alpha.  The only down-edge skipped is beta's to alpha; a coface's
+    step down to its own mate leads straight back to it.  This is the
+    one incremental test for a growing matching, shared by frontier and
+    the oracle; is_acyclic certifies a finished one independently.
     """
-    seen = {beta}
-    stack = [beta]
+    stack = [c for y in F[beta] if y != alpha and (c := up[y]) >= 0]
+    if not stack:
+        return False
+    seen = {beta, *stack}
     while stack:
-        b = stack.pop()
-        for y in facets(b):
+        for y in F[stack.pop()]:
             if y == alpha:
-                if b == beta:
-                    continue
                 return True
-            c = up.get(y)
-            if c is not None and c not in seen:
+            c = up[y]
+            if c >= 0 and c not in seen:
                 seen.add(c)
                 stack.append(c)
     return False

@@ -30,23 +30,6 @@ class OracleResult:
     pair_upper_bound: int
 
 
-def _chain_bound(remaining: list[int]) -> int:
-    """Max pairs if any cross-dimension pairing were allowed.
-
-    Greedy along the dimension chain is exact for this relaxation: each
-    level's nodes split between pairs below and pairs above.
-    """
-    total = 0
-    carry = 0
-    for d in range(len(remaining) - 1):
-        x = min(remaining[d] - carry, remaining[d + 1])
-        if x < 0:
-            x = 0
-        total += x
-        carry = x
-    return total
-
-
 def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> OracleResult:
     """Branch-and-bound for a maximum acyclic matching on the face poset.
 
@@ -55,11 +38,16 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     acyclic (pruning there is safe: reversing more edges later never
     unwinds an existing alternating cycle) and then the branch that
     leaves it critical.  Bounds: pairs so far plus a chain relaxation on
-    unmatched counts per dimension, capped globally by the maximum
-    cardinality matching and by homology, which forces at least sum(beta)
-    critical simplices (parity-adjusted).  The greedy results seed the
-    incumbent; an improvement is kept as its up map on ids and certified
-    through the id entry of certify.  Without an explicit budget,
+    unmatched counts per dimension, computed inline at every node: the
+    most pairs if any pairing between adjacent dimensions were allowed,
+    which greedy along the dimension chain attains, since each level's
+    simplices split between pairs below and pairs above.  That is capped
+    globally by the maximum cardinality matching and by homology, which
+    forces at least sum(beta) critical simplices (parity-adjusted).  The
+    greedy results seed the incumbent.  The search state is flat id
+    arrays: up[f] is the coface face f is matched with, or -1, which is
+    what closes_cycle reads, and an improvement is a copy of it, handed
+    to certify as an OrientedHasse.  Without an explicit budget,
     complexes over 40 simplices are refused; with one, exhaustion returns
     the incumbent flagged non-optimal.
     """
@@ -77,19 +65,19 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
         sum_beta += 1
     ub = min((K.n - sum_beta) // 2, len(max_cardinality_matching(K)))
 
-    best: dict[int, int] | None = None
+    best: list[int] | None = None
     best_len = len(seed.pairs)
     if best_len >= ub:
         return OracleResult(matching=seed, optimal=True, nodes=0, pair_upper_bound=ub)
 
     n = K.n
-    C = K.cofacet_ids
-    facets = K.facet_ids.__getitem__
+    C, F = K.cofacet_ids, K.facet_ids
     dim = [d for d, level in enumerate(K.by_dim) for _ in level]
     remaining = [len(level) for level in K.by_dim]
+    chain = range(1, len(remaining))
     matched = bytearray(n)
-    up: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
+    up = [-1] * n
+    npairs = 0
     nodes = 0
     optimal = True
 
@@ -109,17 +97,27 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
             while i < n and matched[i]:
                 i += 1
             if i == n:
-                if len(pairs) > best_len:
-                    best, best_len = dict(up), len(pairs)
+                if npairs > best_len:
+                    best, best_len = up[:], npairs
                     if best_len >= ub:
                         break
-            elif len(pairs) + _chain_bound(remaining) > best_len:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    optimal = False
-                    break
-                remaining[dim[i]] -= 1
-                stack.append([i, 0, -1])
+            else:
+                bound = npairs
+                x = 0
+                for d in chain:
+                    x = remaining[d - 1] - x
+                    if x > remaining[d]:
+                        x = remaining[d]
+                    elif x < 0:
+                        x = 0
+                    bound += x
+                if bound > best_len:
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        optimal = False
+                        break
+                    remaining[dim[i]] -= 1
+                    stack.append([i, 0, -1])
             i = -1
         if not stack:
             break
@@ -127,34 +125,33 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
         s, k, t = frame
         if t >= 0:
             remaining[dim[t]] += 1
-            pairs.pop()
-            del up[s]
+            npairs -= 1
+            up[s] = -1
             matched[s] = matched[t] = 0
         cofs = C[s]
-        while k < len(cofs):
+        m = len(cofs)
+        while k < m:
             t = cofs[k]
             k += 1
-            if matched[t] or closes_cycle(up, facets, s, t):
+            if matched[t] or closes_cycle(up, F, s, t):
                 continue
             matched[s] = matched[t] = 1
             up[s] = t
-            pairs.append((s, t))
+            npairs += 1
             remaining[dim[t]] -= 1
             frame[1], frame[2] = k, t
             i = s + 1
             break
         else:
             frame[2] = -1
-            if k == len(cofs):
+            if k == m:
                 frame[1] = k + 1
                 i = s + 1
             else:
                 remaining[dim[s]] += 1
                 stack.pop()
     return OracleResult(
-        matching=seed if best is None else certify(
-            K, OrientedHasse(K, [best.get(s, -1) for s in range(n)])
-        ),
+        matching=seed if best is None else certify(K, OrientedHasse(K, best)),
         optimal=optimal,
         nodes=nodes,
         pair_upper_bound=ub,
@@ -174,66 +171,87 @@ class CollapsibilityResult:
         return self.collapsible
 
 
-def _free_pairs(alive: frozenset, cofaces: list) -> list[tuple[int, int]]:
-    """(free simplex, its one live proper coface) as ids, in canonical order."""
-    out = []
-    live_of = alive.intersection
-    for s in alive:
-        if cofaces[s]:
-            live = live_of(cofaces[s])
-            if len(live) == 1:
-                out.append((s, *live))
-    out.sort()
-    return out
-
-
 def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> CollapsibilityResult:
     """Search for a sequence of elementary collapses down to one vertex.
 
     A free simplex here is one with exactly a single proper coface; that
     coface is then maximal and covers it, and removing both preserves the
-    homotopy type.  Dead ends are memoized.  Cheap refutations first:
-    even simplex count, homology differing from a point, or no free face
-    at all.  budget=None searches without limit.  The search is depth
-    first over an explicit stack of (alive ids, untried free pairs), so
-    a long collapse sequence needs no recursion.
+    homotopy type.  Dead ends are memoized by their alive flags.  Cheap
+    refutations first: even simplex count, homology differing from a
+    point, or no free face at all.  budget=None searches without limit.
+    The search is depth first over an explicit stack of untried free
+    pairs, one list per level in canonical order, so a long collapse
+    sequence needs no recursion.  It keeps one state and changes it in place, as
+    collapse_sequence does: alive flags, the number of live proper
+    cofaces of every simplex and the set of free ones, updated when a
+    pair is removed and undone when the search backs out of it, so a
+    node costs its own free pairs rather than a scan of the complex.
     """
     if K.n == 1:
         return CollapsibilityResult(True, False, 0, ())
     cofaces = proper_cofaces(K)
-
-    start = frozenset(range(K.n))
-    if K.n % 2 == 0 or not _free_pairs(start, cofaces):
+    faces: list[list[int]] = [[] for _ in range(K.n)]
+    for f, cs in enumerate(cofaces):
+        for t in cs:
+            faces[t].append(f)
+    count = [len(cs) for cs in cofaces]
+    free = {s for s, c in enumerate(count) if c == 1}
+    if K.n % 2 == 0 or not free:
         return CollapsibilityResult(False, False, 0, None)
     b = betti_gf2(K)
     if b[0] != 1 or any(b[1:]):
         return CollapsibilityResult(False, False, 0, None)
+    alive = bytearray(b"\x01") * K.n
 
-    failed: set[frozenset] = set()
+    # Removing the free face a with its coface b: b has no live coface,
+    # and every face of either is alive but a, which drops to 0 cofaces.
+    def remove(a: int, b: int) -> None:
+        alive[a] = alive[b] = 0
+        for x in (b, a):
+            for f in faces[x]:
+                count[f] -= 1
+                if count[f] == 1:
+                    free.add(f)
+                elif count[f] == 0:
+                    free.discard(f)
+
+    def restore(a: int, b: int) -> None:
+        alive[a] = alive[b] = 1
+        for x in (a, b):
+            for f in faces[x]:
+                count[f] += 1
+                if count[f] == 1:
+                    free.add(f)
+                elif count[f] == 2:
+                    free.discard(f)
+
+    def free_pairs() -> list[tuple[int, int]]:
+        return [(s, next(t for t in cofaces[s] if alive[t])) for s in sorted(free)]
+
+    failed: set[bytes] = set()
     trail: list[tuple[int, int]] = []
     nodes = 1
-    stack = [(start, iter(_free_pairs(start, cofaces)))]
+    stack = [iter(free_pairs())]
     while budget is None or nodes <= budget:
         if not stack:
             return CollapsibilityResult(False, False, nodes, None)
-        alive, untried = stack[-1]
-        pair = next(untried, None)
+        pair = next(stack[-1], None)
         if pair is None:
-            failed.add(alive)
+            failed.add(bytes(alive))
             stack.pop()
             if stack:
-                trail.pop()
+                restore(*trail.pop())
             continue
+        remove(*pair)
         trail.append(pair)
-        child = alive.difference(pair)
-        if len(child) == 1:
+        if 2 * len(trail) == K.n - 1:
             S = K.simplices
             return CollapsibilityResult(True, False, nodes, tuple((S[a], S[b]) for a, b in trail))
-        if child in failed:
-            trail.pop()
+        if bytes(alive) in failed:
+            restore(*trail.pop())
             continue
         nodes += 1
-        stack.append((child, iter(_free_pairs(child, cofaces))))
+        stack.append(iter(free_pairs()))
     return CollapsibilityResult(None, True, nodes, None)
 
 

@@ -77,11 +77,14 @@ def brute_max_matching_size(simplices) -> int:
     return size
 
 
-def oriented_adjacency(simplices, pairs) -> dict[Simplex, list[Simplex]]:
-    """Whole-graph orientation: matched covering edges up, the rest down."""
+def oriented_adjacency(simplices, pairs, edges=None) -> dict[Simplex, list[Simplex]]:
+    """Whole-graph orientation: matched covering edges up, the rest down.
+
+    edges, when given, are the covering pairs of simplices already found.
+    """
     matched = set(pairs)
     adj: dict[Simplex, list[Simplex]] = defaultdict(list)
-    for sigma, tau in covering_pairs(simplices):
+    for sigma, tau in covering_pairs(simplices) if edges is None else edges:
         if (sigma, tau) in matched:
             adj[sigma].append(tau)
         else:
@@ -110,6 +113,38 @@ def has_directed_cycle(adj) -> bool:
                 color[nxt] = GRAY
                 stack.append((nxt, iter(adj.get(nxt, ()))))
     return False
+
+
+def brute_optimal_pairs(simplices) -> int:
+    """Most pairs an acyclic matching can have, by exhaustive branching.
+
+    Covering pairs are taken in a fixed order and each one is left out or,
+    when both its simplices are still free, put in.  A partial matching
+    whose whole-graph orientation has a directed cycle is dropped with
+    all its extensions: a cycle alternates up and down edges, so every
+    coface on it is matched already, and pairing two free simplices never
+    removes one.  The search stops early once a matching leaves only
+    sum(betti) critical simplices (Betti numbers from betti_numpy), which
+    the weak Morse inequalities say no matching beats.  Exponential when
+    the optimum stays below that; callers keep inputs small.
+    """
+    simplices = list(simplices)
+    ceiling = (len(simplices) - sum(betti_numpy(simplices))) // 2
+    candidates = covering_pairs(simplices)
+    best = 0
+    stack: list[tuple[int, tuple[Pair, ...]]] = [(0, ())]
+    while stack and best < ceiling:
+        start, chosen = stack.pop()
+        best = max(best, len(chosen))
+        used = {s for pair in chosen for s in pair}
+        for j in range(len(candidates) - 1, start - 1, -1):
+            a, b = candidates[j]
+            if a in used or b in used:
+                continue
+            grown = chosen + ((a, b),)
+            if not has_directed_cycle(oriented_adjacency(simplices, grown, candidates)):
+                stack.append((j + 1, grown))
+    return best
 
 
 def _rank_gf2(mat: np.ndarray) -> int:
@@ -159,19 +194,27 @@ def replay_collapses(simplices, sequence) -> frozenset[Simplex]:
     """Execute elementary collapses, re-verifying freeness at every step.
 
     A step (sigma, tau) is legal only when tau is the one remaining
-    proper coface of sigma, of any codimension.  Returns what remains.
+    proper coface of sigma, of any codimension.  Every coface of sigma
+    contains its first vertex, so the subset tests run over the remaining
+    simplices on that vertex only.  Returns what remains.
     """
     remaining = set(simplices)
+    on_vertex: dict[int, set[Simplex]] = defaultdict(set)
+    for t in remaining:
+        for v in t:
+            on_vertex[v].add(t)
     for sigma, tau in sequence:
         assert sigma in remaining, f"{sigma} already removed"
         assert tau in remaining, f"{tau} already removed"
         sset = set(sigma)
-        cofaces = [t for t in remaining if len(t) > len(sigma) and sset < set(t)]
+        cofaces = [t for t in on_vertex[sigma[0]] if len(t) > len(sigma) and sset < set(t)]
         assert cofaces == [tau] or set(cofaces) == {tau}, (
             f"{sigma} is not free: cofaces {sorted(cofaces)}"
         )
-        remaining.discard(sigma)
-        remaining.discard(tau)
+        for s in (sigma, tau):
+            remaining.discard(s)
+            for v in s:
+                on_vertex[v].discard(s)
     return frozenset(remaining)
 
 

@@ -67,12 +67,16 @@ def test_leading_up_edges_rejects_down_edges():
 
 
 def test_bfs_component_on_hexagon():
-    comp = bfs_component(hexagon_orientation(), ((0,), (0, 1)))
-    assert comp.dim == 1
-    assert comp.forward == (((0,), (0, 1)), ((1,), (1, 2)))
-    assert comp.backward == (((2,), (0, 2)),)
-    assert len(component_edges(comp)) == 6
-    assert comp.trace == ((2, 0, 1), (2, 1, 0))
+    # once with its own kept array, once with a caller's, which it clears
+    kept = [-1] * CIRCLE.n
+    for args in ((), (frozenset(), kept)):
+        comp = bfs_component(hexagon_orientation(), ((0,), (0, 1)), *args)
+        assert comp.dim == 1
+        assert comp.forward == (((0,), (0, 1)), ((1,), (1, 2)))
+        assert comp.backward == (((2,), (0, 2)),)
+        assert len(component_edges(comp)) == 6
+        assert comp.trace == ((2, 0, 1), (2, 1, 0))
+    assert kept == [-1] * CIRCLE.n
 
 
 def test_bfs_component_isolated_up_edge():

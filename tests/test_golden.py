@@ -8,9 +8,17 @@ that claims unchanged behaviour can be checked mechanically.  The
 not pinned: it reflects the acyclicity and optimal flags of the rows,
 which the rows themselves already carry.
 
+The oracle is pinned at budgets 0, 50 and 2000 over one corpus, and
+in one deep search of 50 000 nodes on a two-hat dunce wedge, so a
+change to its search order or pruning moves some node count.
+
 A third checksum pins what certify reports on a fixed set of matchings,
 most of them cyclic: the acyclic flag and the witness cycle, whose
 choice depends on the order of the cycle search.
+
+A fourth checksum pins what is_collapsible reports, node counts and
+collapse sequences included, on contractible complexes its search must
+back out of many times.
 """
 
 import hashlib
@@ -21,6 +29,8 @@ from morsematch import (
     certify,
     dunce_hat,
     facets_of,
+    from_maximal_simplices,
+    is_collapsible,
     max_cardinality_matching,
     random_complex,
     rp2,
@@ -31,8 +41,14 @@ from morsematch import (
 from morsematch.cli import main
 
 GOLDEN_SHA256 = "dceea2b130c68a080d84993a8389d598aa3351b5f2f807a8b814bd5bf3ae3597"
-ORACLE_GOLDEN_SHA256 = "b0aea383968ac56699ebec119a77cf03aedfcb520db33b0881e9909965701786"
+ORACLE_GOLDEN_SHA256 = {
+    0: "2db4139fc6513aaab36d77441a105c1968d0aade02e7726baef5b52a5f08fbb2",
+    50: "7d5f062ccaba23e2888356df230bc39e14d6bc863047939f3e95ae954ae14a43",
+    2000: "b0aea383968ac56699ebec119a77cf03aedfcb520db33b0881e9909965701786",
+}
+DEEP_ORACLE_GOLDEN_SHA256 = "89a262c61dedf04fc383b4dc9650edfe4d06185c173a31c1d58ab88c49cbd0ff"
 WITNESS_GOLDEN_SHA256 = "7520845971ed6e38c97d051d94b3ea48c490ad33689973788cf19310c3472df8"
+COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
 
 
 def golden_corpus():
@@ -78,8 +94,14 @@ def test_bench_output_matches_golden_checksum(tmp_path, capsys):
 
 
 def test_oracle_bench_output_matches_golden_checksum(tmp_path, capsys):
-    args = ["--algos", "oracle", "--budget", "2000"]
-    assert bench_digest(tmp_path, capsys, oracle_corpus(), args) == ORACLE_GOLDEN_SHA256
+    runs = [(budget, oracle_corpus(), sha) for budget, sha in ORACLE_GOLDEN_SHA256.items()]
+    deep = {"dunce_wedge2.txt": wedge(dunce_hat(), 1, 2)}
+    runs.append((50_000, deep, DEEP_ORACLE_GOLDEN_SHA256))
+    for budget, corpus, sha in runs:
+        out = tmp_path / str(budget)
+        out.mkdir()
+        args = ["--algos", "oracle", "--budget", str(budget)]
+        assert bench_digest(out, capsys, corpus, args) == sha, budget
 
 
 def witness_matchings():
@@ -103,3 +125,27 @@ def test_certify_witnesses_match_golden_checksum():
     assert sum(not r.acyclic for r in results) == 33
     body = json.dumps([[r.acyclic, r.witness] for r in results])
     assert hashlib.sha256(body.encode()).hexdigest() == WITNESS_GOLDEN_SHA256
+
+
+def collapse_corpus():
+    """Dunce hats with fans of triangles, and collapsible fans and pieces."""
+    D = list(dunce_hat().facets())
+    for k in (1, 2, 3, 4):
+        fan = [(1, 20 + i, 21 + i) for i in range(k)]
+        yield from_maximal_simplices(D + fan)
+        yield from_maximal_simplices(D + fan + [(2, 41, 42)])
+    for k in (2, 4, 8):
+        yield from_maximal_simplices([(0, 1 + i, 2 + i) for i in range(k)] + [(1, 50, 51)])
+    for seed in range(10):
+        yield random_complex(seed, dim=2, n_vertices=6, n_facets=3)
+
+
+def test_collapsibility_matches_golden_checksum():
+    results = [
+        is_collapsible(K, budget=budget)
+        for K in collapse_corpus()
+        for budget in (None, 10)
+    ]
+    assert max(r.nodes for r in results) > 1000
+    body = json.dumps([[r.collapsible, r.indeterminate, r.nodes, r.sequence] for r in results])
+    assert hashlib.sha256(body.encode()).hexdigest() == COLLAPSE_GOLDEN_SHA256

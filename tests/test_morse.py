@@ -154,7 +154,7 @@ def test_closes_cycle_matches_whole_graph_search():
             K = random_complex(seed, dim=dim, n_vertices=7, n_facets=6)
             candidates = covering_pairs(K.simplices)
             random.Random(seed).shuffle(candidates)
-            up: dict = {}
+            up = [-1] * K.n
             matched: set = set()
             pairs: list = []
             for a, b in candidates:
@@ -163,11 +163,12 @@ def test_closes_cycle_matches_whole_graph_search():
                 naive = has_directed_cycle(
                     oriented_adjacency(K.simplices, pairs + [(a, b)])
                 )
-                assert closes_cycle(up, facets_of, a, b) == naive, (seed, a, b)
+                i, j = K.index[a], K.index[b]
+                assert closes_cycle(up, K.facet_ids, i, j) == naive, (seed, a, b)
                 checks += 1
                 positives += naive
                 if not naive:
-                    up[a] = b
+                    up[i] = j
                     matched.update((a, b))
                     pairs.append((a, b))
     assert checks > 600 and positives > 30, (checks, positives)

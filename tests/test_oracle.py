@@ -2,7 +2,9 @@
 
 import pytest
 
+import morsematch.oracle
 from morsematch import (
+    certify,
     coreduction_matching,
     critical_profile,
     dunce_hat,
@@ -18,7 +20,7 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
-from helpers import replay_collapses
+from helpers import brute_optimal_pairs, replay_collapses
 
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
 
@@ -98,6 +100,26 @@ def test_oracle_never_loses_to_other_algorithms():
         assert top <= best.pair_upper_bound
 
 
+def test_oracle_finds_the_brute_force_optimum(monkeypatch):
+    inputs = [
+        random_complex(seed, dim=dim, n_vertices=4 + dim, n_facets=1 + seed % 5)
+        for dim in (1, 2, 3)
+        for seed in range(14)
+    ]
+    want = [brute_optimal_pairs(K.simplices) for K in inputs]
+    # The second pass starts the search from an empty incumbent, so the
+    # branch and bound itself must reach the optimum: a bound that prunes
+    # too much, or a cycle test that refuses a good pair, would show.
+    for starved in (False, True):
+        if starved:
+            for name in ("coreduction_matching", "reduction_matching"):
+                monkeypatch.setattr(morsematch.oracle, name, lambda K: certify(K, []))
+        for K, top in zip(inputs, want):
+            result = optimal_morse_matching(K)
+            assert result.optimal, (starved, K.n)
+            assert len(result.matching.pairs) == top, (starved, K.n)
+
+
 def test_collapsible_full_simplices():
     for n in range(1, 5):
         result = is_collapsible(full_simplex(n))
@@ -140,12 +162,13 @@ def test_even_simplex_count_refutes_collapsibility_immediately():
 
 
 def test_collapse_sequence_longer_than_the_recursion_limit():
-    path = from_maximal_simplices([(i, i + 1) for i in range(1500)])
-    assert path.n == 3001
-    result = is_collapsible(path)
-    assert result.collapsible is True
-    assert len(result.sequence) == 1500
-    assert len(replay_collapses(path.simplices, result.sequence)) == 1
+    for edges in (1500, 3000):
+        path = from_maximal_simplices([(i, i + 1) for i in range(edges)])
+        assert path.n == 2 * edges + 1
+        result = is_collapsible(path)
+        assert result.collapsible is True
+        assert len(result.sequence) == edges
+        assert len(replay_collapses(path.simplices, result.sequence)) == 1
 
 
 def test_collapsibility_indeterminate_under_tiny_budget():
