@@ -10,6 +10,15 @@ Each simplex also has an integer id, its position in the canonical
 order, and the complex stores its incidence once as tuples of facet ids
 and cofacet ids.  Algorithms keep their state in lists indexed by id and
 speak simplex tuples only at the API edge.
+
+One builder fills a complex, from one set of canonical simplices per
+dimension, in a single sweep up the dimensions: it sorts each level into
+ids and looks up the facet ids of its simplices among the level below,
+which also fills the cofacet ids and finds the first missing face.  The
+constructor validates every simplex it is given before grouping them;
+from_maximal_simplices validates only the maximal ones and closes them
+downward one level at a time, since every face of a valid simplex is
+valid.
 """
 from __future__ import annotations
 
@@ -44,6 +53,14 @@ def facets_of(s: Simplex) -> list[Simplex]:
     return [s[:i] + s[i + 1:] for i in range(len(s) - 1, -1, -1)]
 
 
+def _levels(simplices) -> list[set[Simplex]]:
+    """Canonical simplices grouped into one set per dimension."""
+    levels: list[set[Simplex]] = [set() for _ in range(max(map(len, simplices)))]
+    for s in simplices:
+        levels[len(s) - 1].add(s)
+    return levels
+
+
 class SimplicialComplex:
     """A downward-closed finite set of simplices.
 
@@ -54,45 +71,69 @@ class SimplicialComplex:
     the codimension-1 faces and cofaces of simplex i, ascending, so in
     canonical order.  Hot loops run on ids and turn them back into
     simplices at the edge.
-    The maximum matching and the Betti numbers are filled in on first
-    request and kept, since the complex never changes.
+    The maximum matching (as a mate array and as pairs) and the Betti
+    numbers are filled in on first request and kept, since the complex
+    never changes.
     """
 
     __slots__ = (
         "simplices", "by_dim", "dim", "n", "index", "facet_ids", "cofacet_ids",
-        "_max_matching", "_betti",
+        "_mates", "_max_matching", "_betti",
     )
 
     def __init__(self, simplices):
-        members = sorted({simplex(s) for s in simplices})
+        members = {simplex(s) for s in simplices}
         if not members:
             raise ValueError("empty complex")
-        members.sort(key=len)
-        index = {s: i for i, s in enumerate(members)}
+        self._build(_levels(members))
+
+    @classmethod
+    def _from_levels(cls, levels: list[set[Simplex]]) -> "SimplicialComplex":
+        """A complex from canonical simplices already grouped by dimension."""
+        K = cls.__new__(cls)
+        K._build(levels)
+        return K
+
+    def _build(self, levels: list[set[Simplex]]) -> None:
+        """Fill every field from one set of canonical d-simplices per dimension d.
+
+        One sweep, level by level: sort the level into ids, look up the
+        facet ids of each of its simplices among the ids of the level
+        below, and append each simplex's id to the cofacet lists of its
+        facets.  The first face missing in canonical order raises.
+        """
+        simplices: list[Simplex] = []
+        by_dim: list[tuple[Simplex, ...]] = []
+        index: dict[Simplex, int] = {}
         facet_ids: list[tuple[int, ...]] = []
-        cofacets: list[list[int]] = [[] for _ in members]
-        for i, s in enumerate(members):
-            k = len(s) - 1
-            if not k:
-                facet_ids.append(())
+        cofacets: list[list[int]] = []
+        get = index.__getitem__
+        for d, level in enumerate(levels):
+            lo = len(simplices)
+            members = sorted(level)
+            simplices += members
+            by_dim.append(tuple(members))
+            index.update(zip(members, range(lo, len(simplices))))
+            cofacets += [[] for _ in members]
+            if not d:
+                facet_ids += [()] * len(members)
                 continue
             try:
-                fs = tuple(map(index.__getitem__, combinations(s, k)))
+                fids = [tuple(map(get, combinations(s, d))) for s in members]
             except KeyError as exc:
                 raise ValueError(f"not downward closed: missing face {exc.args[0]}") from None
-            facet_ids.append(fs)
-            for f in fs:
-                cofacets[f].append(i)
-        self.simplices: tuple[Simplex, ...] = tuple(members)
+            for i, fs in enumerate(fids, lo):
+                for f in fs:
+                    cofacets[f].append(i)
+            facet_ids += fids
+        self.simplices: tuple[Simplex, ...] = tuple(simplices)
         self.index: MappingProxyType[Simplex, int] = MappingProxyType(index)
         self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
         self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, cofacets))
-        self.dim: int = len(members[-1]) - 1
-        self.n: int = len(members)
-        by_dim: list[list[Simplex]] = [[] for _ in range(self.dim + 1)]
-        for s in members:
-            by_dim[len(s) - 1].append(s)
-        self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(tuple(level) for level in by_dim)
+        self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
+        self.dim: int = len(levels) - 1
+        self.n: int = len(simplices)
+        self._mates = None
         self._max_matching = None
         self._betti = None
 
@@ -158,16 +199,21 @@ def proper_cofaces(K: SimplicialComplex) -> list[list[int]]:
 
 
 def from_maximal_simplices(facets) -> SimplicialComplex:
-    """Build the downward closure of the given simplices."""
-    facets = list(facets)
-    if not facets:
+    """Build the downward closure of the given simplices.
+
+    Only the given simplices are checked; the closure is taken one level
+    at a time, the facets of each distinct d-simplex going into level
+    d-1, and its faces are valid because they are subsets of valid ones.
+    """
+    tops = [simplex(f) for f in facets]
+    if not tops:
         raise ValueError("empty complex")
-    closure: set[Simplex] = set()
-    for f in facets:
-        top = simplex(f)
-        for k in range(1, len(top) + 1):
-            closure.update(combinations(top, k))
-    return SimplicialComplex(closure)
+    levels = _levels(tops)
+    for d in range(len(levels) - 1, 0, -1):
+        below = levels[d - 1]
+        for s in levels[d]:
+            below.update(combinations(s, d))
+    return SimplicialComplex._from_levels(levels)
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

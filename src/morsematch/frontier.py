@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, Simplex, facets_of
-from .hasse import Pair, OrientedHasse, max_cardinality_matching, orient
+from .hasse import Pair, OrientedHasse, max_cardinality_matching, max_matching_mates
 from .morse import MorseMatching, certify, closes_cycle
 
 
@@ -149,15 +149,18 @@ def bfs_component(
 def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     """Run the full pipeline: match, orient, classify component by component.
 
-    Seeds are taken smallest first by (dimension, coface).  A component
-    absorbs all facet edges of every coface it classifies, so a covering
-    edge leaves the working diagram exactly when its coface is absorbed,
-    and a seed is skipped once its coface is.  The returned matching is
-    re-certified from scratch rather than trusted: certify validates the
-    up array of the repaired orientation on ids and searches it anew.
+    The orientation starts from the maximum matching's mate array: each
+    simplex points up to its mate when the mate has the larger id, which
+    is the coface.  Seeds are taken smallest first by (dimension, coface).
+    A component absorbs all facet edges of every coface it classifies, so
+    a covering edge leaves the working diagram exactly when its coface is
+    absorbed, and a seed is skipped once its coface is.  The returned
+    matching is re-certified from scratch rather than trusted: certify
+    validates the up array of the repaired orientation on ids and
+    searches it anew.
     """
     M = max_cardinality_matching(K)
-    oh = orient(K, M)
+    oh = OrientedHasse(K, [m if m > i else -1 for i, m in enumerate(max_matching_mates(K))])
     absorbed: set[Simplex] = set()
     kept = [-1] * K.n
     components = []

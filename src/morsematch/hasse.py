@@ -27,6 +27,19 @@ def hasse(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
 
 
 def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
+    """Maximum matching on the covering graph, as (face, coface) pairs.
+
+    Built from max_matching_mates once per complex and kept on it.
+    """
+    if K._max_matching is None:
+        S = K.simplices
+        K._max_matching = frozenset(
+            (S[i], S[j]) for i, j in enumerate(max_matching_mates(K)) if i < j
+        )
+    return K._max_matching
+
+
+def max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
     """Maximum matching on the covering graph by alternating-path augmentation.
 
     The graph is bipartite between even and odd dimensions.  Scan order is
@@ -39,10 +52,11 @@ def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
     joined the first time the search pops the node, since on dense
     complexes a node is popped many times over.  stamp[x] == u marks x as
     reached by the search from u, so no per-search set is built.  The
-    result is computed once per complex and kept on it.
+    result is the mate array, mate[i] the id matched with simplex i or -1,
+    computed once per complex and kept on it.
     """
-    if K._max_matching is not None:
-        return K._max_matching
+    if K._mates is not None:
+        return K._mates
     F, C = K.facet_ids, K.cofacet_ids
     mate = [-1] * K.n
     prev = [-1] * K.n
@@ -80,9 +94,8 @@ def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
                 mate[x] = y
                 mate[y] = x
                 y = nxt
-    S = K.simplices
-    K._max_matching = frozenset((S[i], S[j]) for i, j in enumerate(mate) if i < j)
-    return K._max_matching
+    K._mates = tuple(mate)
+    return K._mates
 
 
 class InvalidMatching(ValueError):

@@ -11,7 +11,7 @@ simplices are the unmatched ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .complexes import (
@@ -46,12 +46,16 @@ class MorseMatching:
 
     When the matching is not acyclic, witness holds one alternating cycle
     as a simplex sequence (a1, b1, a2, b2, ...) following the directed
-    edges, with every (a_i, b_i) a matched pair.
+    edges, with every (a_i, b_i) a matched pair.  orientation is the
+    validated OrientedHasse certify built, so it holds the up array and
+    the complex the matching was certified on; it takes no part in
+    comparisons or the repr.
     """
 
     pairs: frozenset[Pair]
     acyclic: bool
     witness: tuple[Simplex, ...] | None = None
+    orientation: OrientedHasse | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -138,7 +142,7 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     """
     oh = orient(K, pairs)
     ok, witness = is_acyclic(oh)
-    return MorseMatching(pairs=oh.pairs, acyclic=ok, witness=witness)
+    return MorseMatching(pairs=oh.pairs, acyclic=ok, witness=witness, orientation=oh)
 
 
 def _pairs_of(matching) -> frozenset[Pair]:
@@ -148,7 +152,24 @@ def _pairs_of(matching) -> frozenset[Pair]:
 
 
 def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
-    """Count unmatched simplices per dimension."""
+    """Count unmatched simplices per dimension.
+
+    A MorseMatching certified on K is counted from its up array: the
+    d-simplices matched up are its entries other than -1 in dimension d,
+    and as many (d+1)-simplices are matched down.  Other matchings are
+    counted pair by pair, ignoring simplices K lacks.
+    """
+    oh = matching.orientation if isinstance(matching, MorseMatching) else None
+    if oh is not None and oh.complex is K:
+        up = oh.up
+        counts = []
+        below = lo = 0
+        for level in K.by_dim:
+            hi = lo + len(level)
+            matched_up = hi - lo - up[lo:hi].count(-1)
+            counts.append(hi - lo - matched_up - below)
+            below, lo = matched_up, hi
+        return CriticalProfile(tuple(counts))
     index = K.index
     matched = bytearray(K.n)
     for pair in _pairs_of(matching):

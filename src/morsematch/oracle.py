@@ -21,6 +21,10 @@ from .morse import MorseMatching, certify, closes_cycle
 
 SIZE_LIMIT = 40
 
+# Bytes of alive flags is_collapsible may keep in its dead-end memo; one
+# entry costs K.n bytes.
+COLLAPSE_MEMO_BYTES = 1 << 27
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -176,9 +180,12 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
 
     A free simplex here is one with exactly a single proper coface; that
     coface is then maximal and covers it, and removing both preserves the
-    homotopy type.  Dead ends are memoized by their alive flags.  Cheap
-    refutations first: even simplex count, homology differing from a
-    point, or no free face at all.  budget=None searches without limit.
+    homotopy type.  Dead ends are memoized by their alive flags until
+    the memo holds COLLAPSE_MEMO_BYTES of them; past that the search goes
+    on without adding to it, still exact, its time still bounded by the
+    budget and its memory no longer growing.  Cheap refutations first:
+    even simplex count, homology differing from a point, or no free face
+    at all.  budget=None searches without limit.
     The search is depth first over an explicit stack of untried free
     pairs, one list per level in canonical order, so a long collapse
     sequence needs no recursion.  It keeps one state and changes it in place, as
@@ -229,6 +236,7 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
         return [(s, next(t for t in cofaces[s] if alive[t])) for s in sorted(free)]
 
     failed: set[bytes] = set()
+    memo_room = COLLAPSE_MEMO_BYTES // K.n
     trail: list[tuple[int, int]] = []
     nodes = 1
     stack = [iter(free_pairs())]
@@ -237,7 +245,8 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
             return CollapsibilityResult(False, False, nodes, None)
         pair = next(stack[-1], None)
         if pair is None:
-            failed.add(bytes(alive))
+            if len(failed) < memo_room:
+                failed.add(bytes(alive))
             stack.pop()
             if stack:
                 restore(*trail.pop())

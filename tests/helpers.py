@@ -257,3 +257,43 @@ def all_algorithms():
         "coreduction": lambda K: coreduction_matching(K).pairs,
         "reduction": lambda K: reduction_matching(K).pairs,
     }
+
+
+def brute_closure(facets) -> dict:
+    """A complex's fields rebuilt from its maximal simplices by brute force.
+
+    Every non-empty vertex subset of each facet, sorted by (length,
+    tuple); the facets of a simplex are found by deleting one vertex and
+    its cofacets by adding one.  Returns simplices, facet_ids,
+    cofacet_ids, by_dim and offsets (the first id of each dimension, and
+    n after the last) as plain tuples.
+    """
+    faces = set()
+    for f in facets:
+        vs = sorted(set(f))
+        for mask in range(1, 1 << len(vs)):
+            faces.add(tuple(v for k, v in enumerate(vs) if mask >> k & 1))
+    simplices = tuple(sorted(faces, key=lambda s: (len(s), s)))
+    pos = {s: i for i, s in enumerate(simplices)}
+    verts = [s[0] for s in simplices if len(s) == 1]
+    facet_ids = tuple(
+        tuple(sorted(pos[s[:k] + s[k + 1:]] for k in range(len(s)))) if len(s) > 1 else ()
+        for s in simplices
+    )
+    cofacet_ids = tuple(
+        tuple(sorted(
+            pos[t] for v in verts if v not in s
+            for t in [tuple(sorted(s + (v,)))] if t in pos
+        ))
+        for s in simplices
+    )
+    top = len(simplices[-1])
+    by_dim = tuple(tuple(s for s in simplices if len(s) == d + 1) for d in range(top))
+    offsets = tuple(sum(len(level) for level in by_dim[:d]) for d in range(top + 1))
+    return {
+        "simplices": simplices,
+        "facet_ids": facet_ids,
+        "cofacet_ids": cofacet_ids,
+        "by_dim": by_dim,
+        "offsets": offsets,
+    }

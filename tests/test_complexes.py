@@ -3,8 +3,10 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsematch import (
+    ParseError,
     SimplicialComplex,
     betti_gf2,
     boundary_matrix_gf2,
@@ -14,10 +16,11 @@ from morsematch import (
     from_maximal_simplices,
     gf2_rank,
     is_connected,
+    parse_complex,
     random_complex,
     simplex,
 )
-from helpers import betti_numpy, euler, named_complexes
+from helpers import betti_numpy, brute_closure, euler, named_complexes
 
 
 def test_simplex_sorts_and_validates():
@@ -177,3 +180,109 @@ def test_complex_equality_and_hash():
     b = from_maximal_simplices([(0, 1), (0, 1, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != from_maximal_simplices([(0, 1)])
+
+
+# (simplices, text, error from SimplicialComplex and from_maximal_simplices,
+# error from parse_complex); a text of None has no file form.
+BAD_INPUTS = {
+    "empty": ([], "", (ValueError, "empty complex"), (ParseError, "no simplices in input")),
+    "empty simplex": (
+        [(0, 1), ()], "\n  \n", (ValueError, "empty simplex"), (ParseError, "no simplices in input"),
+    ),
+    "degenerate facet": (
+        [(0, 1), (2, 0, 2)], "0 1\n2 0 2\n",
+        (ValueError, "degenerate facet (2, 0, 2)"), (ParseError, "line 2: repeated vertex in '2 0 2'"),
+    ),
+    "string vertex": (
+        [("a",)], "a\n", (ValueError, "bad vertex id 'a'"), (ParseError, "line 1: bad vertex id 'a'"),
+    ),
+    "string among ints": (
+        [(0, "a")], "0 a\n",
+        (TypeError, "'<' not supported between instances of 'str' and 'int'"),
+        (ParseError, "line 1: bad vertex id 'a'"),
+    ),
+    "negative vertex": (
+        [(0, -1)], "0 -1\n", (ValueError, "bad vertex id -1"), (ParseError, "line 1: bad vertex id '-1'"),
+    ),
+    "bool vertex": (
+        [(0, True)], "0 True\n",
+        (ValueError, "bad vertex id True"), (ParseError, "line 1: bad vertex id 'True'"),
+    ),
+    "float next to its int": (
+        [(0, 1), (1, 1.0)], "0 1\n1 1.0\n",
+        (ValueError, "bad vertex id 1.0"), (ParseError, "line 2: bad vertex id '1.0'"),
+    ),
+}
+
+
+def raised(fn, arg) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn(arg)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_construction_errors(name):
+    simplices, text, error, parse_error = BAD_INPUTS[name]
+    for build in (SimplicialComplex, from_maximal_simplices):
+        assert raised(build, simplices) == error
+        assert raised(build, (s for s in simplices)) == error
+    assert raised(parse_complex, text) == parse_error
+
+
+def test_first_missing_face_in_canonical_order_is_reported():
+    # (3,), (5,), (5, 6) and more are missing; the edge (3, 4) comes first
+    simplices = [(5, 6, 7), (0,), (1,), (0, 1), (3, 4), (4,)]
+    for arg in (simplices, iter(simplices), reversed(simplices)):
+        assert raised(SimplicialComplex, arg) == (ValueError, "not downward closed: missing face (3,)")
+    # both (0, 2) and (1, 2) are missing from the triangle's facets
+    simplices = [(0, 1, 2), (0,), (1,), (2,), (0, 1)]
+    assert raised(SimplicialComplex, simplices) == (
+        ValueError, "not downward closed: missing face (0, 2)",
+    )
+
+
+def test_one_shot_generators_build_the_same_complex():
+    facets = [(2, 0, 1), (1, 3), (0, 1)]
+    K = from_maximal_simplices(facets)
+    assert from_maximal_simplices(f for f in facets) == K
+    assert SimplicialComplex(s for s in K.simplices) == K
+
+
+def assert_matches_brute_closure(K, facets):
+    ref = brute_closure(facets)
+    assert K.simplices == ref["simplices"]
+    assert K.facet_ids == ref["facet_ids"]
+    assert K.cofacet_ids == ref["cofacet_ids"]
+    assert K.by_dim == ref["by_dim"]
+    assert tuple(K.offset(d) for d in range(K.dim + 2)) == ref["offsets"]
+    assert dict(K.index) == {s: i for i, s in enumerate(ref["simplices"])}
+
+
+@st.composite
+def facet_lists(draw):
+    """Facets in any vertex order, with duplicates and nested facets mixed in."""
+    vertex_sets = st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)
+    facets = draw(st.lists(vertex_sets, min_size=1, max_size=8))
+    picks = st.tuples(st.integers(0, len(facets) - 1), st.integers(0, 31))
+    for i, mask in draw(st.lists(picks, max_size=4)):
+        # a subset of an earlier facet, or the facet again when it is empty
+        facets.append([v for k, v in enumerate(facets[i]) if mask >> k & 1] or facets[i])
+    return draw(st.permutations(facets))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(facet_lists())
+def test_construction_matches_brute_closure(facets):
+    K = from_maximal_simplices(facets)
+    assert_matches_brute_closure(K, facets)
+    assert SimplicialComplex(reversed(K.simplices)).facet_ids == K.facet_ids
+    text = "".join(" ".join(map(str, f)) + "\n" for f in facets)
+    assert parse_complex(text).cofacet_ids == K.cofacet_ids
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_random_complexes_match_brute_closure(seed, dim):
+    K = random_complex(seed, dim=dim, n_vertices=dim + 5, n_facets=6, connected=seed % 2 == 0)
+    assert_matches_brute_closure(K, K.facets())

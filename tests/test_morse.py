@@ -8,6 +8,7 @@ import pytest
 from morsematch import (
     InvalidMatching,
     OrientedHasse,
+    SimplicialComplex,
     canonical_key,
     canonicalize_single_critical_vertex,
     certify,
@@ -305,6 +306,15 @@ def test_euler_identity_for_any_valid_profile():
 def test_profile_matches_reference_recount():
     K, matching = simplex_boundary(4)
     assert critical_profile(K, matching.pairs).counts == profile_of(K, matching.pairs)
+    for K, pairs in _random_matchings():
+        mm = certify(K, pairs)
+        # an equal complex that mm was not certified on takes the pair path
+        twin = SimplicialComplex(K.simplices)
+        expected = profile_of(K, pairs)
+        assert critical_profile(K, mm).counts == expected
+        assert critical_profile(twin, mm).counts == expected
+        assert critical_profile(K, pairs).counts == expected
+        assert certify(twin, pairs) == mm and "orientation" not in repr(mm)
 
 
 def test_certify_keeps_pairs_frozen():

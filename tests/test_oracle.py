@@ -224,3 +224,25 @@ def test_collapsible_iff_single_critical_cell():
             continue
         single = critical_profile(K, best.matching.pairs).total == 1
         assert single == verdict.collapsible, seed
+
+
+def test_collapsibility_memo_cap_keeps_verdicts(monkeypatch):
+    D = list(dunce_hat().facets())
+    inputs = []
+    for k in (1, 2):
+        fan = [(1, 20 + i, 21 + i) for i in range(k)]
+        inputs += [D + fan, D + fan + [(2, 41, 42)]]
+    inputs += [[(0, 1 + i, 2 + i) for i in range(k)] + [(1, 50, 51)] for k in (2, 4, 8)]
+    complexes = [from_maximal_simplices(facets) for facets in inputs]
+    complexes += [random_complex(seed, dim=2, n_vertices=6, n_facets=3) for seed in range(10)]
+    full = [is_collapsible(K) for K in complexes]
+    # 200 bytes hold three dead ends of a dunce hat with its fan
+    monkeypatch.setattr(morsematch.oracle, "COLLAPSE_MEMO_BYTES", 200)
+    capped = [is_collapsible(K) for K in complexes]
+    assert any(c.nodes > f.nodes for f, c in zip(full, capped))
+    for K, f, c in zip(complexes, full, capped):
+        assert not c.indeterminate
+        assert c.collapsible is f.collapsible
+        assert c.nodes >= f.nodes
+        if c.collapsible:
+            assert len(replay_collapses(K.simplices, c.sequence)) == 1
