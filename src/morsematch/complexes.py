@@ -87,13 +87,6 @@ class SimplicialComplex:
             raise ValueError("empty complex")
         self._build(_levels(members))
 
-    @classmethod
-    def _from_levels(cls, levels: list[set[Simplex]]) -> "SimplicialComplex":
-        """A complex from canonical simplices already grouped by dimension."""
-        K = cls.__new__(cls)
-        K._build(levels)
-        return K
-
     def _build(self, levels: list[set[Simplex]]) -> None:
         """Fill every field from one set of canonical d-simplices per dimension d.
 
@@ -213,7 +206,9 @@ def from_maximal_simplices(facets) -> SimplicialComplex:
         below = levels[d - 1]
         for s in levels[d]:
             below.update(combinations(s, d))
-    return SimplicialComplex._from_levels(levels)
+    K = SimplicialComplex.__new__(SimplicialComplex)
+    K._build(levels)
+    return K
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
