@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -128,44 +127,11 @@ def _match_report(K: SimplicialComplex, algo: str, mm, extras, facts) -> dict:
     return rep
 
 
-_JSON_WORDS = {True: "true", False: "false", None: "null"}
-
-
-def _json_text(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) for report payloads.
-
-    Payloads are dicts with str keys over lists, str, int, float, bool
-    and None.  With indent, json.dumps runs its pure-Python encoder, one
-    generator step per value; this writes each value directly, with the
-    same escapes and number forms, and leaves anything else to json.dumps.
-    """
-    if isinstance(obj, str):
-        return json.encoder.encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return _JSON_WORDS[obj]
-    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
-        return repr(obj)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        enc = json.encoder.encode_basestring_ascii
-        body = sep.join([f"{enc(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = sep.join([_json_text(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{pad}]"
-    return json.dumps(obj)
-
-
 def _emit(payload: dict, args) -> None:
     if not args.no_timing:
         payload["elapsed_s"] = round(time.perf_counter() - args._t0, 6)
     if args.json:
-        print(_json_text(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return
     for key in sorted(payload):
         val = payload[key]
@@ -303,8 +269,10 @@ def cmd_bench(args) -> int:
     for a in algos:
         if a not in HEURISTICS and a != "oracle":
             raise ValueError(f"unknown algorithm {a}")
-    with os.scandir(args.corpus) as entries:
-        names = sorted(e.name for e in entries if not e.name.startswith(".") and e.is_file())
+    names = sorted(
+        f for f in os.listdir(args.corpus)
+        if not f.startswith(".") and os.path.isfile(os.path.join(args.corpus, f))
+    )
     if not names:
         raise ParseError(f"no complex files in {args.corpus}")
     budget = _oracle_budget(args)
@@ -356,14 +324,9 @@ def cmd_bench(args) -> int:
     return EXIT_BUDGET if exhausted else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by main."""
-    return _parsers()[0]
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by name."""
     p = argparse.ArgumentParser(
         prog="morse",
         description="Discrete Morse matchings on simplicial complexes.",
@@ -424,30 +387,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sp.add_argument("--budget", type=_budget, default=None, help="oracle node budget")
     common(sp)
     sp.set_defaults(fn=cmd_bench)
-    return p, sub.choices
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv as the top-level parser does, with one pass instead of two.
-
-    The top-level parser only picks the command and hands the rest to
-    that command's parser, so a known command goes there directly.  Any
-    other input, and leftover arguments, take the top-level path, which
-    reports them with the same usage and message as before.
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    return p
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
         return args.fn(args)

@@ -71,14 +71,13 @@ class SimplicialComplex:
     the codimension-1 faces and cofaces of simplex i, ascending, so in
     canonical order.  Hot loops run on ids and turn them back into
     simplices at the edge.
-    The maximum matching (as a mate array and as pairs) and the Betti
-    numbers are filled in on first request and kept, since the complex
-    never changes.
+    The maximum matching (as a mate array) and the Betti numbers are
+    filled in on first request and kept, since the complex never changes.
     """
 
     __slots__ = (
         "simplices", "by_dim", "dim", "n", "index", "facet_ids", "cofacet_ids",
-        "_mates", "_max_matching", "_betti",
+        "_mates", "_betti",
     )
 
     def __init__(self, simplices):
@@ -127,7 +126,6 @@ class SimplicialComplex:
         self.dim: int = len(levels) - 1
         self.n: int = len(simplices)
         self._mates = None
-        self._max_matching = None
         self._betti = None
 
     def __contains__(self, s) -> bool:

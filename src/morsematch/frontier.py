@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, Simplex, facets_of
-from .hasse import Pair, OrientedHasse, max_cardinality_matching, max_matching_mates
+from .hasse import Pair, OrientedHasse, max_matching_mates
 from .morse import MorseMatching, certify, closes_cycle
 
 
@@ -159,8 +159,8 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     validates the up array of the repaired orientation on ids and
     searches it anew.
     """
-    M = max_cardinality_matching(K)
-    oh = OrientedHasse(K, [m if m > i else -1 for i, m in enumerate(max_matching_mates(K))])
+    mates = max_matching_mates(K)
+    oh = OrientedHasse(K, [m if m > i else -1 for i, m in enumerate(mates)])
     absorbed: set[Simplex] = set()
     kept = [-1] * K.n
     components = []
@@ -173,5 +173,5 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     return FrontierResult(
         morse=certify(K, oh),
         components=tuple(components),
-        source_matching_size=len(M),
+        source_matching_size=(K.n - mates.count(-1)) // 2,
     )

@@ -29,14 +29,11 @@ def hasse(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
 def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
     """Maximum matching on the covering graph, as (face, coface) pairs.
 
-    Built from max_matching_mates once per complex and kept on it.
+    Read off the mate array of max_matching_mates, which the complex
+    keeps; the pairs themselves are built anew on each call.
     """
-    if K._max_matching is None:
-        S = K.simplices
-        K._max_matching = frozenset(
-            (S[i], S[j]) for i, j in enumerate(max_matching_mates(K)) if i < j
-        )
-    return K._max_matching
+    S = K.simplices
+    return frozenset((S[i], S[j]) for i, j in enumerate(max_matching_mates(K)) if i < j)
 
 
 def max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:

@@ -46,16 +46,18 @@ class MorseMatching:
 
     When the matching is not acyclic, witness holds one alternating cycle
     as a simplex sequence (a1, b1, a2, b2, ...) following the directed
-    edges, with every (a_i, b_i) a matched pair.  orientation is the
-    validated OrientedHasse certify built, so it holds the up array and
-    the complex the matching was certified on; it takes no part in
-    comparisons or the repr.
+    edges, with every (a_i, b_i) a matched pair.  certify fills _ids with
+    the complex it ran on and the validated up array as a tuple, so the
+    ids cannot drift from pairs; they take no part in comparisons or the
+    repr.
     """
 
     pairs: frozenset[Pair]
     acyclic: bool
     witness: tuple[Simplex, ...] | None = None
-    orientation: OrientedHasse | None = field(default=None, compare=False, repr=False)
+    _ids: tuple[SimplicialComplex, tuple[int, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -142,7 +144,7 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     """
     oh = orient(K, pairs)
     ok, witness = is_acyclic(oh)
-    return MorseMatching(pairs=oh.pairs, acyclic=ok, witness=witness, orientation=oh)
+    return MorseMatching(pairs=oh.pairs, acyclic=ok, witness=witness, _ids=(K, tuple(oh.up)))
 
 
 def _pairs_of(matching) -> frozenset[Pair]:
@@ -159,9 +161,9 @@ def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
     and as many (d+1)-simplices are matched down.  Other matchings are
     counted pair by pair, ignoring simplices K lacks.
     """
-    oh = matching.orientation if isinstance(matching, MorseMatching) else None
-    if oh is not None and oh.complex is K:
-        up = oh.up
+    ids = matching._ids if isinstance(matching, MorseMatching) else None
+    if ids is not None and ids[0] is K:
+        up = ids[1]
         counts = []
         below = lo = 0
         for level in K.by_dim:

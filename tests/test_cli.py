@@ -289,61 +289,6 @@ def test_bench_over_corpus(tmp_path, capsys):
     }
 
 
-def test_bench_skips_hidden_files_and_directories(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    write_complex(rp2(), corpus / "b.txt")
-    write_complex(simplex_boundary(2)[0], corpus / "a.txt")
-    (corpus / ".hidden.txt").write_text("not a complex")
-    (corpus / "sub").mkdir()
-    code, payload = run_json(capsys, ["bench", str(corpus), "--algos", "frontier"])
-    assert code == 0
-    assert [row["complex"] for row in payload["rows"]] == ["a.txt", "b.txt"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["bench", "corpus", "--algos", "frontier", "--json", "--no-timing"],
-    ["bench", "corpus", "--alg", "frontier"],
-    ["match", "x.txt", "--algo", "oracle", "--budget", "7", "--out", "-"],
-    ["gen", "random", "--seed", "-3"],
-    ["stats", "x.txt", "--json"],
-    ["validate", "x.txt", "m.txt"],
-    [],
-    ["bogus"],
-    ["--json", "bench", "corpus"],
-    ["bench"],
-    ["bench", "corpus", "extra"],
-    ["bench", "corpus", "--bogus"],
-    ["bench", "--", "corpus"],
-    ["bench", "corpus", "--budget", "-5"],
-    ["match", "x.txt", "--algo", "nope"],
-])
-def test_arguments_parse_as_the_top_level_parser_parses_them(capsys, argv):
-    def outcome(parse):
-        try:
-            result = vars(parse(argv))
-        except SystemExit as exc:
-            result = exc.code
-        return result, capsys.readouterr()
-
-    assert outcome(cli._parse_args) == outcome(cli.build_parser().parse_args)
-
-
-@pytest.mark.parametrize("payload", [
-    {},
-    [],
-    {"b": [], "a": {}, "c": [[], [{}]]},
-    {"rows": [{"n": 3, "ratio": 0.333333, "betti": [1, 0, 0], "ok": True, "x": None}]},
-    {"s": 'quo"te\\back\nline\ttab \u00e9\u2603 \U0001f600 \x00', "k\u00e9y": "v"},
-    {"f": [0.1, -0.0, 1e-07, 1e22, 2.5, float("nan"), float("inf"), -float("inf")]},
-    {"i": [0, -1, 2**70, True, False], "t": (1, (2, 3)), "z": "", "y": 1.0},
-    "top-level string",
-    7,
-])
-def test_json_text_is_json_dumps_with_indent_2_and_sorted_keys(payload):
-    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
-
-
 def test_bench_cyclic_result_exits_2_over_budget_exhaustion(tmp_path, capsys, cyclic_file):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -21,6 +21,7 @@ from morsematch import (
     gamma_graph,
     is_acyclic,
     max_cardinality_matching,
+    orient,
     random_complex,
     simplex_boundary,
 )
@@ -308,13 +309,29 @@ def test_profile_matches_reference_recount():
     assert critical_profile(K, matching.pairs).counts == profile_of(K, matching.pairs)
     for K, pairs in _random_matchings():
         mm = certify(K, pairs)
-        # an equal complex that mm was not certified on takes the pair path
+        # an equal complex that mm was not certified on takes the pair path,
+        # and so does a larger one whose ids are shifted by an extra vertex
         twin = SimplicialComplex(K.simplices)
+        bigger = SimplicialComplex(K.simplices + ((max(K.vertices) + 1,),))
         expected = profile_of(K, pairs)
         assert critical_profile(K, mm).counts == expected
         assert critical_profile(twin, mm).counts == expected
+        assert critical_profile(bigger, mm).counts == profile_of(bigger, pairs)
         assert critical_profile(K, pairs).counts == expected
-        assert certify(twin, pairs) == mm and "orientation" not in repr(mm)
+        assert certify(twin, pairs) == mm and "_ids" not in repr(mm)
+
+
+def test_profile_does_not_follow_an_orientation_unmatched_after_certify():
+    for K, pairs in _random_matchings():
+        oh = orient(K, pairs)
+        mm = certify(K, oh)
+        expected = profile_of(K, mm.pairs)
+        # the up array the profile reads is a frozen copy
+        assert mm._ids[0] is K and isinstance(mm._ids[1], tuple)
+        for sigma, tau in oh.up_pairs():
+            oh.unmatch(sigma, tau)
+        assert not oh.up_pairs()
+        assert critical_profile(K, mm).counts == expected
 
 
 def test_certify_keeps_pairs_frozen():
