@@ -32,9 +32,7 @@ from .fileio import (
 from .frontier import (
     EdgeComponent,
     FrontierResult,
-    bfs_component,
     frontier_edges_matching,
-    leading_up_edges,
 )
 from .generators import (
     amplified,
@@ -52,7 +50,6 @@ from .hasse import (
     hasse,
     max_cardinality_matching,
     orient,
-    validate_matching,
 )
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import (
@@ -95,7 +92,6 @@ __all__ = [
     "SimplicialComplex",
     "amplified",
     "betti_gf2",
-    "bfs_component",
     "boundary_matrix_gf2",
     "canonical_key",
     "canonicalize_single_critical_vertex",
@@ -117,7 +113,6 @@ __all__ = [
     "is_acyclic",
     "is_collapsible",
     "is_connected",
-    "leading_up_edges",
     "max_cardinality_matching",
     "optimal_morse_matching",
     "orient",
@@ -131,7 +126,6 @@ __all__ = [
     "serialize_matching",
     "simplex",
     "simplex_boundary",
-    "validate_matching",
     "wedge",
     "write_complex",
 ]

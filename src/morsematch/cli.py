@@ -41,7 +41,7 @@ from .generators import (
     simplex_boundary,
     wedge,
 )
-from .hasse import InvalidMatching, max_cardinality_matching, validate_matching
+from .hasse import InvalidMatching, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import (
     canonicalize_single_critical_vertex,
@@ -188,22 +188,19 @@ def cmd_validate(args) -> int:
     K = read_complex(args.input)
     with open(args.matching, encoding="utf-8") as fh:
         pairs = parse_matching(fh.read())
-    try:
-        validate_matching(K, pairs)
-        problems = []
-    except InvalidMatching as exc:
-        problems = exc.describe(lambda x: " ".join(map(str, x)))
     payload = {
         "input": args.input,
         "matching": args.matching,
         "pairs": len(pairs),
-        "problems": problems,
+        "problems": [],
     }
-    if problems:
-        payload.update({"acyclic": None, "valid": False})
+    try:
+        mm = certify(K, pairs)
+    except InvalidMatching as exc:
+        problems = exc.describe(lambda x: " ".join(map(str, x)))
+        payload.update({"problems": problems, "acyclic": None, "valid": False})
         _emit(payload, args)
         return EXIT_INVALID
-    mm = certify(K, pairs)
     payload["acyclic"] = mm.acyclic
     payload["valid"] = mm.acyclic
     if not mm.acyclic:

@@ -18,7 +18,8 @@ which also fills the cofacet ids and finds the first missing face.  The
 constructor validates every simplex it is given before grouping them;
 from_maximal_simplices validates only the maximal ones and closes them
 downward one level at a time, since every face of a valid simplex is
-valid.
+valid.  The file parser, which checks its simplices as it reads them,
+shares that closure step.
 """
 from __future__ import annotations
 
@@ -192,13 +193,21 @@ def proper_cofaces(K: SimplicialComplex) -> list[list[int]]:
 def from_maximal_simplices(facets) -> SimplicialComplex:
     """Build the downward closure of the given simplices.
 
-    Only the given simplices are checked; the closure is taken one level
-    at a time, the facets of each distinct d-simplex going into level
-    d-1, and its faces are valid because they are subsets of valid ones.
+    Only the given simplices are checked (see _close for the closure).
     """
     tops = [simplex(f) for f in facets]
     if not tops:
         raise ValueError("empty complex")
+    return _close(tops)
+
+
+def _close(tops: list[Simplex]) -> SimplicialComplex:
+    """The complex of a non-empty list of canonical simplices and all their faces.
+
+    The closure is taken one level at a time, the facets of each distinct
+    d-simplex going into level d-1, and its faces are valid because they
+    are subsets of valid ones, so nothing is checked again here.
+    """
     levels = _levels(tops)
     for d in range(len(levels) - 1, 0, -1):
         below = levels[d - 1]

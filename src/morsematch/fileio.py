@@ -10,7 +10,7 @@ semicolon: "0 1 ; 0 1 2".
 """
 from __future__ import annotations
 
-from .complexes import SimplicialComplex, Simplex, canonical_key, from_maximal_simplices
+from .complexes import SimplicialComplex, Simplex, _close, canonical_key
 
 
 class ParseError(ValueError):
@@ -39,7 +39,7 @@ def parse_complex(text: str) -> SimplicialComplex:
         maximal.append(_parse_vertices(line, lineno))
     if not maximal:
         raise ParseError("no simplices in input")
-    return from_maximal_simplices(maximal)
+    return _close(maximal)
 
 
 def serialize_complex(K: SimplicialComplex) -> str:

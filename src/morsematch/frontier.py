@@ -14,9 +14,11 @@ every candidate is tested against all kept pairs it could close a cycle
 with, and the output is acyclic in every dimension.
 
 A component takes every facet edge of each coface it classifies out of
-the working diagram, so the state between components is just the set of
-absorbed cofaces: bfs_component and leading_up_edges take it and never
-step into or onto an absorbed coface.
+the working diagram, so the state between components is just a flag per
+absorbed coface: bfs_component never steps into or onto an absorbed
+coface, and flags its own cofaces when it is done.  The search runs on
+simplex ids, reading and writing the up array of the orientation, and
+turns ids into simplices only in the EdgeComponent it returns.
 
 Cycles alternate up and down edges and need at least three up-edges, so
 the first processed level of a component can never reverse anything.
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, Simplex, facets_of
+from .complexes import SimplicialComplex
 from .hasse import Pair, OrientedHasse, max_matching_mates
 from .morse import MorseMatching, certify, closes_cycle
 
@@ -57,91 +59,76 @@ class FrontierResult:
     source_matching_size: int
 
 
-def leading_up_edges(oh: OrientedHasse, chi: Pair, absorbed=frozenset()) -> list[Pair]:
-    """Up-edges reachable from chi through one down-edge of its coface.
+def _leading(F, up, absorbed, a: int, b: int) -> list[int]:
+    """Faces of the up-edges one down-edge from the up-edge (a, b).
 
-    absorbed holds the cofaces whose facet edges earlier components took
-    out of the diagram: nothing is reachable from chi when its coface is
-    absorbed, and an up-edge whose coface is absorbed is gone.
+    They are the facets f of b other than a that are matched up, to a
+    coface up[f] that no earlier component absorbed.
     """
-    alpha, beta = chi
-    if not oh.is_up(alpha, beta):
-        raise ValueError(f"not an up-edge: {alpha} -> {beta}")
-    if beta in absorbed:
-        return []
-    out = []
-    for a2 in facets_of(beta):
-        if a2 == alpha:
-            continue
-        b2 = oh.up_partner(a2)
-        if b2 is None or b2 in absorbed:
-            continue
-        out.append((a2, b2))
-    return out
+    return [f for f in F[b] if f != a and up[f] >= 0 and not absorbed[up[f]]]
 
 
 def bfs_component(
-    oh: OrientedHasse, seed: Pair, absorbed=frozenset(), kept: list[int] | None = None
+    oh: OrientedHasse, a0: int, absorbed: bytearray, kept: list[int]
 ) -> EdgeComponent:
-    """Classify every up-edge reachable from the seed, reversing cycle makers.
+    """Classify every up-edge reachable from the seed face a0, reversing cycle makers.
 
-    Mutates oh: backward-classified pairs are unmatched.  kept is an id
-    array over the complex, -1 everywhere on entry; the face of the seed
-    and of every pair kept so far points to its coface there, and the
-    entries are cleared again on return, so one array serves every
-    component of a run (a fresh one is made when it is None).  A kept
-    pair enters it when it is classified, not when it leaves the queue.
-    A candidate up-edge (a, b) survives only when closes_cycle finds no
-    alternating path from b back to a through those pairs, so the kept
-    pairs stay acyclic in every dimension.  The trace records (forward,
-    backward, frontier) totals after each processed queue node.  Cofaces
-    in absorbed belong to earlier components and are not entered (see
-    leading_up_edges).
+    The seed is the pair (a0, oh.up[a0]); every other pair is named by
+    its face id too, since a face is matched up to at most one coface.
+    Mutates oh: a backward-classified pair is reversed by setting its
+    up entry to -1.  kept is an id array over the complex, -1 everywhere
+    on entry; the face of the seed and of every pair kept so far points
+    to its coface there, and the entries are cleared again on return, so
+    one array serves every component of a run.  A kept pair enters it
+    when it is classified, not when it leaves the queue.  A candidate
+    up-edge (a, b) survives only when closes_cycle finds no alternating
+    path from b back to a through those pairs, so the kept pairs stay
+    acyclic in every dimension.  The trace records (forward, backward,
+    frontier) totals after each processed queue node.  absorbed is a flag
+    per id: cofaces of earlier components are set there and are not
+    entered, and this component sets its own on return.
     """
-    alpha0, beta0 = seed
-    if not oh.is_up(alpha0, beta0):
-        raise ValueError(f"not an up-edge: {alpha0} -> {beta0}")
-    K = oh.complex
-    F, index = K.facet_ids, K.index
-    if kept is None:
-        kept = [-1] * K.n
-    faces = [index[alpha0]]
-    kept[faces[0]] = index[beta0]
-    forward = [seed]
-    backward: list[Pair] = []
-    classified = {seed}
-    frontier = set(leading_up_edges(oh, seed, absorbed))
+    K, up = oh.complex, oh.up
+    F = K.facet_ids
+    b0 = up[a0]
+    kept[a0] = b0
+    forward = [a0]
+    backward: list[tuple[int, int]] = []
+    classified = {a0}
+    frontier = set(_leading(F, up, absorbed, a0, b0))
     trace = []
-    queue = deque([seed])
+    queue = deque([a0])
     while queue:
-        chi = queue.popleft()
-        for cand in leading_up_edges(oh, chi, absorbed):
-            if cand in classified:
+        c = queue.popleft()
+        for a in _leading(F, up, absorbed, c, up[c]):
+            if a in classified:
                 continue
-            classified.add(cand)
-            frontier.discard(cand)
-            a_i, b_i = cand
-            a, b = index[a_i], index[b_i]
+            classified.add(a)
+            frontier.discard(a)
+            b = up[a]
             if closes_cycle(kept, F, a, b):
-                oh.unmatch(a_i, b_i)
-                backward.append(cand)
+                up[a] = -1
+                backward.append((a, b))
             else:
                 kept[a] = b
-                faces.append(a)
-                forward.append(cand)
-                queue.append(cand)
+                forward.append(a)
+                queue.append(a)
                 frontier.update(
-                    le for le in leading_up_edges(oh, cand, absorbed)
-                    if le not in classified
+                    f for f in _leading(F, up, absorbed, a, b) if f not in classified
                 )
         trace.append((len(forward), len(backward), len(frontier)))
-    for a in faces:
+    S = K.simplices
+    forward_pairs = tuple((S[a], S[up[a]]) for a in forward)
+    for a in forward:
+        absorbed[up[a]] = 1
         kept[a] = -1
+    for _, b in backward:
+        absorbed[b] = 1
     return EdgeComponent(
-        seed=seed,
-        dim=len(beta0) - 1,
-        forward=tuple(forward),
-        backward=tuple(backward),
+        seed=forward_pairs[0],
+        dim=len(S[b0]) - 1,
+        forward=forward_pairs,
+        backward=tuple((S[a], S[b]) for a, b in backward),
         trace=tuple(trace),
     )
 
@@ -151,25 +138,23 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
 
     The orientation starts from the maximum matching's mate array: each
     simplex points up to its mate when the mate has the larger id, which
-    is the coface.  Seeds are taken smallest first by (dimension, coface).
-    A component absorbs all facet edges of every coface it classifies, so
-    a covering edge leaves the working diagram exactly when its coface is
-    absorbed, and a seed is skipped once its coface is.  The returned
+    is the coface.  Seeds are taken by coface id, so smallest first by
+    (dimension, coface), and each is named by the face its coface is
+    matched down to.  A component absorbs all facet edges of every coface
+    it classifies, so a covering edge leaves the working diagram exactly
+    when its coface is absorbed, and a seed is skipped once its coface is.  The returned
     matching is re-certified from scratch rather than trusted: certify
     validates the up array of the repaired orientation on ids and
     searches it anew.
     """
     mates = max_matching_mates(K)
     oh = OrientedHasse(K, [m if m > i else -1 for i, m in enumerate(mates)])
-    absorbed: set[Simplex] = set()
+    absorbed = bytearray(K.n)
     kept = [-1] * K.n
     components = []
-    for seed in sorted(oh.up_pairs(), key=lambda p: (len(p[1]), p[1])):
-        if seed[1] in absorbed:
-            continue
-        comp = bfs_component(oh, seed, absorbed, kept)
-        absorbed.update(beta for _, beta in comp.forward + comp.backward)
-        components.append(comp)
+    for b, a in enumerate(mates):
+        if 0 <= a < b and not absorbed[b]:
+            components.append(bfs_component(oh, a, absorbed, kept))
     return FrontierResult(
         morse=certify(K, oh),
         components=tuple(components),

@@ -111,24 +111,14 @@ class InvalidMatching(ValueError):
         return [f"pair {i}: " + text.format(show(s)) for i, text, s in self.problems]
 
 
-def validate_matching(K: SimplicialComplex, pairs) -> frozenset[Pair]:
-    """Check pairs form a matching by covering relations; return them frozen.
-
-    Raises InvalidMatching as orient does.
-    """
-    pairs = [(sigma, tau) for sigma, tau in pairs]
-    orient(K, pairs)
-    return frozenset(pairs)
-
-
 class OrientedHasse:
     """Hasse diagram oriented by a matching: matched covering pairs point up.
 
     up[i] is the id of the coface that simplex i is matched up to, or -1.
     The constructor takes that array as it is; orient builds a validated
-    one.  The orientation is mutable in one direction only; unmatching a
-    pair turns its up-edge back into a down-edge.  Algorithms that repair
-    matchings rely on this.
+    one.  Algorithms that repair a matching read and write the array in
+    place: setting up[i] to -1 unmatches a pair, turning its up-edge back
+    into a down-edge.
     """
 
     __slots__ = ("complex", "up")
@@ -136,19 +126,6 @@ class OrientedHasse:
     def __init__(self, K: SimplicialComplex, up: list[int]):
         self.complex = K
         self.up = up
-
-    def is_up(self, sigma: Simplex, tau: Simplex) -> bool:
-        """Whether the covering edge from face sigma to coface tau is matched."""
-        index = self.complex.index
-        a, b = index.get(sigma), index.get(tau)
-        return a is not None and b is not None and self.up[a] == b
-
-    def up_partner(self, s: Simplex):
-        """The coface s is matched to, or None."""
-        a = self.complex.index.get(s)
-        if a is None or self.up[a] < 0:
-            return None
-        return self.complex.simplices[self.up[a]]
 
     def up_pairs(self) -> list[Pair]:
         """Matched pairs (face, coface), faces in canonical order."""
@@ -158,12 +135,6 @@ class OrientedHasse:
     @property
     def pairs(self) -> frozenset[Pair]:
         return frozenset(self.up_pairs())
-
-    def unmatch(self, sigma: Simplex, tau: Simplex) -> None:
-        """Reverse the up-edge of a matched pair."""
-        if not self.is_up(sigma, tau):
-            raise ValueError(f"not an up-edge: {sigma} -> {tau}")
-        self.up[self.complex.index[sigma]] = -1
 
 
 def orient(K: SimplicialComplex, pairs) -> OrientedHasse:

@@ -1,9 +1,6 @@
 """Frontier-edges approximation: classification, traces, and the ratio bound."""
 
-import pytest
-
 from morsematch import (
-    bfs_component,
     certify,
     critical_profile,
     dunce_hat,
@@ -11,13 +8,13 @@ from morsematch import (
     from_maximal_simplices,
     frontier_edges_matching,
     hasse,
-    leading_up_edges,
     max_cardinality_matching,
     orient,
     random_complex,
     rp2,
     simplex_boundary,
 )
+from morsematch.frontier import _leading, bfs_component
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
@@ -45,64 +42,88 @@ def assert_trace_bound(result):
             assert lhs >= rhs, (comp.seed, comp.trace)
 
 
+def leading(oh, chi):
+    """Leading up-edges of the up-edge chi, read through face ids."""
+    K = oh.complex
+    index, S = K.index, K.simplices
+    faces = _leading(K.facet_ids, oh.up, bytearray(K.n), index[chi[0]], index[chi[1]])
+    return [(S[a], S[oh.up[a]]) for a in faces]
+
+
+def component(oh, face, absorbed=None):
+    """bfs_component from the given seed face, checking that kept is cleared."""
+    K = oh.complex
+    if absorbed is None:
+        absorbed = bytearray(K.n)
+    kept = [-1] * K.n
+    comp = bfs_component(oh, K.index[face], absorbed, kept)
+    assert kept == [-1] * K.n
+    return comp
+
+
 def test_leading_up_edges_on_hexagon():
-    assert leading_up_edges(hexagon_orientation(), ((0,), (0, 1))) == [
-        ((1,), (1, 2))
-    ]
+    assert leading(hexagon_orientation(), ((0,), (0, 1))) == [((1,), (1, 2))]
 
 
 def test_leading_up_edges_without_matched_siblings():
     oh = orient(CIRCLE, frozenset({((0,), (0, 1))}))
-    assert leading_up_edges(oh, ((0,), (0, 1))) == []
+    assert leading(oh, ((0,), (0, 1))) == []
 
 
 def test_leading_up_edges_on_partial_matching():
     oh = orient(TRIANGLE, frozenset({((0,), (0, 1)), ((1,), (1, 2))}))
-    assert leading_up_edges(oh, ((0,), (0, 1))) == [((1,), (1, 2))]
+    assert leading(oh, ((0,), (0, 1))) == [((1,), (1, 2))]
 
 
 def test_leading_up_edges_rejects_down_edges():
-    with pytest.raises(ValueError, match="not an up-edge"):
-        leading_up_edges(hexagon_orientation(), ((0,), (0, 2)))
+    # Once the pair of (1,) is reversed, its edge points down.
+    oh = hexagon_orientation()
+    oh.up[CIRCLE.index[(1,)]] = -1
+    assert leading(oh, ((0,), (0, 1))) == []
 
 
 def test_bfs_component_on_hexagon():
-    # once with its own kept array, once with a caller's, which it clears
-    kept = [-1] * CIRCLE.n
-    for args in ((), (frozenset(), kept)):
-        comp = bfs_component(hexagon_orientation(), ((0,), (0, 1)), *args)
-        assert comp.dim == 1
-        assert comp.forward == (((0,), (0, 1)), ((1,), (1, 2)))
-        assert comp.backward == (((2,), (0, 2)),)
-        assert len(component_edges(comp)) == 6
-        assert comp.trace == ((2, 0, 1), (2, 1, 0))
-    assert kept == [-1] * CIRCLE.n
+    absorbed = bytearray(CIRCLE.n)
+    oh = hexagon_orientation()
+    comp = component(oh, (0,), absorbed)
+    assert comp.seed == ((0,), (0, 1))
+    assert comp.dim == 1
+    assert comp.forward == (((0,), (0, 1)), ((1,), (1, 2)))
+    assert comp.backward == (((2,), (0, 2)),)
+    assert len(component_edges(comp)) == 6
+    assert comp.trace == ((2, 0, 1), (2, 1, 0))
+    # the reversed pair is unmatched, and every classified coface absorbed
+    assert oh.up[CIRCLE.index[(2,)]] == -1
+    assert [s for s, flag in zip(CIRCLE.simplices, absorbed) if flag] == [
+        (0, 1), (0, 2), (1, 2)
+    ]
 
 
 def test_bfs_component_isolated_up_edge():
     oh = orient(CIRCLE, frozenset({((0,), (0, 1))}))
-    comp = bfs_component(oh, ((0,), (0, 1)))
+    comp = component(oh, (0,))
     assert comp.forward == (((0,), (0, 1)),)
     assert comp.backward == ()
     assert comp.trace == ((1, 0, 0),)
     assert component_edges(comp) == {((0, 1), (0,)), ((0, 1), (1,))}
-    assert oh.is_up((0,), (0, 1))
+    assert oh.up[CIRCLE.index[(0,)]] == CIRCLE.index[(0, 1)]
 
 
-def test_bfs_component_rejects_non_up_seed():
-    with pytest.raises(ValueError, match="not an up-edge"):
-        bfs_component(hexagon_orientation(), ((1,), (0, 1)))
+def test_bfs_component_stops_at_absorbed_cofaces():
+    absorbed = bytearray(CIRCLE.n)
+    absorbed[CIRCLE.index[(1, 2)]] = 1
+    comp = component(hexagon_orientation(), (0,), absorbed)
+    assert comp.forward == (((0,), (0, 1)),)
+    assert comp.trace == ((1, 0, 0),)
 
 
 def test_bfs_component_stays_in_one_interface():
-    K, _ = simplex_boundary(3)
-    M = max_cardinality_matching(K)
-    oh = orient(K, M)
-    seed = min(oh.up_pairs(), key=lambda p: (len(p[1]), p[1]))
-    comp = bfs_component(oh, seed)
-    d = len(seed[1]) - 1
-    for b, a in component_edges(comp):
-        assert (len(a), len(b)) == (d, d + 1)
+    for K in [simplex_boundary(3)[0], rp2(), RANDOM_3D]:
+        for comp in frontier_edges_matching(K).components:
+            d = comp.dim
+            assert len(comp.seed[1]) == d + 1
+            for b, a in component_edges(comp):
+                assert (len(a), len(b)) == (d, d + 1)
 
 
 def test_frontier_on_circle():

@@ -19,6 +19,11 @@ choice depends on the order of the cycle search.
 A fourth checksum pins what is_collapsible reports, node counts and
 collapse sequences included, on contractible complexes its search must
 back out of many times.
+
+A fifth checksum pins frontier's components (seed, interface dimension,
+kept and reversed pairs, per-step trace, all in order) and the size of
+the maximum matching it starts from, which the bench output does not
+show.
 """
 
 import hashlib
@@ -30,6 +35,7 @@ from morsematch import (
     dunce_hat,
     facets_of,
     from_maximal_simplices,
+    frontier_edges_matching,
     is_collapsible,
     max_cardinality_matching,
     random_complex,
@@ -49,6 +55,7 @@ ORACLE_GOLDEN_SHA256 = {
 DEEP_ORACLE_GOLDEN_SHA256 = "89a262c61dedf04fc383b4dc9650edfe4d06185c173a31c1d58ab88c49cbd0ff"
 WITNESS_GOLDEN_SHA256 = "7520845971ed6e38c97d051d94b3ea48c490ad33689973788cf19310c3472df8"
 COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
+FRONTIER_GOLDEN_SHA256 = "3b4a0e0638b31df10e62e41989b1b5cb05ac50a87f81a0c197e6e7b9363fecf4"
 
 
 def golden_corpus():
@@ -149,3 +156,27 @@ def test_collapsibility_matches_golden_checksum():
     assert max(r.nodes for r in results) > 1000
     body = json.dumps([[r.collapsible, r.indeterminate, r.nodes, r.sequence] for r in results])
     assert hashlib.sha256(body.encode()).hexdigest() == COLLAPSE_GOLDEN_SHA256
+
+
+def frontier_corpus():
+    """Dunce and RP2 wedges, 2-D random complexes, connected 3-D and 4-D ones."""
+    for copies in range(1, 11):
+        yield wedge(dunce_hat(), 1, copies)
+        yield wedge(rp2(), 1, copies)
+    for seed in range(20):
+        yield random_complex(seed)
+    for dim in (3, 4):
+        for seed in range(10):
+            yield random_complex(seed, dim=dim, n_vertices=30, n_facets=60, connected=True)
+
+
+def test_frontier_components_match_golden_checksum():
+    results = [frontier_edges_matching(K) for K in frontier_corpus()]
+    body = json.dumps([
+        [
+            r.source_matching_size,
+            [[c.seed, c.dim, c.forward, c.backward, c.trace] for c in r.components],
+        ]
+        for r in results
+    ])
+    assert hashlib.sha256(body.encode()).hexdigest() == FRONTIER_GOLDEN_SHA256

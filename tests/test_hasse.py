@@ -5,13 +5,10 @@ import pytest
 from morsematch import (
     InvalidMatching,
     OrientedHasse,
-    bfs_component,
     from_maximal_simplices,
     hasse,
-    leading_up_edges,
     max_cardinality_matching,
     orient,
-    validate_matching,
 )
 from helpers import brute_max_matching_size, named_complexes
 
@@ -81,27 +78,23 @@ def test_max_matching_equals_brute_force_on_small_corpus():
 def test_max_matching_pairs_are_coverings():
     for name, K in named_complexes().items():
         M = max_cardinality_matching(K)
-        validate_matching(K, M)
+        assert orient(K, M).pairs == M, name
         ends = [s for p in M for s in p]
         assert len(ends) == len(set(ends)), name
 
 
 def test_orient_empty_matching_points_all_down():
     oh = orient(TRIANGLE, frozenset())
-    for tau, sigma in hasse(TRIANGLE):
-        assert not oh.is_up(sigma, tau)
+    assert oh.up == [-1] * TRIANGLE.n
     assert oh.up_pairs() == []
 
 
 def test_orient_single_pair():
     M = frozenset({((0, 1), (0, 1, 2))})
     oh = orient(TRIANGLE, M)
-    ups = [
-        (sigma, tau)
-        for tau, sigma in hasse(TRIANGLE)
-        if oh.is_up(sigma, tau)
-    ]
-    assert ups == [((0, 1), (0, 1, 2))]
+    index = TRIANGLE.index
+    ups = [(a, b) for a, b in enumerate(oh.up) if b >= 0]
+    assert ups == [(index[(0, 1)], index[(0, 1, 2)])]
     assert len(hasse(TRIANGLE)) - len(ups) == 8
 
 
@@ -115,55 +108,49 @@ def test_orient_perfect_matching_reproduces_pairs():
 def test_oriented_edge_direction():
     M = frozenset({((0,), (0, 1))})
     oh = orient(CIRCLE, M)
-    assert oh.is_up((0,), (0, 1))
-    assert not oh.is_up((1,), (0, 1))
+    index = CIRCLE.index
+    assert oh.up[index[(0,)]] == index[(0, 1)]
+    assert oh.up[index[(1,)]] == -1
 
 
 def test_partner_and_unmatch():
+    # The up array names each face's partner; writing -1 unmatches it.
     M = frozenset({((0,), (0, 1))})
     oh = orient(CIRCLE, M)
-    assert oh.is_up((0,), (0, 1))
-    assert not oh.is_up((1,), (0, 1))
-    assert oh.up_partner((0,)) == (0, 1)
-    assert oh.up_partner((0, 1)) is None
-    assert oh.up_partner((2,)) is None
-    oh.unmatch((0,), (0, 1))
-    assert not oh.is_up((0,), (0, 1))
-    assert oh.up_partner((0,)) is None
+    index, S = CIRCLE.index, CIRCLE.simplices
+    a = index[(0,)]
+    assert S[oh.up[a]] == (0, 1)
+    assert oh.up[index[(0, 1)]] == -1
+    assert oh.up[index[(2,)]] == -1
+    oh.up[a] = -1
+    assert oh.up == [-1] * CIRCLE.n
     assert len(oh.pairs) == 0
-    with pytest.raises(ValueError, match="not an up-edge"):
-        oh.unmatch((1,), (1, 2))
 
 
 def test_reversed_matched_edge_is_not_up():
-    # The pair read coface first is the same covering edge pointing down,
-    # so every step that needs an up-edge refuses it.
+    # The pair read coface first is the same covering edge pointing down:
+    # the coface has no up entry, and the validator refuses the pair.
     M = frozenset({((0,), (0, 1))})
     oh = orient(CIRCLE, M)
-    assert oh.is_up((0,), (0, 1))
-    assert not oh.is_up((0, 1), (0,))
-    with pytest.raises(ValueError, match="not an up-edge"):
-        leading_up_edges(oh, ((0, 1), (0,)))
-    with pytest.raises(ValueError, match="not an up-edge"):
-        bfs_component(oh, ((0, 1), (0,)))
-    with pytest.raises(ValueError, match="not an up-edge"):
-        oh.unmatch((0, 1), (0,))
+    assert oh.up[CIRCLE.index[(0, 1)]] == -1
+    with pytest.raises(InvalidMatching, match="not a covering pair"):
+        orient(CIRCLE, {((0, 1), (0,))})
     assert oh.pairs == M
 
 
-def test_validate_matching_rejects_bad_pairs():
+def test_orient_rejects_bad_pairs():
     with pytest.raises(ValueError, match=r"unknown simplex \(9,\)"):
-        validate_matching(CIRCLE, {((9,), (0, 1))})
+        orient(CIRCLE, {((9,), (0, 1))})
     with pytest.raises(ValueError, match="not a covering pair"):
-        validate_matching(CIRCLE, {((0,), (1, 2))})
+        orient(CIRCLE, {((0,), (1, 2))})
     with pytest.raises(ValueError, match="matched twice"):
-        validate_matching(CIRCLE, {((0,), (0, 1)), ((0,), (0, 2))})
+        orient(CIRCLE, {((0,), (0, 1)), ((0,), (0, 2))})
 
 
-def test_validate_matching_lists_every_problem_in_pair_order():
+def test_orient_lists_every_problem_in_pair_order():
     pairs = [((9,), (0, 1)), ((0,), (1, 2)), ((0,), (0, 1)), ((0,), (0, 2))]
     with pytest.raises(InvalidMatching) as exc:
-        validate_matching(CIRCLE, pairs)
+        orient(CIRCLE, pairs)
     assert exc.value.describe(repr) == [
         "pair 1: unknown simplex (9,)",
         "pair 2: not a covering pair",
