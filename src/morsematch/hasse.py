@@ -16,6 +16,8 @@ results never maps ids to tuples and back.
 """
 from __future__ import annotations
 
+from operator import add
+
 from .complexes import Simplex, SimplicialComplex, facets_of
 
 Pair = tuple[Simplex, Simplex]
@@ -46,11 +48,32 @@ def max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
     from the top tends to leave the leftover matching closer to acyclic.
     The search runs on simplex ids: a node's neighbours, its facet ids
     followed by its cofacet ids, are already in canonical order, and are
-    joined the first time the search pops the node, since on dense
-    complexes a node is popped many times over.  stamp[x] == u marks x as
-    reached by the search from u, so no per-search set is built.  The
-    result is the mate array, mate[i] the id matched with simplex i or -1,
-    computed once per complex and kept on it.
+    joined the first time the search pops the node.
+
+    The matching is that of a plain breadth-first search from each free
+    node u, which stops at the first free neighbour of the first popped
+    node that has one.  Three rules skip only work whose result that
+    search throws away:
+
+    1. free[x] counts the unmatched neighbours of x.  Matched nodes never
+       become free again, so the one upkeep is to decrement the counts
+       around the odd node an augmentation matches: O(edges) in total.
+    2. The search ends when it queues a node z with free[z] > 0, or at
+       once when free[u] > 0, taking the first free neighbour of z in
+       adjacency order.  The plain search would pop every node queued
+       before z without a hit, since each was queued with a zero count
+       and counts hold still during a search; it would then pop z and
+       take that same neighbour, and z's path back to u is already set.
+    3. stamp[y] == epoch marks an odd node reached, and the epoch moves
+       on only after an augmentation.  A failed search leaves its marks:
+       until the matching changes, nothing it reached leads to a free
+       node, and a node it reached leads only to nodes it reached, so
+       skipping them changes neither the order in which a later search
+       queues the other nodes nor the path it finds.  Even nodes need no
+       mark: one is queued only through its mate.
+
+    The result is the mate array, mate[i] the id matched with simplex i
+    or -1, computed once per complex and kept on it.
     """
     if K._mates is not None:
         return K._mates
@@ -58,39 +81,49 @@ def max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
     mate = [-1] * K.n
     prev = [-1] * K.n
     stamp = [-1] * K.n
+    free = list(map(add, map(len, F), map(len, C)))
     nbrs: list = [None] * K.n
+    epoch = 0
     for d in range(K.dim - K.dim % 2, -1, -2):
         for u in range(K.offset(d), K.offset(d + 1)):
             if mate[u] >= 0:
                 continue
-            stamp[u] = u
-            q = [u]
-            end = -1
-            for x in q:
-                adj = nbrs[x]
-                if adj is None:
-                    adj = nbrs[x] = F[x] + C[x]
-                for y in adj:
-                    if stamp[y] == u:
-                        continue
-                    stamp[y] = u
-                    prev[y] = x
-                    z = mate[y]
-                    if z < 0:
-                        end = y
+            hit = u
+            if not free[u]:
+                hit = -1
+                q = [u]
+                for x in q:
+                    adj = nbrs[x]
+                    if adj is None:
+                        adj = nbrs[x] = F[x] + C[x]
+                    for y in adj:
+                        if stamp[y] != epoch:
+                            stamp[y] = epoch
+                            prev[y] = x
+                            z = mate[y]
+                            if free[z]:
+                                hit = z
+                                break
+                            q.append(z)
+                    if hit >= 0:
                         break
-                    if stamp[z] != u:
-                        stamp[z] = u
-                        q.append(z)
-                if end >= 0:
+                else:
+                    continue  # no augmenting path: the marks stay (rule 3)
+            for y in F[hit] + C[hit]:
+                if mate[y] < 0:
                     break
-            y = end
+            for x in F[y]:
+                free[x] -= 1
+            for x in C[y]:
+                free[x] -= 1
+            prev[y] = hit
             while y >= 0:
                 x = prev[y]
                 nxt = mate[x]
                 mate[x] = y
                 mate[y] = x
                 y = nxt
+            epoch += 1
     K._mates = tuple(mate)
     return K._mates
 

@@ -4,6 +4,10 @@ Everything here is deliberately naive and self-contained: subset tests
 instead of incidence caches, exhaustive search instead of augmenting
 paths, dense numpy arithmetic for ranks.  Slow is fine at test scale;
 what matters is that none of it shares code paths with the package.
+reference_max_matching_mates is a frozen copy of the package's earlier,
+unpruned maximum-matching search, kept so that the pruned one can be
+held to the same mate array; is_maximum_matching checks maximality
+independently.
 """
 
 from __future__ import annotations
@@ -75,6 +79,93 @@ def brute_max_matching_size(simplices) -> int:
     size = best(0)
     best.cache_clear()
     return size
+
+
+def reference_max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
+    """The package's maximum matching as it stood before its search was pruned.
+
+    A plain BFS per free even-dimension node u, top dimension first, that
+    marks a node reached with stamp[x] == u and stops at the first free
+    node it pops a neighbour of.  The package must return this exact mate
+    array; it is not cached on K.
+    """
+    F, C = K.facet_ids, K.cofacet_ids
+    mate = [-1] * K.n
+    prev = [-1] * K.n
+    stamp = [-1] * K.n
+    nbrs: list = [None] * K.n
+    for d in range(K.dim - K.dim % 2, -1, -2):
+        for u in range(K.offset(d), K.offset(d + 1)):
+            if mate[u] >= 0:
+                continue
+            stamp[u] = u
+            q = [u]
+            end = -1
+            for x in q:
+                adj = nbrs[x]
+                if adj is None:
+                    adj = nbrs[x] = F[x] + C[x]
+                for y in adj:
+                    if stamp[y] == u:
+                        continue
+                    stamp[y] = u
+                    prev[y] = x
+                    z = mate[y]
+                    if z < 0:
+                        end = y
+                        break
+                    if stamp[z] != u:
+                        stamp[z] = u
+                        q.append(z)
+                if end >= 0:
+                    break
+            y = end
+            while y >= 0:
+                x = prev[y]
+                nxt = mate[x]
+                mate[x] = y
+                mate[y] = x
+                y = nxt
+    return tuple(mate)
+
+
+def is_maximum_matching(simplices, mates) -> bool:
+    """Whether mates is a maximum matching on the covering graph (Berge).
+
+    mates[i] is the position in simplices of the simplex matched with
+    simplices[i], or -1.  The covering edges come from deleting one vertex
+    at a time.  The matching must pair covering simplices symmetrically;
+    it is maximum when one alternating search, grown from every free
+    even-dimension simplex at once, reaches no free odd-dimension one: in
+    a bipartite graph that search finds an augmenting path if any exists.
+    """
+    simplices = list(simplices)
+    pos = {s: i for i, s in enumerate(simplices)}
+    adj: list[list[int]] = [[] for _ in simplices]
+    for j, t in enumerate(simplices):
+        if len(t) > 1:
+            for k in range(len(t)):
+                i = pos[t[:k] + t[k + 1:]]
+                adj[i].append(j)
+                adj[j].append(i)
+    for i, j in enumerate(mates):
+        if j >= 0 and (mates[j] != i or j not in adj[i]):
+            return False
+    even = [i for i, s in enumerate(simplices) if len(s) % 2 == 1]
+    seen = {i for i in even if mates[i] < 0}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y == mates[x] or y in seen:
+                continue
+            if mates[y] < 0:
+                return False
+            seen.add(y)
+            if mates[y] not in seen:
+                seen.add(mates[y])
+                stack.append(mates[y])
+    return True
 
 
 def oriented_adjacency(simplices, pairs, edges=None) -> dict[Simplex, list[Simplex]]:

@@ -24,6 +24,11 @@ A fifth checksum pins frontier's components (seed, interface dimension,
 kept and reversed pairs, per-step trace, all in order) and the size of
 the maximum matching it starts from, which the bench output does not
 show.
+
+A sixth checksum pins the mate arrays of the maximum matching itself on
+dense connected 3-D and 4-D complexes, where hundreds of searches for
+an augmenting path fail, and on dunce and RP2 wedges, where successful
+searches run through the wedge vertex.
 """
 
 import hashlib
@@ -45,6 +50,7 @@ from morsematch import (
     write_complex,
 )
 from morsematch.cli import main
+from morsematch.hasse import max_matching_mates
 
 GOLDEN_SHA256 = "dceea2b130c68a080d84993a8389d598aa3351b5f2f807a8b814bd5bf3ae3597"
 ORACLE_GOLDEN_SHA256 = {
@@ -56,6 +62,7 @@ DEEP_ORACLE_GOLDEN_SHA256 = "89a262c61dedf04fc383b4dc9650edfe4d06185c173a31c1d58
 WITNESS_GOLDEN_SHA256 = "7520845971ed6e38c97d051d94b3ea48c490ad33689973788cf19310c3472df8"
 COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
 FRONTIER_GOLDEN_SHA256 = "3b4a0e0638b31df10e62e41989b1b5cb05ac50a87f81a0c197e6e7b9363fecf4"
+MATES_GOLDEN_SHA256 = "0ca5ea71b605374662bd1656a23bbca6f89929c2fd4a7bc62810a8fc5e6748b6"
 
 
 def golden_corpus():
@@ -180,3 +187,30 @@ def test_frontier_components_match_golden_checksum():
         for r in results
     ])
     assert hashlib.sha256(body.encode()).hexdigest() == FRONTIER_GOLDEN_SHA256
+
+
+def matching_corpus():
+    """Dense connected 3-D and 4-D complexes, then dunce and RP2 wedges."""
+    for dim in (3, 4):
+        for seed in range(6):
+            yield random_complex(seed, dim=dim, n_vertices=20, n_facets=200, connected=True)
+    yield random_complex(0, dim=3, n_vertices=40, n_facets=1600, connected=True)
+    for copies in (1, 2, 3, 5, 8, 13, 21):
+        yield wedge(dunce_hat(), 1, copies)
+        yield wedge(rp2(), 1, copies)
+
+
+def test_max_matching_mates_match_golden_checksum():
+    complexes = list(matching_corpus())
+    mates = [max_matching_mates(K) for K in complexes]
+    # A search from an even-dimension simplex that finds no augmenting
+    # path leaves it free for good, so this counts the failed searches.
+    failed = sum(
+        m[u] < 0
+        for K, m in zip(complexes, mates)
+        for d in range(0, K.dim + 1, 2)
+        for u in range(K.offset(d), K.offset(d + 1))
+    )
+    assert failed > 1000
+    body = json.dumps(mates)
+    assert hashlib.sha256(body.encode()).hexdigest() == MATES_GOLDEN_SHA256

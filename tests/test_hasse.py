@@ -1,16 +1,27 @@
 """Covering graph construction, interfaces, matchings, and orientation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsematch import (
     InvalidMatching,
     OrientedHasse,
+    dunce_hat,
     from_maximal_simplices,
     hasse,
     max_cardinality_matching,
     orient,
+    random_complex,
+    rp2,
+    wedge,
 )
-from helpers import brute_max_matching_size, named_complexes
+from morsematch.hasse import max_matching_mates
+from helpers import (
+    brute_max_matching_size,
+    is_maximum_matching,
+    named_complexes,
+    reference_max_matching_mates,
+)
 
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
@@ -73,6 +84,49 @@ def test_max_matching_equals_brute_force_on_small_corpus():
         got = len(max_cardinality_matching(K))
         want = brute_max_matching_size(K.simplices)
         assert got == want, name
+
+
+def test_maximality_check_refuses_a_short_matching():
+    K = from_maximal_simplices([(0, 1), (1, 2)])
+    one_pair = [-1] * K.n
+    a, b = K.index[(0,)], K.index[(0, 1)]
+    one_pair[a], one_pair[b] = b, a
+    assert not is_maximum_matching(K.simplices, one_pair)
+    one_sided = list(one_pair)
+    one_sided[b] = -1
+    assert not is_maximum_matching(K.simplices, one_sided)
+    assert is_maximum_matching(K.simplices, max_matching_mates(K))
+
+
+def complexes_to_match():
+    """Sparse and dense random complexes in dims 1-4, dunce and RP2 wedges.
+
+    The dense ones have hundreds of free simplices whose search for an
+    augmenting path fails; on the wedges the searches that succeed run
+    through the wedge vertex.
+    """
+    seeds, dims = st.integers(0, 2**32 - 1), st.integers(1, 4)
+    sparse = st.builds(
+        lambda s, d: random_complex(s, dim=d, n_vertices=d + 6, n_facets=10, connected=s % 2 == 0),
+        seeds, dims,
+    )
+    dense = st.builds(
+        lambda s, d: random_complex(s, dim=d, n_vertices=20, n_facets=200, connected=True),
+        seeds, dims,
+    )
+    wedges = st.builds(
+        lambda base, copies: wedge(base(), 1, copies),
+        st.sampled_from([dunce_hat, rp2]), st.integers(1, 28),
+    )
+    return st.one_of(sparse, dense, wedges)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(complexes_to_match())
+def test_max_matching_mates_equal_the_reference(K):
+    mates = max_matching_mates(K)
+    assert mates == reference_max_matching_mates(K)
+    assert is_maximum_matching(K.simplices, mates)
 
 
 def test_max_matching_pairs_are_coverings():

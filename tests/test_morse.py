@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsematch import (
     InvalidMatching,
@@ -27,6 +28,8 @@ from morsematch import (
 )
 from morsematch.morse import closes_cycle
 from helpers import (
+    all_algorithms,
+    betti_numpy,
     covering_pairs,
     euler,
     has_directed_cycle,
@@ -340,3 +343,29 @@ def test_certify_keeps_pairs_frozen():
     again = certify(K, set(matching.pairs))
     assert again.pairs == matching.pairs
     assert isinstance(again.pairs, frozenset)
+
+
+def signed_sum(counts, k) -> int:
+    """counts[k] - counts[k-1] + ... down to counts[0]."""
+    return sum((-1) ** (k - i) * x for i, x in enumerate(counts[:k + 1]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_heuristic_and_frontier_profiles_obey_the_morse_inequalities(seed, dim):
+    # Counts recomputed from the pairs, Betti numbers from dense numpy ranks.
+    K = random_complex(seed, dim=dim, n_vertices=dim + 6, n_facets=12, connected=seed % 2 == 0)
+    b = betti_numpy(K.simplices)
+    top = K.dim
+    chi = euler(K.simplices)
+    for name, produce in all_algorithms().items():
+        pairs = produce(K)
+        assert certify(K, pairs).acyclic, name
+        c = profile_of(K, pairs)
+        # Euler identity
+        assert (-1) ** top * signed_sum(c, top) == chi == (-1) ** top * signed_sum(b, top), name
+        # weak Morse inequalities
+        assert all(ci >= bi for ci, bi in zip(c, b)), name
+        # strong Morse inequalities
+        for k in range(top + 1):
+            assert signed_sum(c, k) >= signed_sum(b, k), (name, k)
