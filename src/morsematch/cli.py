@@ -6,9 +6,10 @@ field is the only run-dependent value and --no-timing drops it).
 
 Exit codes: 0 success, 2 validation failure (including a cyclic result
 from match or bench, whose report is still printed; in bench it takes
-precedence over 4), 3 parse error, 4 oracle budget exhausted.  The
-oracle budget comes from --budget or the MORSE_ORACLE_BUDGET environment
-variable and must be a non-negative integer.
+precedence over 4), 3 parse error (including input that is not UTF-8),
+4 oracle budget exhausted.  The oracle budget comes from --budget or the
+MORSE_ORACLE_BUDGET environment variable and must be a non-negative
+integer.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .fileio import (
     ParseError,
     parse_matching,
     read_complex,
+    read_text,
     serialize_complex,
     serialize_matching,
 )
@@ -186,8 +188,7 @@ def cmd_match(args) -> int:
 
 def cmd_validate(args) -> int:
     K = read_complex(args.input)
-    with open(args.matching, encoding="utf-8") as fh:
-        pairs = parse_matching(fh.read())
+    pairs = parse_matching(read_text(args.matching))
     payload = {
         "input": args.input,
         "matching": args.matching,
@@ -266,6 +267,8 @@ def cmd_bench(args) -> int:
     for a in algos:
         if a not in HEURISTICS and a != "oracle":
             raise ValueError(f"unknown algorithm {a}")
+        if algos.count(a) > 1:
+            raise ValueError(f"algorithm {a} named more than once in --algos")
     names = sorted(
         f for f in os.listdir(args.corpus)
         if not f.startswith(".") and os.path.isfile(os.path.join(args.corpus, f))
@@ -392,10 +395,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RuntimeError) as exc:

@@ -20,6 +20,11 @@ from_maximal_simplices validates only the maximal ones and closes them
 downward one level at a time, since every face of a valid simplex is
 valid.  The file parser, which checks its simplices as it reads them,
 shares that closure step.
+
+Record, at the end, is the base of the package's result types
+(MorseMatching, FrontierResult, OracleResult and the rest): immutable
+fields in __slots__, declared like a frozen dataclass's.  It stands in
+for dataclasses, whose import would take most of the CLI's start-up.
 """
 from __future__ import annotations
 
@@ -290,3 +295,75 @@ def is_connected(K: SimplicialComplex) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(verts)
+
+
+class _Fields(type):
+    """Metaclass of Record: the annotated fields of a class body become its __slots__.
+
+    A value a field is given there becomes its default, so fields with
+    defaults come last, and private ones (a leading underscore) last of all.
+    The field names are read from the body's __annotations__, which the
+    declaring modules keep a plain dict with `from __future__ import annotations`.
+    A subclass that annotates nothing keeps the fields of its base.
+    """
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["__slots__"] = fields
+        if fields:
+            ns["_fields"] = fields
+            ns["_defaults"] = tuple(ns.pop(f) for f in fields if f in ns)
+        cls = super().__new__(mcls, name, bases, ns)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+        return cls
+
+
+class Record(metaclass=_Fields):
+    """Base of the package's immutable result types, declared like dataclasses.
+
+    Built by position, the fast path, or by keyword.  Equality, hashing,
+    the repr and pickling go over the public fields; assignment and
+    deletion raise AttributeError.
+    """
+
+    _fields = _defaults = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._setters):
+            fields, cls = self._fields, type(self).__name__
+            given = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
+            given.update(zip(fields, args))
+            if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+                raise TypeError(
+                    f"{cls}() takes {fields}, got {len(args)} by position and {list(kwargs)}"
+                )
+            given.update(kwargs)
+            if len(given) < len(fields):
+                raise TypeError(f"{cls}() missing {[f for f in fields if f not in given]}")
+            args = [given[f] for f in fields]
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def _public(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields if f[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __hash__(self) -> int:
+        return hash(self._public())
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._public()

@@ -70,9 +70,18 @@ def serialize_matching(pairs) -> str:
     )
 
 
-def read_complex(path: str) -> SimplicialComplex:
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise ParseError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            msg = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            raise ParseError(msg) from None
+
+
+def read_complex(path: str) -> SimplicialComplex:
+    return parse_complex(read_text(path))
 
 
 def write_complex(K: SimplicialComplex, path: str) -> None:

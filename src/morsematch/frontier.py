@@ -18,7 +18,8 @@ the working diagram, so the state between components is just a flag per
 absorbed coface: bfs_component never steps into or onto an absorbed
 coface, and flags its own cofaces when it is done.  The search runs on
 simplex ids, reading and writing the up array of the orientation, and
-turns ids into simplices only in the EdgeComponent it returns.
+turns ids into simplices only in the EdgeComponent it returns, a Record
+built by position, the cheap way, since there is one per component.
 
 Cycles alternate up and down edges and need at least three up-edges, so
 the first processed level of a component can never reverse anything.
@@ -31,15 +32,13 @@ at d = dim K.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .complexes import SimplicialComplex
+from .complexes import Record, SimplicialComplex
 from .hasse import Pair, OrientedHasse, max_matching_mates
 from .morse import MorseMatching, certify, closes_cycle
 
 
-@dataclass(frozen=True)
-class EdgeComponent:
+class EdgeComponent(Record):
     """One BFS component: its classifications and per-step trace.
 
     Its edges are the facet edges of the cofaces in forward and backward.
@@ -52,8 +51,7 @@ class EdgeComponent:
     trace: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class FrontierResult:
+class FrontierResult(Record):
     morse: MorseMatching
     components: tuple[EdgeComponent, ...]
     source_matching_size: int
@@ -125,11 +123,8 @@ def bfs_component(
     for _, b in backward:
         absorbed[b] = 1
     return EdgeComponent(
-        seed=forward_pairs[0],
-        dim=len(S[b0]) - 1,
-        forward=forward_pairs,
-        backward=tuple((S[a], S[b]) for a, b in backward),
-        trace=tuple(trace),
+        forward_pairs[0], len(S[b0]) - 1, forward_pairs,
+        tuple((S[a], S[b]) for a, b in backward), tuple(trace),
     )
 
 

@@ -11,10 +11,10 @@ simplices are the unmatched ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .complexes import (
+    Record,
     Simplex,
     SimplicialComplex,
     canonical_key,
@@ -26,8 +26,7 @@ from .complexes import (
 from .hasse import Pair, OrientedHasse, orient
 
 
-@dataclass(frozen=True)
-class CriticalProfile:
+class CriticalProfile(Record):
     """Counts of critical simplices per dimension."""
 
     counts: tuple[int, ...]
@@ -40,24 +39,21 @@ class CriticalProfile:
         return sum((-1) ** i * c for i, c in enumerate(self.counts))
 
 
-@dataclass(frozen=True)
-class MorseMatching:
+class MorseMatching(Record):
     """A matching together with its acyclicity certificate.
 
     When the matching is not acyclic, witness holds one alternating cycle
     as a simplex sequence (a1, b1, a2, b2, ...) following the directed
     edges, with every (a_i, b_i) a matched pair.  certify fills _ids with
     the complex it ran on and the validated up array as a tuple, so the
-    ids cannot drift from pairs; they take no part in comparisons or the
-    repr.
+    ids cannot drift from pairs; they take no part in comparisons, the
+    repr or pickling.
     """
 
     pairs: frozenset[Pair]
     acyclic: bool
     witness: tuple[Simplex, ...] | None = None
-    _ids: tuple[SimplicialComplex, tuple[int, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    _ids: tuple[SimplicialComplex, tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -144,7 +140,7 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     """
     oh = orient(K, pairs)
     ok, witness = is_acyclic(oh)
-    return MorseMatching(pairs=oh.pairs, acyclic=ok, witness=witness, _ids=(K, tuple(oh.up)))
+    return MorseMatching(oh.pairs, ok, witness, (K, tuple(oh.up)))
 
 
 def _pairs_of(matching) -> frozenset[Pair]:
@@ -188,8 +184,7 @@ def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
     return CriticalProfile(tuple(counts))
 
 
-@dataclass(frozen=True)
-class MorseInequalityReport:
+class MorseInequalityReport(Record):
     """Outcome of the Morse inequality checks against Betti numbers."""
 
     ok: bool

@@ -7,14 +7,14 @@ subset search for the least number of interior 2-faces whose removal
 makes a 2-complex collapse down to a graph.
 
 All budgets count search-node expansions, so runs are deterministic and
-machine independent.
+machine independent.  Each search reports in an immutable Record
+(OracleResult, CollapsibilityResult, ErasabilityResult).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex, Simplex, betti_gf2, facets_of, proper_cofaces
+from .complexes import Record, SimplicialComplex, Simplex, betti_gf2, facets_of, proper_cofaces
 from .hasse import OrientedHasse, Pair, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import MorseMatching, certify, closes_cycle
@@ -26,8 +26,7 @@ SIZE_LIMIT = 40
 COLLAPSE_MEMO_BYTES = 1 << 27
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     matching: MorseMatching
     optimal: bool
     nodes: int
@@ -162,8 +161,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     )
 
 
-@dataclass(frozen=True)
-class CollapsibilityResult:
+class CollapsibilityResult(Record):
     collapsible: bool | None
     indeterminate: bool
     nodes: int
@@ -264,8 +262,7 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
     return CollapsibilityResult(None, True, nodes, None)
 
 
-@dataclass(frozen=True)
-class ErasabilityResult:
+class ErasabilityResult(Record):
     er: int | None
     witness: tuple[Simplex, ...] | None
     lower: int

@@ -208,6 +208,15 @@ def test_bench_without_an_algorithm_exits_2(tmp_path, capsys, algos):
     assert "no algorithm in --algos" in captured.err
 
 
+@pytest.mark.parametrize("algos", ["frontier,frontier", "coreduction, frontier ,coreduction"])
+def test_bench_repeated_algorithm_exits_2(tmp_path, capsys, algos):
+    write_complex(rp2(), tmp_path / "rp2.txt")
+    assert main(["bench", str(tmp_path), "--algos", algos, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "named more than once in --algos" in captured.err
+
+
 def test_validate_accepts_good_matching(capsys, sphere_file, tmp_path):
     out = tmp_path / "m.txt"
     main(["match", sphere_file, "--algo", "coreduction", "--out", str(out), "--no-timing"])
@@ -335,6 +344,26 @@ def test_validate_negative_vertex_id_is_a_parse_error(tmp_path, capsys, circle_f
     assert "line 2: bad vertex id '-1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "{bad}"],
+        ["match", "{bad}"],
+        ["bench", "{corpus}"],
+        ["validate", "{bad}", "{circle}"],
+        ["validate", "{circle}", "{bad}"],
+    ],
+)
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, circle_file, argv):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / "bad.txt"
+    bad.write_bytes(b"0 1\n\xff\xfe 2\n")
+    paths = {"bad": bad, "corpus": corpus, "circle": circle_file}
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    assert f"{bad}: not UTF-8 text (invalid start byte at byte 4)" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["stats", "/nonexistent/nowhere.txt"]) == 3
 
@@ -360,6 +389,20 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "morse" in proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # The difference of sys.modules before and after the import, so a site
+    # hook that loads either module already cannot fail the test.
+    code = (
+        "import sys; before = set(sys.modules); import morsematch.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "morsematch.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_match_stdout_matching(capsys, sphere_file):

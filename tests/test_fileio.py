@@ -93,6 +93,13 @@ def test_file_round_trip(tmp_path):
     assert path.read_text().endswith("\n")
 
 
+def test_reading_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("0 1\n1 2 # caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text")):
+        read_complex(path)
+
+
 def test_serialization_is_stable():
     K = dunce_hat()
     assert serialize_complex(K) == serialize_complex(parse_complex(serialize_complex(K)))
