@@ -11,6 +11,12 @@ order, and the complex stores its incidence once as tuples of facet ids
 and cofacet ids.  Algorithms keep their state in lists indexed by id and
 speak simplex tuples only at the API edge.
 
+The collapse routines need no incidence beyond cofacet_ids: in a
+downward-closed set a simplex has one proper coface exactly when it has
+one cofacet, since a second coface c above the cofacet b brings in a
+second cofacet, the other face of c between them.  Elementary collapses
+keep the set downward closed, so live cofacet counts find every free face.
+
 One builder fills a complex, from one set of canonical simplices per
 dimension, in a single sweep up the dimensions: it sorts each level into
 ids and looks up the facet ids of its simplices among the level below,
@@ -154,6 +160,11 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return f"SimplicialComplex(n={self.n}, dim={self.dim})"
 
+    def __reduce__(self):
+        # index is a mappingproxy, which cannot be pickled; the kept
+        # matching and Betti numbers are recomputed on demand instead.
+        return SimplicialComplex, (self.simplices,)
+
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(s[0] for s in self.by_dim[0])
@@ -173,26 +184,6 @@ class SimplicialComplex:
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
         return tuple(s for s, cs in zip(self.simplices, self.cofacet_ids) if not cs)
-
-
-def proper_faces(K: SimplicialComplex, i: int) -> set[int]:
-    """Ids of every proper face of simplex i, read level by level from facet_ids."""
-    F = K.facet_ids
-    level = F[i]
-    faces = set(level)
-    while level:
-        level = {g for f in level for g in F[f]}
-        faces |= level
-    return faces
-
-
-def proper_cofaces(K: SimplicialComplex) -> list[list[int]]:
-    """Ids of every proper coface of every simplex, by id, each list ascending."""
-    cofaces: list[list[int]] = [[] for _ in range(K.n)]
-    for t in range(K.n):
-        for f in proper_faces(K, t):
-            cofaces[f].append(t)
-    return cofaces
 
 
 def from_maximal_simplices(facets) -> SimplicialComplex:
@@ -278,23 +269,33 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     return K._betti
 
 
-def is_connected(K: SimplicialComplex) -> bool:
-    """Connectivity of the 1-skeleton (a single vertex counts as connected)."""
-    verts = K.vertices
-    adj: dict[int, list[int]] = {v: [] for v in verts}
+def component_roots(K: SimplicialComplex) -> list[int]:
+    """The least vertex of each connected component of the 1-skeleton, ascending."""
+    adj: dict[int, list[int]] = {v: [] for v in K.vertices}
     if K.dim >= 1:
         for a, b in K.by_dim[1]:
             adj[a].append(b)
             adj[b].append(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+    roots = []
+    seen: set[int] = set()
+    for root in adj:
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return roots
+
+
+def is_connected(K: SimplicialComplex) -> bool:
+    """Connectivity of the 1-skeleton (a single vertex counts as connected)."""
+    return len(component_roots(K)) == 1
 
 
 class _Fields(type):

@@ -81,7 +81,12 @@ def read_text(path: str) -> str:
 
 
 def read_complex(path: str) -> SimplicialComplex:
-    return parse_complex(read_text(path))
+    """The complex in a file; a ParseError names the file, as read_text's does."""
+    text = read_text(path)
+    try:
+        return parse_complex(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_complex(K: SimplicialComplex, path: str) -> None:

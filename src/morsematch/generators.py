@@ -4,10 +4,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .complexes import (
-    SimplicialComplex,
-    from_maximal_simplices,
-)
+from .complexes import SimplicialComplex, component_roots, from_maximal_simplices
 from .morse import MorseMatching, certify
 
 # Minimal projective plane: 6 vertices, full K6 1-skeleton, 10 triangles,
@@ -128,25 +125,7 @@ def random_complex(
     K = from_maximal_simplices(facets)
     if not connected:
         return K
-    adj: dict[int, list[int]] = {v: [] for v in K.vertices}
-    if K.dim >= 1:
-        for a, b in K.by_dim[1]:
-            adj[a].append(b)
-            adj[b].append(a)
-    roots = []
-    seen: set[int] = set()
-    for root in K.vertices:
-        if root in seen:
-            continue
-        roots.append(root)
-        seen.add(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    roots = component_roots(K)
     if len(roots) == 1:
         return K
     links = [(roots[i], roots[i + 1]) for i in range(len(roots) - 1)]

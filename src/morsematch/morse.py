@@ -17,11 +17,8 @@ from .complexes import (
     Record,
     Simplex,
     SimplicialComplex,
-    canonical_key,
     facets_of,
     is_connected,
-    proper_cofaces,
-    proper_faces,
 )
 from .hasse import Pair, OrientedHasse, orient
 
@@ -290,9 +287,13 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     matched pairs.  Pairs are emitted greedily: at every step some matched
     simplex must be a free face of its partner in what remains (smallest
     simplex first on ties), otherwise the matching was not acyclic and a
-    RuntimeError reports it.
+    RuntimeError reports it.  What remains stays downward closed, so a
+    simplex is free when it has one live cofacet (see complexes).  A
+    matching not certified on K itself is certified on it first.
     """
     mm = matching if isinstance(matching, MorseMatching) else certify(K, matching)
+    if mm._ids is None or mm._ids[0] is not K:
+        mm = certify(K, mm.pairs)
     if not mm.acyclic:
         raise ValueError("matching is not acyclic")
     if isinstance(sub, SimplicialComplex):
@@ -305,29 +306,27 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
         for f in facets_of(s):
             if f not in lower:
                 raise ValueError(f"subcomplex not downward closed: missing {f}")
-    removed = set(K.simplices) - lower
-    partner: dict[Simplex, Simplex] = {}
-    for sigma, tau in mm.pairs:
-        partner[sigma] = tau
-        partner[tau] = sigma
-    for s in sorted(removed, key=canonical_key):
-        if s not in partner or partner[s] not in removed:
-            raise ValueError(f"not matched away: {s}")
-    index, S = K.index, K.simplices
-    mate = [-1] * K.n
+    S, F, C = K.simplices, K.facet_ids, K.cofacet_ids
+    # A simplex is covered when it lies in sub or in a matched pair outside
+    # it; the faces of those pairs are the ones to collapse.
+    covered = bytearray(K.n)
+    for s in lower:
+        covered[K.index[s]] = 1
+    up = mm._ids[1]
     work: set[int] = set()
-    for sigma, tau in mm.pairs:
-        mate[index[sigma]] = index[tau]
-        if sigma in removed:
-            work.add(index[sigma])
-
+    for s, t in enumerate(up):
+        if t >= 0 and not covered[s] and not covered[t]:
+            covered[s] = covered[t] = 1
+            work.add(s)
+    if (s := covered.find(0)) >= 0:
+        raise ValueError(f"not matched away: {S[s]}")
     alive = bytearray(b"\x01") * K.n
-    count = [len(cs) for cs in proper_cofaces(K)]
+    count = [len(cs) for cs in C]
     heap = sorted(s for s in work if count[s] == 1)
 
     def delete(x: int) -> None:
         alive[x] = 0
-        for f in proper_faces(K, x):
+        for f in F[x]:
             if alive[f]:
                 count[f] -= 1
                 if count[f] == 1 and f in work:
@@ -345,6 +344,6 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
             raise RuntimeError("acyclicity violated: no free pair remains")
         work.discard(s)
         delete(s)
-        delete(mate[s])
-        out.append((S[s], S[mate[s]]))
+        delete(up[s])
+        out.append((S[s], S[up[s]]))
     return tuple(out)

@@ -4,7 +4,9 @@ Everything here is exponential in the worst case and exists to certify
 results on complexes of a few dozen simplices: a branch-and-bound for
 maximum acyclic matchings, a backtracking collapsibility test, and a
 subset search for the least number of interior 2-faces whose removal
-makes a 2-complex collapse down to a graph.
+makes a 2-complex collapse down to a graph.  The collapse searches run
+on simplex ids and count live cofacets from K.cofacet_ids, which finds
+exactly the free faces of a downward-closed set (see complexes).
 
 All budgets count search-node expansions, so runs are deterministic and
 machine independent.  Each search reports in an immutable Record
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import Record, SimplicialComplex, Simplex, betti_gf2, facets_of, proper_cofaces
+from .complexes import Record, SimplicialComplex, Simplex, betti_gf2
 from .hasse import OrientedHasse, Pair, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import MorseMatching, certify, closes_cycle
@@ -186,20 +188,18 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
     at all.  budget=None searches without limit.
     The search is depth first over an explicit stack of untried free
     pairs, one list per level in canonical order, so a long collapse
-    sequence needs no recursion.  It keeps one state and changes it in place, as
-    collapse_sequence does: alive flags, the number of live proper
-    cofaces of every simplex and the set of free ones, updated when a
+    sequence needs no recursion.  It keeps one state and changes it in
+    place, as collapse_sequence does: alive flags, the number of live
+    cofacets of every simplex and the set of free ones, updated when a
     pair is removed and undone when the search backs out of it, so a
     node costs its own free pairs rather than a scan of the complex.
+    Live cofacets are enough because every state is downward closed, in
+    which one live cofacet means one live proper coface (see complexes).
     """
     if K.n == 1:
         return CollapsibilityResult(True, False, 0, ())
-    cofaces = proper_cofaces(K)
-    faces: list[list[int]] = [[] for _ in range(K.n)]
-    for f, cs in enumerate(cofaces):
-        for t in cs:
-            faces[t].append(f)
-    count = [len(cs) for cs in cofaces]
+    F, C = K.facet_ids, K.cofacet_ids
+    count = [len(cs) for cs in C]
     free = {s for s, c in enumerate(count) if c == 1}
     if K.n % 2 == 0 or not free:
         return CollapsibilityResult(False, False, 0, None)
@@ -208,30 +208,21 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
         return CollapsibilityResult(False, False, 0, None)
     alive = bytearray(b"\x01") * K.n
 
-    # Removing the free face a with its coface b: b has no live coface,
-    # and every face of either is alive but a, which drops to 0 cofaces.
-    def remove(a: int, b: int) -> None:
-        alive[a] = alive[b] = 0
-        for x in (b, a):
-            for f in faces[x]:
-                count[f] -= 1
-                if count[f] == 1:
-                    free.add(f)
-                elif count[f] == 0:
-                    free.discard(f)
-
-    def restore(a: int, b: int) -> None:
-        alive[a] = alive[b] = 1
+    # Removes (step -1) or restores (step 1) the free face a with its
+    # coface b.  b has no live coface and a's one live cofacet is b, so
+    # only the counts of their facets change, all of them live.
+    def shift(a: int, b: int, step: int) -> None:
+        alive[a] = alive[b] = step > 0
         for x in (a, b):
-            for f in faces[x]:
-                count[f] += 1
+            for f in F[x]:
+                count[f] += step
                 if count[f] == 1:
                     free.add(f)
-                elif count[f] == 2:
+                else:
                     free.discard(f)
 
     def free_pairs() -> list[tuple[int, int]]:
-        return [(s, next(t for t in cofaces[s] if alive[t])) for s in sorted(free)]
+        return [(s, next(t for t in C[s] if alive[t])) for s in sorted(free)]
 
     failed: set[bytes] = set()
     memo_room = COLLAPSE_MEMO_BYTES // K.n
@@ -247,15 +238,15 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
                 failed.add(bytes(alive))
             stack.pop()
             if stack:
-                restore(*trail.pop())
+                shift(*trail.pop(), 1)
             continue
-        remove(*pair)
+        shift(*pair, -1)
         trail.append(pair)
         if 2 * len(trail) == K.n - 1:
             S = K.simplices
             return CollapsibilityResult(True, False, nodes, tuple((S[a], S[b]) for a, b in trail))
         if bytes(alive) in failed:
-            restore(*trail.pop())
+            shift(*trail.pop(), 1)
             continue
         nodes += 1
         stack.append(iter(free_pairs()))
@@ -271,58 +262,52 @@ class ErasabilityResult(Record):
     tested: int
 
 
-def _erases(K: SimplicialComplex, dead: frozenset) -> bool:
-    """True when greedy free-edge collapses remove every remaining 2-face.
+def _erases(K: SimplicialComplex, dead) -> bool:
+    """True when greedy free-edge collapses remove every 2-face whose id is not in dead.
 
-    Order of collapses cannot matter: distinct free edges of distinct
-    triangles commute, and two free edges of one triangle leave the same
-    triangle set either way.
+    K is a 2-complex, so an edge's cofacets are its triangles.  Order of
+    collapses cannot matter: distinct free edges of distinct triangles
+    commute, and two free edges of one triangle leave the same triangle
+    set either way.
     """
-    count: dict[Simplex, int] = {}
-    tris_of: dict[Simplex, list[Simplex]] = {}
-    alive = set()
-    for t in K.by_dim[2]:
-        if t in dead:
-            continue
-        alive.add(t)
-        for e in facets_of(t):
-            count[e] = count.get(e, 0) + 1
-            tris_of.setdefault(e, []).append(t)
-    queue = [e for e, k in count.items() if k == 1]
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = bytearray(K.n)
+    count = [0] * K.n
+    for t in range(K.offset(2), K.n):
+        if t not in dead:
+            alive[t] = 1
+            for e in F[t]:
+                count[e] += 1
+    queue = [e for e, k in enumerate(count) if k == 1]
     while queue:
         e = queue.pop()
         if count[e] != 1:
             continue
-        t = next((x for x in tris_of[e] if x in alive), None)
-        if t is None:
-            continue
-        alive.discard(t)
-        for f in facets_of(t):
+        t = next(x for x in C[e] if alive[x])
+        alive[t] = 0
+        for f in F[t]:
             count[f] -= 1
             if count[f] == 1:
                 queue.append(f)
-    return not alive
+    return not any(alive)
 
 
 def erasability(K: SimplicialComplex, budget: int | None = 100_000) -> ErasabilityResult:
     """Fewest interior 2-faces whose removal lets the rest collapse to a graph.
 
-    Interior means no edge of the face is free in K; faces with a free
-    edge never need removing, since a free edge stays free until its face
-    collapses away.  Subsets of interior faces are tried in increasing
-    size, canonical order within a size.  On budget exhaustion the result
-    brackets the answer: every smaller size was refuted, and removing all
-    interior faces always works.
+    Interior means no edge of the face is free in K: each has another
+    cofacet.  Faces with a free edge never need removing, since a free
+    edge stays free until its face collapses away.  Subsets of interior
+    faces, as ids, are tried in increasing size, canonical order within
+    a size.  On budget exhaustion the result brackets the
+    answer: every smaller size was refuted, and removing all interior
+    faces always works.
     """
     if K.dim != 2:
         raise ValueError(f"erasability needs a 2-complex, got dimension {K.dim}")
-    edge_tris: dict[Simplex, int] = {}
-    for t in K.by_dim[2]:
-        for e in facets_of(t):
-            edge_tris[e] = edge_tris.get(e, 0) + 1
+    F, C = K.facet_ids, K.cofacet_ids
     interior = tuple(
-        t for t in K.by_dim[2]
-        if all(edge_tris[e] != 1 for e in facets_of(t))
+        t for t in range(K.offset(2), K.n) if all(len(C[e]) != 1 for e in F[t])
     )
     tested = 0
     for r in range(len(interior) + 1):
@@ -333,9 +318,9 @@ def erasability(K: SimplicialComplex, budget: int | None = 100_000) -> Erasabili
                     er=None, witness=None, lower=r, upper=len(interior),
                     indeterminate=True, tested=tested - 1,
                 )
-            if _erases(K, frozenset(sub)):
+            if _erases(K, sub):
                 return ErasabilityResult(
-                    er=r, witness=sub, lower=r, upper=r,
+                    er=r, witness=tuple(K.simplices[t] for t in sub), lower=r, upper=r,
                     indeterminate=False, tested=tested,
                 )
     raise AssertionError("removing all interior faces must erase")

@@ -364,6 +364,16 @@ def test_undecodable_input_is_a_parse_error(tmp_path, capsys, circle_file, argv)
     assert f"{bad}: not UTF-8 text (invalid start byte at byte 4)" in capsys.readouterr().err
 
 
+def test_bench_parse_error_names_the_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("0 1\n")
+    (corpus / "b.txt").write_text("0 0 1\n")
+    assert main(["bench", str(corpus)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {corpus / 'b.txt'}: line 1: repeated vertex in '0 0 1'\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["stats", "/nonexistent/nowhere.txt"]) == 3
 

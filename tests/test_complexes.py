@@ -1,5 +1,8 @@
 """Core complex construction, incidence queries, and mod-2 homology."""
 
+import copy
+import pickle
+import random
 import re
 
 import pytest
@@ -175,6 +178,17 @@ def test_is_connected():
     assert is_connected(from_maximal_simplices([(4,)]))
 
 
+def test_pickle_and_deepcopy_rebuild_the_complex():
+    K = random_complex(3, dim=3, n_vertices=9, n_facets=8)
+    betti_gf2(K)
+    for twin in (pickle.loads(pickle.dumps(K)), copy.deepcopy(K)):
+        assert twin == K and twin is not K
+        assert twin.facet_ids == K.facet_ids
+        assert twin.cofacet_ids == K.cofacet_ids
+        assert dict(twin.index) == dict(K.index)
+        assert twin._betti is None and twin._mates is None
+
+
 def test_complex_equality_and_hash():
     a = from_maximal_simplices([(0, 1, 2)])
     b = from_maximal_simplices([(0, 1), (0, 1, 2)])
@@ -286,3 +300,29 @@ def test_construction_matches_brute_closure(facets):
 def test_random_complexes_match_brute_closure(seed, dim):
     K = random_complex(seed, dim=dim, n_vertices=dim + 5, n_facets=6, connected=seed % 2 == 0)
     assert_matches_brute_closure(K, K.facets())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_one_live_cofacet_means_one_live_proper_coface(seed, dim):
+    """The free-face rule the collapse routines count by.
+
+    Random elementary collapses, with a random maximal simplex taken out
+    whenever no free face is left, keep the live set downward closed; at
+    every step the simplices with one live cofacet are exactly those with
+    one live proper coface, found here by subset tests.
+    """
+    K = random_complex(seed, dim=dim, n_vertices=dim + 5, n_facets=3 * dim)
+    rng = random.Random(seed)
+    live = set(K.simplices)
+    while live:
+        cofacets = {s: [t for t in K.cofacets_of(s) if t in live] for s in live}
+        cofaces = {s: [t for t in live if set(s) < set(t)] for s in live}
+        free = sorted(s for s in live if len(cofacets[s]) == 1)
+        assert free == sorted(s for s in live if len(cofaces[s]) == 1)
+        if free:
+            s = rng.choice(free)
+            live -= {s, cofacets[s][0]}
+        else:
+            live.remove(rng.choice(sorted(s for s in live if not cofaces[s])))
+        assert all(f in live for s in live for f in facets_of(s))

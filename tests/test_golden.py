@@ -29,6 +29,12 @@ A sixth checksum pins the mate arrays of the maximum matching itself on
 dense connected 3-D and 4-D complexes, where hundreds of searches for
 an augmenting path fail, and on dunce and RP2 wedges, where successful
 searches run through the wedge vertex.
+
+A seventh checksum pins the routines built on elementary collapses:
+collapse_sequence's pairs and error messages for the coreduction,
+reduction and frontier matchings over subcomplexes both valid and not,
+erasability records with and without a budget, is_connected, and the
+complexes random_complex builds with connected=True in dimensions 1-4.
 """
 
 import hashlib
@@ -37,13 +43,19 @@ import random
 
 from morsematch import (
     certify,
+    collapse_sequence,
+    coreduction_matching,
     dunce_hat,
+    erasability,
     facets_of,
     from_maximal_simplices,
     frontier_edges_matching,
+    full_simplex,
     is_collapsible,
+    is_connected,
     max_cardinality_matching,
     random_complex,
+    reduction_matching,
     rp2,
     simplex_boundary,
     wedge,
@@ -63,6 +75,7 @@ WITNESS_GOLDEN_SHA256 = "7520845971ed6e38c97d051d94b3ea48c490ad33689973788cf1931
 COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
 FRONTIER_GOLDEN_SHA256 = "3b4a0e0638b31df10e62e41989b1b5cb05ac50a87f81a0c197e6e7b9363fecf4"
 MATES_GOLDEN_SHA256 = "0ca5ea71b605374662bd1656a23bbca6f89929c2fd4a7bc62810a8fc5e6748b6"
+COLLAPSE_TOOLS_GOLDEN_SHA256 = "04d07f049fe6c96bfd0d0c45fca11e69c114f6f3541f8243a94b71fb5f570db6"
 
 
 def golden_corpus():
@@ -214,3 +227,102 @@ def test_max_matching_mates_match_golden_checksum():
     assert failed > 1000
     body = json.dumps(mates)
     assert hashlib.sha256(body.encode()).hexdigest() == MATES_GOLDEN_SHA256
+
+
+def outcome(f, *args, **kwargs):
+    """f's result, or the type and message of the ValueError or RuntimeError it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def matched_closure(K, pairs, seeds):
+    """The least subcomplex holding seeds that no pair straddles."""
+    partner = {}
+    for sigma, tau in pairs:
+        partner[sigma], partner[tau] = tau, sigma
+    sub, todo = set(), list(seeds)
+    while todo:
+        s = todo.pop()
+        if s in sub:
+            continue
+        sub.add(s)
+        todo += facets_of(s)
+        if s in partner:
+            todo.append(partner[s])
+    return sorted(sub, key=lambda s: (len(s), s))
+
+
+def collapse_records():
+    """collapse_sequence over matchings and subcomplexes of every kind."""
+    complexes = [full_simplex(n) for n in range(1, 6)]
+    complexes += [simplex_boundary(n)[0] for n in (2, 3)]
+    complexes += [wedge(dunce_hat(), 1, 2), wedge(rp2(), 1, 2)]
+    for dim in (1, 2, 3, 4):
+        for seed in range(4):
+            complexes.append(random_complex(
+                seed, dim=dim, n_vertices=5 + 2 * dim, n_facets=4 * dim, connected=seed % 2 == 0
+            ))
+    for K in complexes:
+        matchings = [
+            coreduction_matching(K), reduction_matching(K), frontier_edges_matching(K).morse
+        ]
+        for m in matchings:
+            matched = {s for p in m.pairs for s in p}
+            critical = [s for s in K if s not in matched]
+            closed = matched_closure(K, m.pairs, critical)
+            seeds = [K.simplices[0], K.simplices[len(K) // 2], K.simplices[-1]]
+            for sub in (
+                critical,
+                closed,
+                from_maximal_simplices(closed),
+                matched_closure(K, m.pairs, critical + seeds[:1]),
+                matched_closure(K, m.pairs, critical + seeds),
+                [tuple(reversed(s)) for s in closed],
+                closed + [(99,)],
+                K,
+            ):
+                yield outcome(collapse_sequence, K, m, sub)
+        # A maximum matching given as plain pairs, certified inside, is
+        # often cyclic.
+        yield outcome(collapse_sequence, K, max_cardinality_matching(K), [])
+
+
+def erasability_records():
+    complexes = [full_simplex(2), simplex_boundary(3)[0], dunce_hat(), rp2()]
+    complexes += [wedge(dunce_hat(), 1, 2), wedge(rp2(), 1, 2)]
+    complexes += [
+        from_maximal_simplices(list(dunce_hat().facets()) + [(1, 20 + i, 21 + i) for i in range(3)])
+    ]
+    for seed in range(12):
+        complexes.append(random_complex(seed, dim=2, n_vertices=7, n_facets=9 + seed))
+    complexes.append(full_simplex(3))
+    for K in complexes:
+        for budget in (None, 0, 1, 5, 40):
+            r = outcome(erasability, K, budget=budget)
+            if isinstance(r, list):
+                yield r
+            else:
+                yield [r.er, r.witness, r.lower, r.upper, r.indeterminate, r.tested]
+
+
+def connectivity_records():
+    for dim in (1, 2, 3, 4):
+        for seed in range(8):
+            for n_facets in (2, 5, 12):
+                K = random_complex(seed, dim=dim, n_vertices=4 * dim + 4, n_facets=n_facets)
+                yield is_connected(K)
+                C = random_complex(
+                    seed, dim=dim, n_vertices=4 * dim + 4, n_facets=n_facets, connected=True
+                )
+                yield [is_connected(C), C.simplices]
+    yield [is_connected(from_maximal_simplices([(4,)])), is_connected(wedge(rp2(), 1, 3))]
+
+
+def test_collapse_tools_match_golden_checksum():
+    collapses = list(collapse_records())
+    assert sum(isinstance(r, tuple) and len(r) > 0 for r in collapses) > 100
+    assert sum(isinstance(r, list) for r in collapses) > 100
+    body = json.dumps([collapses, list(erasability_records()), list(connectivity_records())])
+    assert hashlib.sha256(body.encode()).hexdigest() == COLLAPSE_TOOLS_GOLDEN_SHA256
