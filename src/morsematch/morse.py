@@ -291,9 +291,9 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     simplex is free when it has one live cofacet (see complexes).  A
     matching not certified on K itself is certified on it first.
     """
-    mm = matching if isinstance(matching, MorseMatching) else certify(K, matching)
-    if mm._ids is None or mm._ids[0] is not K:
-        mm = certify(K, mm.pairs)
+    ids = matching._ids if isinstance(matching, MorseMatching) else None
+    pairs = getattr(matching, "pairs", matching)
+    mm = matching if ids and ids[0] is K else certify(K, pairs)
     if not mm.acyclic:
         raise ValueError("matching is not acyclic")
     if isinstance(sub, SimplicialComplex):
