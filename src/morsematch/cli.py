@@ -28,9 +28,8 @@ from .complexes import (
 )
 from .fileio import (
     ParseError,
-    parse_matching,
     read_complex,
-    read_text,
+    read_matching,
     serialize_complex,
     serialize_matching,
 )
@@ -107,22 +106,23 @@ def _complex_facts(K: SimplicialComplex) -> tuple[int, list[int]]:
 
 def _match_report(K: SimplicialComplex, algo: str, mm, extras, facts) -> dict:
     prof = critical_profile(K, mm)
-    if prof.total + 2 * len(mm.pairs) != K.n:
+    matched = len(mm)
+    if prof.total + 2 * matched != K.n:
         raise RuntimeError("report inconsistent: criticals + matched != n")
     max_m, betti = facts
     rep = {
         "algorithm": algo,
         "n": K.n,
         "dim": K.dim,
-        "matched_pairs": len(mm.pairs),
-        "matched_simplices": 2 * len(mm.pairs),
+        "matched_pairs": matched,
+        "matched_simplices": 2 * matched,
         "critical_counts": list(prof.counts),
         "critical_total": prof.total,
         "euler": euler_characteristic(K),
         "betti": betti,
         "acyclic": mm.acyclic,
         "max_matching": max_m,
-        "ratio_vs_max_matching": _ratio(len(mm.pairs), max_m),
+        "ratio_vs_max_matching": _ratio(matched, max_m),
     }
     if extras is not None:
         rep.update(extras)
@@ -188,7 +188,7 @@ def cmd_match(args) -> int:
 
 def cmd_validate(args) -> int:
     K = read_complex(args.input)
-    pairs = parse_matching(read_text(args.matching))
+    pairs = read_matching(args.matching)
     payload = {
         "input": args.input,
         "matching": args.matching,

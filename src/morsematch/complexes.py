@@ -257,11 +257,14 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     """Mod-2 Betti numbers (beta_0, ..., beta_D).
 
     beta_d = dim ker(boundary_d) - rank(boundary_{d+1}), with the boundary
-    maps taken over GF(2).  Computed once per complex and kept.
+    maps taken over GF(2), boundary_1's rank being the vertex count less
+    the component count.  Computed once per complex and kept.
     """
     if K._betti is None:
         ranks = [0] * (K.dim + 2)
-        for d in range(1, K.dim + 1):
+        if K.dim:
+            ranks[1] = len(K.by_dim[0]) - len(component_roots(K))
+        for d in range(2, K.dim + 1):
             ranks[d] = gf2_rank(boundary_matrix_gf2(K, d))
         K._betti = tuple(
             len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)

@@ -70,23 +70,28 @@ def serialize_matching(pairs) -> str:
     )
 
 
-def read_text(path: str) -> str:
-    """The text of a UTF-8 file; undecodable bytes raise ParseError naming the file."""
+def _read(path: str, parse):
+    """parse applied to the text of a UTF-8 file; a ParseError names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
-            msg = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-            raise ParseError(msg) from None
+            msg = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+            raise ParseError(f"{path}: {msg}") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def read_complex(path: str) -> SimplicialComplex:
-    """The complex in a file; a ParseError names the file, as read_text's does."""
-    text = read_text(path)
-    try:
-        return parse_complex(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """The complex in a file; a ParseError names the file."""
+    return _read(path, parse_complex)
+
+
+def read_matching(path: str) -> list[tuple[Simplex, Simplex]]:
+    """The pairs in a matching file; a ParseError names the file."""
+    return _read(path, parse_matching)
 
 
 def write_complex(K: SimplicialComplex, path: str) -> None:

@@ -165,10 +165,6 @@ class OrientedHasse:
         S = self.complex.simplices
         return [(S[a], S[b]) for a, b in enumerate(self.up) if b >= 0]
 
-    @property
-    def pairs(self) -> frozenset[Pair]:
-        return frozenset(self.up_pairs())
-
 
 def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
     """Orient the Hasse diagram of K by a matching, validating it on ids first.
@@ -178,14 +174,25 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
     entry of the package's own algorithms, which hold their pairs as an
     up array already.  Both go through this one validator, which raises
     InvalidMatching listing every unknown simplex, non-covering pair and
-    simplex matched twice, in pair order.
+    simplex matched twice, in pair order.  An OrientedHasse that one pass
+    finds sound is returned as it is; only a faulty one is listed.
     """
     n, F = K.n, K.facet_ids
     unknown: dict[Simplex, int] = {}
     if isinstance(pairs, OrientedHasse):
         if pairs.complex is not K:
             raise ValueError("orientation of another complex")
-        ids = [(a, b) for a, b in enumerate(pairs.up) if b >= 0]
+        up = pairs.up
+        if len(up) == n:
+            used = bytearray(n)
+            for a, b in enumerate(up):
+                if b != -1:
+                    if not 0 <= b < n or used[b] or up[b] != -1 or a not in F[b]:
+                        break
+                    used[b] = 1
+            else:
+                return pairs
+        ids = [(a, b) for a, b in enumerate(up) if b >= 0]
     else:
         index = K.index
 

@@ -41,10 +41,10 @@ class MorseMatching(Record):
 
     When the matching is not acyclic, witness holds one alternating cycle
     as a simplex sequence (a1, b1, a2, b2, ...) following the directed
-    edges, with every (a_i, b_i) a matched pair.  certify fills _ids with
-    the complex it ran on and the validated up array as a tuple, so the
-    ids cannot drift from pairs; they take no part in comparisons, the
-    repr or pickling.
+    edges, with every (a_i, b_i) a matched pair.  certify keeps only _ids,
+    the complex it ran on and the validated up array as a tuple; pairs is
+    built from them on first access and kept, and len counts from them.
+    The ids take no part in comparisons, the repr or pickling.
     """
 
     pairs: frozenset[Pair]
@@ -52,8 +52,20 @@ class MorseMatching(Record):
     witness: tuple[Simplex, ...] | None = None
     _ids: tuple[SimplicialComplex, tuple[int, ...]] | None = None
 
+    def __getattr__(self, name: str):
+        # Called only when lookup fails, so for pairs when certify left it unset.
+        if name != "pairs" or self._ids is None:
+            raise AttributeError(name)
+        K, up = self._ids
+        pairs = frozenset(OrientedHasse(K, up).up_pairs())
+        self._setters[0](self, pairs)
+        return pairs
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        if self._ids is None:
+            return len(self.pairs)
+        up = self._ids[1]
+        return len(up) - up.count(-1)
 
 
 def closes_cycle(up: list[int], F, alpha: int, beta: int) -> bool:
@@ -137,7 +149,10 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     """
     oh = orient(K, pairs)
     ok, witness = is_acyclic(oh)
-    return MorseMatching(oh.pairs, ok, witness, (K, tuple(oh.up)))
+    mm = MorseMatching.__new__(MorseMatching)  # pairs stays unset until read
+    for set_field, value in zip(MorseMatching._setters[1:], (ok, witness, (K, tuple(oh.up)))):
+        set_field(mm, value)
+    return mm
 
 
 def _pairs_of(matching) -> frozenset[Pair]:
@@ -292,8 +307,7 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     matching not certified on K itself is certified on it first.
     """
     ids = matching._ids if isinstance(matching, MorseMatching) else None
-    pairs = getattr(matching, "pairs", matching)
-    mm = matching if ids and ids[0] is K else certify(K, pairs)
+    mm = matching if ids and ids[0] is K else certify(K, getattr(matching, "pairs", matching))
     if not mm.acyclic:
         raise ValueError("matching is not acyclic")
     if isinstance(sub, SimplicialComplex):

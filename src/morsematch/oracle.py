@@ -61,17 +61,14 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
             f"complex has {K.n} simplices, over the no-budget limit {SIZE_LIMIT}"
         )
 
-    seed = max(
-        (coreduction_matching(K), reduction_matching(K)),
-        key=lambda m: len(m.pairs),
-    )
+    seed = max((coreduction_matching(K), reduction_matching(K)), key=len)
     sum_beta = sum(betti_gf2(K))
     if (K.n - sum_beta) % 2:
         sum_beta += 1
     ub = min((K.n - sum_beta) // 2, len(max_cardinality_matching(K)))
 
     best: list[int] | None = None
-    best_len = len(seed.pairs)
+    best_len = len(seed)
     if best_len >= ub:
         return OracleResult(matching=seed, optimal=True, nodes=0, pair_upper_bound=ub)
 

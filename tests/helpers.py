@@ -7,18 +7,25 @@ what matters is that none of it shares code paths with the package.
 reference_max_matching_mates is a frozen copy of the package's earlier,
 unpruned maximum-matching search, kept so that the pruned one can be
 held to the same mate array; is_maximum_matching checks maximality
-independently.
+independently.  reference_coreduction_matching and
+reference_reduction_matching are frozen copies of the two greedy loops
+as they stood before they became one elimination kernel, kept so that
+the kernel can be held to the same up arrays.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
 
 from morsematch import (
+    MorseMatching,
+    OrientedHasse,
     SimplicialComplex,
+    certify,
     coreduction_matching,
     dunce_hat,
     from_maximal_simplices,
@@ -127,6 +134,99 @@ def reference_max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
                 mate[y] = x
                 y = nxt
     return tuple(mate)
+
+
+def reference_coreduction_matching(K: SimplicialComplex) -> MorseMatching:
+    """Pair each simplex with its unique remaining facet when one exists.
+
+    A fresh complex has no simplex with exactly one facet (a vertex has
+    none, an edge has two), so the loop starts by removing one critical
+    vertex, which frees its neighbours.  Works on simplex ids, whose order
+    is canonical: a heap holds candidate cofaces and stale entries are
+    skipped on pop; criticals are taken smallest id first, which a
+    pointer over the ids gives without a heap.
+    """
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = bytearray(b"\x01") * K.n
+    left = K.n
+    n_facets = [len(fs) for fs in F]
+
+    up = [-1] * K.n
+    pair_heap: list[int] = []
+    crit = 0
+
+    def remove(s: int) -> None:
+        nonlocal left
+        alive[s] = 0
+        left -= 1
+        for c in C[s]:
+            if alive[c]:
+                n_facets[c] -= 1
+                if n_facets[c] == 1:
+                    heapq.heappush(pair_heap, c)
+
+    while left:
+        while pair_heap:
+            beta = heapq.heappop(pair_heap)
+            if alive[beta] and n_facets[beta] == 1:
+                alpha = next(f for f in F[beta] if alive[f])
+                remove(beta)
+                remove(alpha)
+                up[alpha] = beta
+                break
+        else:
+            while not alive[crit]:
+                crit += 1
+            remove(crit)
+    return certify(K, OrientedHasse(K, up))
+
+
+def reference_reduction_matching(K: SimplicialComplex) -> MorseMatching:
+    """Pair each simplex with its unique remaining cofacet when one exists.
+
+    Removal keeps the remaining set downward closed (a pair is a maximal
+    simplex plus a free facet, a critical is maximal), so counting
+    cofacets inside the original complex stays accurate.  Works on ids
+    like coreduction: candidate faces on a heap, criticals taken by the
+    key (-dim, id), largest dimension first, through a pointer over the
+    ids in that order.
+    """
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = bytearray(b"\x01") * K.n
+    left = K.n
+    n_cofacets = [len(cs) for cs in C]
+
+    up = [-1] * K.n
+    pair_heap = [s for s, k in enumerate(n_cofacets) if k == 1]
+    crit_order = [
+        s for d in range(K.dim, -1, -1) for s in range(K.offset(d), K.offset(d + 1))
+    ]
+    crit = 0
+
+    def remove(s: int) -> None:
+        nonlocal left
+        alive[s] = 0
+        left -= 1
+        for f in F[s]:
+            if alive[f]:
+                n_cofacets[f] -= 1
+                if n_cofacets[f] == 1:
+                    heapq.heappush(pair_heap, f)
+
+    while left:
+        while pair_heap:
+            alpha = heapq.heappop(pair_heap)
+            if alive[alpha] and n_cofacets[alpha] == 1:
+                beta = next(c for c in C[alpha] if alive[c])
+                remove(beta)
+                remove(alpha)
+                up[alpha] = beta
+                break
+        else:
+            while not alive[crit_order[crit]]:
+                crit += 1
+            remove(crit_order[crit])
+    return certify(K, OrientedHasse(K, up))
 
 
 def is_maximum_matching(simplices, mates) -> bool:

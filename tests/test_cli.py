@@ -374,6 +374,14 @@ def test_bench_parse_error_names_the_file(tmp_path, capsys):
     assert err == f"error: {corpus / 'b.txt'}: line 1: repeated vertex in '0 0 1'\n"
 
 
+def test_validate_parse_error_names_the_matching_file(tmp_path, capsys, circle_file):
+    matching = tmp_path / "m.txt"
+    matching.write_text("0 ; 0 1\n-1 ; 0 1\n")
+    assert main(["validate", circle_file, str(matching)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {matching}: line 2: bad vertex id '-1'\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["stats", "/nonexistent/nowhere.txt"]) == 3
 

@@ -154,6 +154,15 @@ def test_betti_matches_numpy_reference():
         assert betti_gf2(K) == betti_numpy(K.simplices), name
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 12))
+def test_betti_matches_numpy_reference_on_disconnected_complexes(seed, dim, facets):
+    # rank of boundary_1 comes from the component count, so inputs of
+    # several components must agree with dense elimination too
+    K = random_complex(seed, dim=dim, n_vertices=dim + 8, n_facets=facets, connected=False)
+    assert betti_gf2(K) == betti_numpy(K.simplices)
+
+
 def test_euler_equals_alternating_betti_sum():
     for name, K in named_complexes().items():
         beta = betti_gf2(K)

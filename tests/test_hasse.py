@@ -1,11 +1,14 @@
 """Covering graph construction, interfaces, matchings, and orientation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from morsematch import (
     InvalidMatching,
     OrientedHasse,
+    coreduction_matching,
     dunce_hat,
     from_maximal_simplices,
     hasse,
@@ -132,7 +135,7 @@ def test_max_matching_mates_equal_the_reference(K):
 def test_max_matching_pairs_are_coverings():
     for name, K in named_complexes().items():
         M = max_cardinality_matching(K)
-        assert orient(K, M).pairs == M, name
+        assert frozenset(orient(K, M).up_pairs()) == M, name
         ends = [s for p in M for s in p]
         assert len(ends) == len(set(ends)), name
 
@@ -156,7 +159,6 @@ def test_orient_perfect_matching_reproduces_pairs():
     M = frozenset({((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))})
     oh = orient(CIRCLE, M)
     assert frozenset(oh.up_pairs()) == M
-    assert oh.pairs == M
 
 
 def test_oriented_edge_direction():
@@ -178,7 +180,7 @@ def test_partner_and_unmatch():
     assert oh.up[index[(2,)]] == -1
     oh.up[a] = -1
     assert oh.up == [-1] * CIRCLE.n
-    assert len(oh.pairs) == 0
+    assert oh.up_pairs() == []
 
 
 def test_reversed_matched_edge_is_not_up():
@@ -189,7 +191,7 @@ def test_reversed_matched_edge_is_not_up():
     assert oh.up[CIRCLE.index[(0, 1)]] == -1
     with pytest.raises(InvalidMatching, match="not a covering pair"):
         orient(CIRCLE, {((0, 1), (0,))})
-    assert oh.pairs == M
+    assert frozenset(oh.up_pairs()) == M
 
 
 def test_orient_rejects_bad_pairs():
@@ -225,3 +227,24 @@ def test_orient_keeps_the_complex():
     oh = orient(CIRCLE, frozenset())
     assert isinstance(oh, OrientedHasse)
     assert oh.complex is CIRCLE
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 4))
+def test_id_entry_agrees_with_the_pair_listing(seed, dim, corrupt):
+    # orient's one-pass check of an up array must accept exactly what the
+    # listing of its pairs accepts, and reject with the same problems
+    K = random_complex(seed, dim=dim, n_vertices=dim + 4, n_facets=6)
+    rng = random.Random(seed)
+    up = list(coreduction_matching(K)._ids[1])
+    for _ in range(corrupt):
+        up[rng.randrange(K.n)] = rng.randrange(-1, K.n)
+    S = K.simplices
+    try:
+        expected = orient(K, [(S[a], S[b]) for a, b in enumerate(up) if b >= 0]).up
+    except InvalidMatching as exc:
+        with pytest.raises(InvalidMatching) as got:
+            orient(K, OrientedHasse(K, up))
+        assert got.value.problems == exc.problems and str(got.value) == str(exc)
+    else:
+        assert orient(K, OrientedHasse(K, up)).up == expected
