@@ -8,11 +8,11 @@ validation and orientation take the complex itself and work on ids
 inside, and hasse(K) lists the covering edges only for a caller that
 wants them as data.  A matching selects disjoint covering pairs;
 orienting the diagram by a matching points matched edges up (face to
-coface) and everything else down.  Matchings come out as pairs of
-simplex tuples and go in as such, with one exception: orient, the one
-matching validator, also takes an OrientedHasse whose up array the
-package's own algorithms filled on ids, so that certifying their
-results never maps ids to tuples and back.
+coface) and everything else down.  The maximum matching comes out as a
+mate array on ids; other matchings go in as simplex pairs, with one
+exception: orient, the one matching validator, also takes an
+OrientedHasse whose up array the package's own algorithms filled on
+ids, so that certifying their results never maps ids to tuples and back.
 """
 from __future__ import annotations
 
@@ -28,14 +28,9 @@ def hasse(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
     return [(tau, sigma) for tau in K.simplices for sigma in facets_of(tau)]
 
 
-def max_cardinality_matching(K: SimplicialComplex) -> frozenset[Pair]:
-    """Maximum matching on the covering graph, as (face, coface) pairs.
-
-    Read off the mate array of max_matching_mates, which the complex
-    keeps; the pairs themselves are built anew on each call.
-    """
-    S = K.simplices
-    return frozenset((S[i], S[j]) for i, j in enumerate(max_matching_mates(K)) if i < j)
+def max_cardinality_matching(K: SimplicialComplex) -> int:
+    """Size of a maximum matching on the covering graph, from max_matching_mates."""
+    return (K.n - max_matching_mates(K).count(-1)) // 2
 
 
 def max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:

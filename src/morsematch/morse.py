@@ -7,7 +7,8 @@ d-1 or down from d), so acyclicity is checked one interface at a time,
 on simplex ids: certify takes simplex pairs from outside, or an up array
 of ids from the package's own algorithms, runs both through one
 validator and then a search over the matched cofaces alone.  Critical
-simplices are the unmatched ones.
+simplices are the unmatched ones.  The surgery functions accept a
+matching by one rule, _accept, and then work on its up array.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .complexes import (
     Record,
     Simplex,
     SimplicialComplex,
-    facets_of,
+    canonical_key,
     is_connected,
 )
 from .hasse import Pair, OrientedHasse, orient
@@ -155,10 +156,17 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     return mm
 
 
-def _pairs_of(matching) -> frozenset[Pair]:
-    if isinstance(matching, MorseMatching):
-        return matching.pairs
-    return frozenset(matching)
+def _up_on(K: SimplicialComplex, matching):
+    """The up array of a MorseMatching certified on K itself, else None."""
+    ids = matching._ids if isinstance(matching, MorseMatching) else None
+    return ids[1] if ids is not None and ids[0] is K else None
+
+
+def _accept(K: SimplicialComplex, matching) -> MorseMatching:
+    """A MorseMatching certified on K itself as it is, anything else certified on K once."""
+    if _up_on(K, matching) is None:
+        return certify(K, getattr(matching, "pairs", matching))
+    return matching
 
 
 def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
@@ -169,9 +177,7 @@ def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
     and as many (d+1)-simplices are matched down.  Other matchings are
     counted pair by pair, ignoring simplices K lacks.
     """
-    ids = matching._ids if isinstance(matching, MorseMatching) else None
-    if ids is not None and ids[0] is K:
-        up = ids[1]
+    if (up := _up_on(K, matching)) is not None:
         counts = []
         below = lo = 0
         for level in K.by_dim:
@@ -182,7 +188,7 @@ def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
         return CriticalProfile(tuple(counts))
     index = K.index
     matched = bytearray(K.n)
-    for pair in _pairs_of(matching):
+    for pair in getattr(matching, "pairs", matching):
         for s in pair:
             i = index.get(s)
             if i is not None:
@@ -236,59 +242,57 @@ def gamma_graph(K: SimplicialComplex, matching) -> dict[int, tuple[int, ...]]:
 
     For an acyclic matching on a connected complex this graph is always
     connected: walking from any vertex along unmatched or downward-matched
-    edges reaches every other vertex.
+    edges reaches every other vertex.  Read from the up array of the
+    matching _accept gives; neighbours ascend as K.cofacet_ids does.
     """
     if not is_connected(K):
         raise ValueError("connected complex required")
-    removed = {
-        sigma for sigma, tau in _pairs_of(matching)
-        if len(sigma) == 2 and len(tau) == 3
+    up = _accept(K, matching)._ids[1]
+    S, F, C = K.simplices, K.facet_ids, K.cofacet_ids
+    return {
+        S[v][0]: tuple(S[w][0] for e in C[v] if up[e] < 0 for w in F[e] if w != v)
+        for v in range(len(K.by_dim[0]))
     }
-    adj: dict[int, list[int]] = {v: [] for v in K.vertices}
-    if K.dim >= 1:
-        for a, b in K.by_dim[1]:
-            if (a, b) in removed:
-                continue
-            adj[a].append(b)
-            adj[b].append(a)
-    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
 def canonicalize_single_critical_vertex(K: SimplicialComplex, matching, p: int) -> MorseMatching:
     """Rebuild the vertex-edge pairs so p is the only critical vertex.
 
     Pairs whose coface has dimension 2 or more are kept.  The vertex-edge
-    pairing is replaced wholesale: a depth-first spanning tree (canonical
-    neighbor order) of the gamma graph rooted at p matches every other
-    vertex with its tree edge toward the root.  Every directed path in
-    the rebuilt 1-interface then descends toward p, so no cycle appears
+    pairing is replaced wholesale, on a copy of the accepted up array with
+    its vertex entries cleared: a depth-first spanning tree of the gamma
+    graph rooted at p (vertex ids, neighbours ascending) matches every
+    other vertex with its tree edge toward the root.  Every directed path
+    in the rebuilt 1-interface then descends toward p, so no cycle appears
     and the critical counts above dimension 1 are untouched.
     """
     if (p,) not in K:
         raise ValueError(f"unknown simplex {(p,)}")
-    mm = matching if isinstance(matching, MorseMatching) else certify(K, matching)
+    mm = _accept(K, matching)
     if not mm.acyclic:
         raise ValueError("matching is not acyclic")
-    gamma = gamma_graph(K, mm.pairs)
-    parent: dict[int, int | None] = {p: None}
-    stack = [(p, iter(gamma[p]))]
+    F, C = K.facet_ids, K.cofacet_ids
+    nv = len(K.by_dim[0])
+    up = [-1] * nv + list(mm._ids[1][nv:])
+    root = K.index[(p,)]
+    reached = bytearray(nv)
+    reached[root] = 1
+    stack = [(root, iter(C[root]))]
     while stack:
-        v, it = stack[-1]
-        w = next(it, None)
-        if w is None:
+        v, edges = stack[-1]
+        for e in edges:
+            w = F[e][F[e][0] == v]  # the edge's other end
+            if up[e] < 0 and not reached[w]:
+                reached[w], up[w] = 1, e
+                stack.append((w, iter(C[w])))
+                break
+        else:
             stack.pop()
-            continue
-        if w not in parent:
-            parent[w] = v
-            stack.append((w, iter(gamma[w])))
-    if len(parent) != len(gamma):
+    if reached.count(0):
+        if not is_connected(K):
+            raise ValueError("connected complex required")
         raise RuntimeError("gamma graph is disconnected despite an acyclic matching")
-    kept = {(s, t) for s, t in mm.pairs if len(s) >= 2}
-    tree = {
-        ((v,), tuple(sorted((v, q))))
-        for v, q in parent.items() if q is not None
-    }
-    out = certify(K, kept | tree)
+    out = certify(K, OrientedHasse(K, up))
     if not out.acyclic:
         raise RuntimeError("canonicalization produced a cyclic matching")
     return out
@@ -298,34 +302,31 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     """Order the pairs covering K minus the subcomplex into elementary collapses.
 
     sub may be a SimplicialComplex or an iterable of simplices; it must be
-    downward closed and its complement in K must be exactly a union of
-    matched pairs.  Pairs are emitted greedily: at every step some matched
-    simplex must be a free face of its partner in what remains (smallest
-    simplex first on ties), otherwise the matching was not acyclic and a
-    RuntimeError reports it.  What remains stays downward closed, so a
-    simplex is free when it has one live cofacet (see complexes).  A
-    matching not certified on K itself is certified on it first.
+    downward closed (its first unknown simplex, then its first missing
+    face, is reported in canonical order, as the constructors do) and its
+    complement in K must be exactly a union of matched pairs.  Pairs are
+    emitted greedily: at every step some matched simplex must be a free
+    face of its partner in what remains (smallest simplex first on ties),
+    otherwise the matching was not acyclic and a RuntimeError reports it.
+    What remains stays downward closed, so a simplex is free when it has
+    one live cofacet (see complexes).
     """
-    ids = matching._ids if isinstance(matching, MorseMatching) else None
-    mm = matching if ids and ids[0] is K else certify(K, getattr(matching, "pairs", matching))
+    mm = _accept(K, matching)
     if not mm.acyclic:
         raise ValueError("matching is not acyclic")
-    if isinstance(sub, SimplicialComplex):
-        lower = set(sub.simplices)
-    else:
-        lower = {tuple(sorted(s)) for s in sub}
-    for s in lower:
-        if s not in K:
-            raise ValueError(f"unknown simplex {s}")
-        for f in facets_of(s):
-            if f not in lower:
-                raise ValueError(f"subcomplex not downward closed: missing {f}")
+    lower = {tuple(sorted(s)) for s in sub}
+    if unknown := [s for s in lower if s not in K]:
+        raise ValueError(f"unknown simplex {min(unknown, key=canonical_key)}")
     S, F, C = K.simplices, K.facet_ids, K.cofacet_ids
     # A simplex is covered when it lies in sub or in a matched pair outside
-    # it; the faces of those pairs are the ones to collapse.
+    # it; the faces of those pairs are the ones to collapse.  Facets have
+    # smaller ids, so ascending ids meet each one before its cofacets.
     covered = bytearray(K.n)
-    for s in lower:
-        covered[K.index[s]] = 1
+    for s in sorted(map(K.index.__getitem__, lower)):
+        for f in F[s]:
+            if not covered[f]:
+                raise ValueError(f"subcomplex not downward closed: missing {S[f]}")
+        covered[s] = 1
     up = mm._ids[1]
     work: set[int] = set()
     for s, t in enumerate(up):

@@ -65,7 +65,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     sum_beta = sum(betti_gf2(K))
     if (K.n - sum_beta) % 2:
         sum_beta += 1
-    ub = min((K.n - sum_beta) // 2, len(max_cardinality_matching(K)))
+    ub = min((K.n - sum_beta) // 2, max_cardinality_matching(K))
 
     best: list[int] | None = None
     best_len = len(seed)

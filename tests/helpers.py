@@ -10,7 +10,10 @@ held to the same mate array; is_maximum_matching checks maximality
 independently.  reference_coreduction_matching and
 reference_reduction_matching are frozen copies of the two greedy loops
 as they stood before they became one elimination kernel, kept so that
-the kernel can be held to the same up arrays.
+the kernel can be held to the same up arrays.  reference_gamma_graph and
+reference_canonicalize_single_critical_vertex are frozen copies of the
+package's tuple-based surgery, before it moved onto the certified up
+array, kept so that the id versions can be held to the same results.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from morsematch import (
     dunce_hat,
     from_maximal_simplices,
     frontier_edges_matching,
+    is_connected,
     reduction_matching,
     rp2,
 )
+from morsematch.hasse import max_matching_mates
 
 Simplex = tuple[int, ...]
 Pair = tuple[Simplex, Simplex]
@@ -227,6 +232,83 @@ def reference_reduction_matching(K: SimplicialComplex) -> MorseMatching:
                 crit += 1
             remove(crit_order[crit])
     return certify(K, OrientedHasse(K, up))
+
+
+def max_matching_pairs(K: SimplicialComplex) -> frozenset[Pair]:
+    """The package's maximum matching as (face, coface) pairs, read off its mate array."""
+    S = K.simplices
+    return frozenset((S[i], S[j]) for i, j in enumerate(max_matching_mates(K)) if i < j)
+
+
+def _pairs_of(matching) -> frozenset[Pair]:
+    if isinstance(matching, MorseMatching):
+        return matching.pairs
+    return frozenset(matching)
+
+
+def reference_gamma_graph(K: SimplicialComplex, matching) -> dict[int, tuple[int, ...]]:
+    """1-skeleton minus the edges matched with 2-simplices, as adjacency.
+
+    For an acyclic matching on a connected complex this graph is always
+    connected: walking from any vertex along unmatched or downward-matched
+    edges reaches every other vertex.
+    """
+    if not is_connected(K):
+        raise ValueError("connected complex required")
+    removed = {
+        sigma for sigma, tau in _pairs_of(matching)
+        if len(sigma) == 2 and len(tau) == 3
+    }
+    adj: dict[int, list[int]] = {v: [] for v in K.vertices}
+    if K.dim >= 1:
+        for a, b in K.by_dim[1]:
+            if (a, b) in removed:
+                continue
+            adj[a].append(b)
+            adj[b].append(a)
+    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
+
+def reference_canonicalize_single_critical_vertex(
+    K: SimplicialComplex, matching, p: int
+) -> MorseMatching:
+    """Rebuild the vertex-edge pairs so p is the only critical vertex.
+
+    Pairs whose coface has dimension 2 or more are kept.  The vertex-edge
+    pairing is replaced wholesale: a depth-first spanning tree (canonical
+    neighbor order) of the gamma graph rooted at p matches every other
+    vertex with its tree edge toward the root.  Every directed path in
+    the rebuilt 1-interface then descends toward p, so no cycle appears
+    and the critical counts above dimension 1 are untouched.
+    """
+    if (p,) not in K:
+        raise ValueError(f"unknown simplex {(p,)}")
+    mm = matching if isinstance(matching, MorseMatching) else certify(K, matching)
+    if not mm.acyclic:
+        raise ValueError("matching is not acyclic")
+    gamma = reference_gamma_graph(K, mm.pairs)
+    parent: dict[int, int | None] = {p: None}
+    stack = [(p, iter(gamma[p]))]
+    while stack:
+        v, it = stack[-1]
+        w = next(it, None)
+        if w is None:
+            stack.pop()
+            continue
+        if w not in parent:
+            parent[w] = v
+            stack.append((w, iter(gamma[w])))
+    if len(parent) != len(gamma):
+        raise RuntimeError("gamma graph is disconnected despite an acyclic matching")
+    kept = {(s, t) for s, t in mm.pairs if len(s) >= 2}
+    tree = {
+        ((v,), tuple(sorted((v, q))))
+        for v, q in parent.items() if q is not None
+    }
+    out = certify(K, kept | tree)
+    if not out.acyclic:
+        raise RuntimeError("canonicalization produced a cyclic matching")
+    return out
 
 
 def is_maximum_matching(simplices, mates) -> bool:

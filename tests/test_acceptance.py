@@ -33,6 +33,7 @@ from morsematch import (
 from helpers import (
     brute_max_matching_size,
     has_directed_cycle,
+    max_matching_pairs,
     named_complexes,
     oriented_adjacency,
     replay_collapses,
@@ -164,10 +165,11 @@ def test_criterion_05_oracle_agreement_small_complexes(corpus):
     small = [(n, K) for n, K in list(named_complexes().items()) + corpus if K.n <= 16]
     checked = 0
     for label, K in small:
-        M = max_cardinality_matching(K)
+        M = max_matching_pairs(K)
+        size = max_cardinality_matching(K)
         brute = brute_max_matching_size(K.simplices)
-        if len(M) != brute:
-            violations.append(f"{label}: matching {len(M)} vs brute {brute}")
+        if size != brute or len(M) != size:
+            violations.append(f"{label}: matching {size} ({len(M)} pairs) vs brute {brute}")
         candidates = [
             frozenset(),
             M,

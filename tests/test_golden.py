@@ -53,7 +53,6 @@ from morsematch import (
     full_simplex,
     is_collapsible,
     is_connected,
-    max_cardinality_matching,
     random_complex,
     reduction_matching,
     rp2,
@@ -63,6 +62,7 @@ from morsematch import (
 )
 from morsematch.cli import main
 from morsematch.hasse import max_matching_mates
+from helpers import max_matching_pairs
 
 GOLDEN_SHA256 = "dceea2b130c68a080d84993a8389d598aa3351b5f2f807a8b814bd5bf3ae3597"
 ORACLE_GOLDEN_SHA256 = {
@@ -75,7 +75,7 @@ WITNESS_GOLDEN_SHA256 = "7520845971ed6e38c97d051d94b3ea48c490ad33689973788cf1931
 COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
 FRONTIER_GOLDEN_SHA256 = "3b4a0e0638b31df10e62e41989b1b5cb05ac50a87f81a0c197e6e7b9363fecf4"
 MATES_GOLDEN_SHA256 = "0ca5ea71b605374662bd1656a23bbca6f89929c2fd4a7bc62810a8fc5e6748b6"
-COLLAPSE_TOOLS_GOLDEN_SHA256 = "04d07f049fe6c96bfd0d0c45fca11e69c114f6f3541f8243a94b71fb5f570db6"
+COLLAPSE_TOOLS_GOLDEN_SHA256 = "1cc433cb20bc61b553fdf817c806e607674b8062768c5033113c7e141dbd82b4"
 
 
 def golden_corpus():
@@ -136,7 +136,7 @@ def witness_matchings():
     for dim in (1, 2, 3, 4):
         for seed in range(6):
             K = random_complex(seed, dim=dim, n_vertices=6 + 2 * dim, n_facets=5 * dim)
-            yield K, max_cardinality_matching(K)
+            yield K, max_matching_pairs(K)
             edges = [(f, t) for t in K.simplices for f in facets_of(t)]
             random.Random(seed).shuffle(edges)
             used, pairs = set(), []
@@ -286,7 +286,7 @@ def collapse_records():
                 yield outcome(collapse_sequence, K, m, sub)
         # A maximum matching given as plain pairs, certified inside, is
         # often cyclic.
-        yield outcome(collapse_sequence, K, max_cardinality_matching(K), [])
+        yield outcome(collapse_sequence, K, max_matching_pairs(K), [])
 
 
 def erasability_records():

@@ -15,7 +15,6 @@ from morsematch import (
     euler_characteristic,
     from_maximal_simplices,
     frontier_edges_matching,
-    max_cardinality_matching,
     optimal_morse_matching,
     random_complex,
     reduction_matching,
@@ -24,6 +23,7 @@ from morsematch import (
     wedge,
 )
 from helpers import (
+    max_matching_pairs,
     named_complexes,
     reference_coreduction_matching,
     reference_reduction_matching,
@@ -150,7 +150,7 @@ CERTIFIED = {
     "reduction": reduction_matching,
     "oracle": lambda K: optimal_morse_matching(K, budget=300).matching,
     # certify's simplex-pair entry, on matchings cyclic on all three complexes below
-    "max_matching": lambda K: certify(K, max_cardinality_matching(K)),
+    "max_matching": lambda K: certify(K, max_matching_pairs(K)),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from morsematch import (
     InvalidMatching,
+    MorseMatching,
     OrientedHasse,
     SimplicialComplex,
     canonical_key,
@@ -15,16 +16,22 @@ from morsematch import (
     certify,
     check_morse_inequalities,
     collapse_sequence,
+    coreduction_matching,
     critical_profile,
+    dunce_hat,
     euler_characteristic,
     facets_of,
     from_maximal_simplices,
+    frontier_edges_matching,
+    full_simplex,
     gamma_graph,
     is_acyclic,
-    max_cardinality_matching,
     orient,
     random_complex,
+    reduction_matching,
+    rp2,
     simplex_boundary,
+    wedge,
 )
 from morsematch.morse import closes_cycle
 from helpers import (
@@ -33,9 +40,12 @@ from helpers import (
     covering_pairs,
     euler,
     has_directed_cycle,
+    max_matching_pairs,
     named_complexes,
     oriented_adjacency,
     profile_of,
+    reference_canonicalize_single_critical_vertex,
+    reference_gamma_graph,
     replay_collapses,
 )
 
@@ -95,7 +105,7 @@ def _random_matchings():
                     used.update((a, b))
                     pairs.append((a, b))
             yield K, pairs
-            yield K, max_cardinality_matching(K)
+            yield K, max_matching_pairs(K)
 
 
 def test_is_acyclic_matches_whole_graph_search():
@@ -222,8 +232,6 @@ def test_gamma_graph_requires_connected_complex():
 
 
 def test_gamma_graph_stays_connected_under_acyclic_matchings():
-    from morsematch import coreduction_matching
-
     for seed in range(12):
         K = random_complex(seed, connected=True)
         matching = coreduction_matching(K)
@@ -251,8 +259,6 @@ def test_canonicalize_already_canonical_is_unchanged():
 
 
 def test_canonicalize_profile_contract_on_random_complexes():
-    from morsematch import frontier_edges_matching
-
     for seed in range(15):
         K = random_complex(seed, connected=True)
         matching = frontier_edges_matching(K).morse
@@ -271,6 +277,67 @@ def test_canonicalize_rejects_bad_inputs():
     cyclic = certify(CIRCLE, HEXAGON_MATCHING)
     with pytest.raises(ValueError, match="matching is not acyclic"):
         canonicalize_single_critical_vertex(CIRCLE, cyclic, 0)
+    # A bare matching that claims to be acyclic is certified on K first.
+    claimed = MorseMatching(HEXAGON_MATCHING, True)
+    with pytest.raises(ValueError, match="matching is not acyclic"):
+        canonicalize_single_critical_vertex(CIRCLE, claimed, 0)
+
+
+def test_surgery_rejects_invalid_pairs():
+    # The three surgery functions accept a matching by one rule, so simplex
+    # pairs that are no matching on K raise the validator's error in each.
+    bad = frozenset({((0,), (1, 2))})
+    for call in (
+        lambda: gamma_graph(TRIANGLE, bad),
+        lambda: canonicalize_single_critical_vertex(TRIANGLE, bad, 0),
+        lambda: collapse_sequence(TRIANGLE, bad, []),
+    ):
+        with pytest.raises(InvalidMatching, match="not a covering pair"):
+            call()
+
+
+def surgery_complexes():
+    """Connected random complexes in dims 1-4, and dunce and RP2 wedges."""
+    sparse = st.builds(
+        lambda s, d: random_complex(s, dim=d, n_vertices=d + 8, n_facets=4 + 4 * d, connected=True),
+        st.integers(0, 2**32 - 1), st.integers(1, 4),
+    )
+    wedges = st.builds(
+        lambda base, copies: wedge(base(), 1, copies),
+        st.sampled_from([dunce_hat, rp2]), st.integers(1, 12),
+    )
+    return st.one_of(sparse, wedges)
+
+
+SURGERY_MATCHINGS = {
+    "coreduction": coreduction_matching,
+    "reduction": reduction_matching,
+    "frontier": lambda K: frontier_edges_matching(K).morse,
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    surgery_complexes(),
+    st.sampled_from(sorted(SURGERY_MATCHINGS)),
+    st.lists(st.integers(0, 2**16), min_size=3, max_size=3),
+)
+def test_surgery_on_the_up_array_equals_the_tuple_reference(K, name, picks):
+    mm = SURGERY_MATCHINGS[name](K)
+    twin = SimplicialComplex(K.simplices)
+    want = reference_gamma_graph(K, mm)
+    assert gamma_graph(K, mm) == want
+    assert gamma_graph(K, mm.pairs) == gamma_graph(twin, mm) == want
+    for i in picks:
+        p = K.vertices[i % len(K.vertices)]
+        want = reference_canonicalize_single_critical_vertex(K, mm, p)
+        got = canonicalize_single_critical_vertex(K, mm, p)
+        assert got == want and got.acyclic and got._ids[0] is K, (name, p)
+        assert critical_profile(K, got).counts[0] == 1
+        # plain pairs, and a matching certified on an equal complex, are
+        # certified on K once and give the same result
+        assert canonicalize_single_critical_vertex(K, mm.pairs, p) == want
+        assert canonicalize_single_critical_vertex(twin, mm, p) == want
 
 
 def test_collapse_single_edge():
@@ -292,6 +359,18 @@ def test_collapse_rejects_unmatched_leftovers():
     K, matching = simplex_boundary(3)
     with pytest.raises(ValueError, match="not matched away"):
         collapse_sequence(K, matching, from_maximal_simplices([(1,)]))
+
+
+def test_collapse_reports_sub_errors_in_canonical_order():
+    K = full_simplex(2)
+    matching = coreduction_matching(K)
+    with pytest.raises(ValueError, match=re.escape("unknown simplex (99,)")):
+        collapse_sequence(K, matching, [(0, 1, 2), (99,)])
+    with pytest.raises(ValueError, match=re.escape("unknown simplex (7,)")):
+        collapse_sequence(K, matching, [(8, 9), (7,), (0,)])
+    # the first simplex in canonical order with a missing face names its first one
+    with pytest.raises(ValueError, match=re.escape("missing (1,)")):
+        collapse_sequence(K, matching, [(1, 2), (0, 1), (0,), (0, 2)])
 
 
 def test_collapse_rejects_cyclic_matching():
