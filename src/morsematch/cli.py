@@ -2,7 +2,8 @@
 
 Subcommands: stats, match, validate, gen, bench.  Reports print as
 aligned text or, with --json, as stable JSON (sorted keys; the elapsed_s
-field is the only run-dependent value and --no-timing drops it).
+field is the only run-dependent value and --no-timing drops it), on
+stdout, or on stderr when match writes its matching to stdout (--out -).
 
 Exit codes: 0 success, 2 validation failure (including a cyclic result
 from match or bench, whose report is still printed; in bench it takes
@@ -130,19 +131,18 @@ def _match_report(K: SimplicialComplex, algo: str, mm, extras, facts) -> dict:
     return rep
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, file=None) -> None:
+    """Print the report to file, stdout when None."""
     if not args.no_timing:
         payload["elapsed_s"] = round(time.perf_counter() - args._t0, 6)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True), file=file)
         return
     for key in sorted(payload):
         val = payload[key]
-        if isinstance(val, list) and val and isinstance(val[0], dict):
-            continue
         if isinstance(val, dict):
             val = json.dumps(val, sort_keys=True)
-        print(f"{key}: {val}")
+        print(f"{key}: {val}", file=file)
 
 
 def cmd_stats(args) -> int:
@@ -179,7 +179,8 @@ def cmd_match(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(serialize_matching(mm.pairs))
         payload["matching_file"] = args.out
-    _emit(payload, args)
+    # stdout holds only the matching, so that parse_matching can read it
+    _emit(payload, args, sys.stderr if args.out == "-" else None)
     if not mm.acyclic:
         return EXIT_INVALID
     if extras is not None and not extras["optimal"]:

@@ -14,12 +14,14 @@ every candidate is tested against all kept pairs it could close a cycle
 with, and the output is acyclic in every dimension.
 
 A component takes every facet edge of each coface it classifies out of
-the working diagram, so the state between components is just a flag per
-absorbed coface: bfs_component never steps into or onto an absorbed
-coface, and flags its own cofaces when it is done.  The search runs on
-simplex ids, reading and writing the up array of the orientation, and
-turns ids into simplices only in the EdgeComponent it returns, a Record
-built by position, the cheap way, since there is one per component.
+the working diagram, so the state is just a flag per absorbed coface:
+bfs_component flags a coface when it classifies its pair and never steps
+into or onto a flagged one, so it classifies no pair twice and later
+components stay out of it.  Its queue is its list of kept pairs,
+walked in the order they were kept.  The search runs on simplex ids,
+reading and writing the up array of the orientation, and turns ids into
+simplices only in the EdgeComponent it returns, a Record built by
+position, the cheap way, since there is one per component.
 
 Cycles alternate up and down edges and need at least three up-edges, so
 the first processed level of a component can never reverse anything.
@@ -30,8 +32,6 @@ matching against the maximum one on the whole diagram by the same ratio
 at d = dim K.
 """
 from __future__ import annotations
-
-from collections import deque
 
 from .complexes import Record, SimplicialComplex
 from .hasse import Pair, OrientedHasse, max_matching_mates
@@ -61,7 +61,8 @@ def _leading(F, up, absorbed, a: int, b: int) -> list[int]:
     """Faces of the up-edges one down-edge from the up-edge (a, b).
 
     They are the facets f of b other than a that are matched up, to a
-    coface up[f] that no earlier component absorbed.
+    coface up[f] that is not yet absorbed: no earlier component took it
+    and this one has not classified its pair.
     """
     return [f for f in F[b] if f != a and up[f] >= 0 and not absorbed[up[f]]]
 
@@ -82,46 +83,38 @@ def bfs_component(
     up-edge (a, b) survives only when closes_cycle finds no alternating
     path from b back to a through those pairs, so the kept pairs stay
     acyclic in every dimension.  The trace records (forward, backward,
-    frontier) totals after each processed queue node.  absorbed is a flag
-    per id: cofaces of earlier components are set there and are not
-    entered, and this component sets its own on return.
+    frontier) totals after each processed queue node; the queue is the
+    forward list itself.  absorbed is a flag per id: cofaces of earlier
+    components are set there and are not entered, and this component sets
+    each of its own when it classifies the pair, which also keeps it from
+    classifying a pair twice.
     """
     K, up = oh.complex, oh.up
     F = K.facet_ids
     b0 = up[a0]
     kept[a0] = b0
+    absorbed[b0] = 1
     forward = [a0]
     backward: list[tuple[int, int]] = []
-    classified = {a0}
     frontier = set(_leading(F, up, absorbed, a0, b0))
     trace = []
-    queue = deque([a0])
-    while queue:
-        c = queue.popleft()
+    for c in forward:  # the queue: forward grows as pairs are kept
         for a in _leading(F, up, absorbed, c, up[c]):
-            if a in classified:
-                continue
-            classified.add(a)
             frontier.discard(a)
             b = up[a]
+            absorbed[b] = 1
             if closes_cycle(kept, F, a, b):
                 up[a] = -1
                 backward.append((a, b))
             else:
                 kept[a] = b
                 forward.append(a)
-                queue.append(a)
-                frontier.update(
-                    f for f in _leading(F, up, absorbed, a, b) if f not in classified
-                )
+                frontier.update(_leading(F, up, absorbed, a, b))
         trace.append((len(forward), len(backward), len(frontier)))
     S = K.simplices
     forward_pairs = tuple((S[a], S[up[a]]) for a in forward)
     for a in forward:
-        absorbed[up[a]] = 1
         kept[a] = -1
-    for _, b in backward:
-        absorbed[b] = 1
     return EdgeComponent(
         forward_pairs[0], len(S[b0]) - 1, forward_pairs,
         tuple((S[a], S[b]) for a, b in backward), tuple(trace),

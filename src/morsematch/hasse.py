@@ -170,7 +170,9 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
     up array already.  Both go through this one validator, which raises
     InvalidMatching listing every unknown simplex, non-covering pair and
     simplex matched twice, in pair order.  An OrientedHasse that one pass
-    finds sound is returned as it is; only a faulty one is listed.
+    finds sound is returned as it is; only a faulty one is listed.  One
+    whose up array is not K.n long, or holds an entry other than -1 or a
+    simplex id, is malformed rather than a matching: ValueError.
     """
     n, F = K.n, K.facet_ids
     unknown: dict[Simplex, int] = {}
@@ -178,16 +180,22 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
         if pairs.complex is not K:
             raise ValueError("orientation of another complex")
         up = pairs.up
-        if len(up) == n:
-            used = bytearray(n)
-            for a, b in enumerate(up):
-                if b != -1:
-                    if not 0 <= b < n or used[b] or up[b] != -1 or a not in F[b]:
-                        break
-                    used[b] = 1
-            else:
-                return pairs
-        ids = [(a, b) for a, b in enumerate(up) if b >= 0]
+        if len(up) != n:
+            raise ValueError(f"up array has {len(up)} entries for {n} simplices")
+        used = bytearray(n)
+        for a, b in enumerate(up):
+            if b != -1:
+                if not 0 <= b < n or used[b] or up[b] != -1 or a not in F[b]:
+                    break
+                used[b] = 1
+        else:
+            return pairs
+        ids = []
+        for a, b in enumerate(up):
+            if b != -1:
+                if not 0 <= b < n:
+                    raise ValueError(f"face id {a} has up entry {b}, not -1 or a simplex id")
+                ids.append((a, b))
     else:
         index = K.index
 

@@ -7,8 +7,9 @@ d-1 or down from d), so acyclicity is checked one interface at a time,
 on simplex ids: certify takes simplex pairs from outside, or an up array
 of ids from the package's own algorithms, runs both through one
 validator and then a search over the matched cofaces alone.  Critical
-simplices are the unmatched ones.  The surgery functions accept a
-matching by one rule, _accept, and then work on its up array.
+simplices are the unmatched ones.  critical_profile and the surgery
+functions accept a matching by one rule, _accept, and then work on its
+up array.
 """
 from __future__ import annotations
 
@@ -156,49 +157,30 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     return mm
 
 
-def _up_on(K: SimplicialComplex, matching):
-    """The up array of a MorseMatching certified on K itself, else None."""
-    ids = matching._ids if isinstance(matching, MorseMatching) else None
-    return ids[1] if ids is not None and ids[0] is K else None
-
-
 def _accept(K: SimplicialComplex, matching) -> MorseMatching:
     """A MorseMatching certified on K itself as it is, anything else certified on K once."""
-    if _up_on(K, matching) is None:
-        return certify(K, getattr(matching, "pairs", matching))
-    return matching
+    ids = matching._ids if isinstance(matching, MorseMatching) else None
+    if ids is not None and ids[0] is K:
+        return matching
+    return certify(K, getattr(matching, "pairs", matching))
 
 
 def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
     """Count unmatched simplices per dimension.
 
-    A MorseMatching certified on K is counted from its up array: the
-    d-simplices matched up are its entries other than -1 in dimension d,
-    and as many (d+1)-simplices are matched down.  Other matchings are
-    counted pair by pair, ignoring simplices K lacks.
+    Counts from the up array of the matching _accept gives, so pairs that
+    are no matching on K, or name a simplex K lacks, raise InvalidMatching.
+    The d-simplices matched up are its entries other than -1 in dimension
+    d, and as many (d+1)-simplices are matched down.
     """
-    if (up := _up_on(K, matching)) is not None:
-        counts = []
-        below = lo = 0
-        for level in K.by_dim:
-            hi = lo + len(level)
-            matched_up = hi - lo - up[lo:hi].count(-1)
-            counts.append(hi - lo - matched_up - below)
-            below, lo = matched_up, hi
-        return CriticalProfile(tuple(counts))
-    index = K.index
-    matched = bytearray(K.n)
-    for pair in getattr(matching, "pairs", matching):
-        for s in pair:
-            i = index.get(s)
-            if i is not None:
-                matched[i] = 1
+    up = _accept(K, matching)._ids[1]
     counts = []
-    lo = 0
+    below = lo = 0
     for level in K.by_dim:
         hi = lo + len(level)
-        counts.append(len(level) - matched.count(1, lo, hi))
-        lo = hi
+        matched_up = hi - lo - up[lo:hi].count(-1)
+        counts.append(hi - lo - matched_up - below)
+        below, lo = matched_up, hi
     return CriticalProfile(tuple(counts))
 
 

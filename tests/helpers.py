@@ -14,12 +14,16 @@ the kernel can be held to the same up arrays.  reference_gamma_graph and
 reference_canonicalize_single_critical_vertex are frozen copies of the
 package's tuple-based surgery, before it moved onto the certified up
 array, kept so that the id versions can be held to the same results.
+reference_bfs_component is a frozen copy of frontier's component search
+as it stood with a deque for its queue and a set of classified faces,
+kept so that the search on its forward list and absorbed flags can be
+held to the same components and state.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import defaultdict, deque
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +41,9 @@ from morsematch import (
     reduction_matching,
     rp2,
 )
+from morsematch.frontier import EdgeComponent, _leading
 from morsematch.hasse import max_matching_mates
+from morsematch.morse import closes_cycle
 
 Simplex = tuple[int, ...]
 Pair = tuple[Simplex, Simplex]
@@ -309,6 +315,68 @@ def reference_canonicalize_single_critical_vertex(
     if not out.acyclic:
         raise RuntimeError("canonicalization produced a cyclic matching")
     return out
+
+
+def reference_bfs_component(
+    oh: OrientedHasse, a0: int, absorbed: bytearray, kept: list[int]
+) -> EdgeComponent:
+    """Classify every up-edge reachable from the seed face a0, reversing cycle makers.
+
+    The seed is the pair (a0, oh.up[a0]); every other pair is named by
+    its face id too, since a face is matched up to at most one coface.
+    Mutates oh: a backward-classified pair is reversed by setting its
+    up entry to -1.  kept is an id array over the complex, -1 everywhere
+    on entry; the face of the seed and of every pair kept so far points
+    to its coface there, and the entries are cleared again on return, so
+    one array serves every component of a run.  A kept pair enters it
+    when it is classified, not when it leaves the queue.  A candidate
+    up-edge (a, b) survives only when closes_cycle finds no alternating
+    path from b back to a through those pairs, so the kept pairs stay
+    acyclic in every dimension.  The trace records (forward, backward,
+    frontier) totals after each processed queue node.  absorbed is a flag
+    per id: cofaces of earlier components are set there and are not
+    entered, and this component sets its own on return.
+    """
+    K, up = oh.complex, oh.up
+    F = K.facet_ids
+    b0 = up[a0]
+    kept[a0] = b0
+    forward = [a0]
+    backward: list[tuple[int, int]] = []
+    classified = {a0}
+    frontier = set(_leading(F, up, absorbed, a0, b0))
+    trace = []
+    queue = deque([a0])
+    while queue:
+        c = queue.popleft()
+        for a in _leading(F, up, absorbed, c, up[c]):
+            if a in classified:
+                continue
+            classified.add(a)
+            frontier.discard(a)
+            b = up[a]
+            if closes_cycle(kept, F, a, b):
+                up[a] = -1
+                backward.append((a, b))
+            else:
+                kept[a] = b
+                forward.append(a)
+                queue.append(a)
+                frontier.update(
+                    f for f in _leading(F, up, absorbed, a, b) if f not in classified
+                )
+        trace.append((len(forward), len(backward), len(frontier)))
+    S = K.simplices
+    forward_pairs = tuple((S[a], S[up[a]]) for a in forward)
+    for a in forward:
+        absorbed[up[a]] = 1
+        kept[a] = -1
+    for _, b in backward:
+        absorbed[b] = 1
+    return EdgeComponent(
+        forward_pairs[0], len(S[b0]) - 1, forward_pairs,
+        tuple((S[a], S[b]) for a, b in backward), tuple(trace),
+    )
 
 
 def is_maximum_matching(simplices, mates) -> bool:

@@ -430,3 +430,18 @@ def test_match_stdout_matching(capsys, sphere_file):
     out = capsys.readouterr().out
     assert code == 0
     assert " ; " in out
+
+
+def test_match_stdout_matching_sends_the_report_to_stderr(capsys, tmp_path):
+    path = tmp_path / "d.txt"
+    K = dunce_hat()
+    write_complex(K, path)
+    code = main(
+        ["match", str(path), "--algo", "coreduction", "--out", "-", "--json", "--no-timing"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert certify(K, parse_matching(captured.out)).acyclic
+    report = json.loads(captured.err)
+    assert report["acyclic"] is True
+    assert report["matched_pairs"] == len(parse_matching(captured.out))

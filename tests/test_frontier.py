@@ -1,6 +1,9 @@
 """Frontier-edges approximation: classification, traces, and the ratio bound."""
 
+from hypothesis import given, settings, strategies as st
+
 from morsematch import (
+    OrientedHasse,
     certify,
     critical_profile,
     dunce_hat,
@@ -13,9 +16,11 @@ from morsematch import (
     random_complex,
     rp2,
     simplex_boundary,
+    wedge,
 )
 from morsematch.frontier import _leading, bfs_component
-from helpers import max_matching_pairs
+from morsematch.hasse import max_matching_mates
+from helpers import max_matching_pairs, reference_bfs_component
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
@@ -125,6 +130,49 @@ def test_bfs_component_stays_in_one_interface():
             assert len(comp.seed[1]) == d + 1
             for b, a in component_edges(comp):
                 assert (len(a), len(b)) == (d, d + 1)
+
+
+def frontier_complexes():
+    """Sparse and dense random complexes in dims 1-4, and dunce-hat and RP2 wedges."""
+    sparse = st.builds(
+        lambda s, d: random_complex(s, dim=d, n_vertices=d + 8, n_facets=4 + 4 * d),
+        st.integers(0, 2**32 - 1), st.integers(1, 4),
+    )
+    dense = st.builds(
+        lambda s, d: random_complex(s, dim=d, n_vertices=d + 5, n_facets=40, connected=True),
+        st.integers(0, 2**32 - 1), st.integers(1, 4),
+    )
+    wedges = st.builds(
+        lambda base, copies: wedge(base(), 1, copies),
+        st.sampled_from([dunce_hat, rp2]), st.integers(1, 8),
+    )
+    return st.one_of(sparse, dense, wedges)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(frontier_complexes())
+def test_bfs_component_equals_the_reference(K):
+    # Both searches run from the seeds frontier_edges_matching takes, each
+    # on its own orientation, absorbed flags and kept array; after every
+    # component the state they leave must agree as well as the component.
+    mates = max_matching_mates(K)
+    runs = [
+        (OrientedHasse(K, [m if m > i else -1 for i, m in enumerate(mates)]),
+         bytearray(K.n), [-1] * K.n)
+        for _ in range(2)
+    ]
+    (oh, absorbed, kept), (ref_oh, ref_absorbed, ref_kept) = runs
+    components = 0
+    for b, a in enumerate(mates):
+        if 0 <= a < b and not absorbed[b]:
+            got = bfs_component(oh, a, absorbed, kept)
+            want = reference_bfs_component(ref_oh, a, ref_absorbed, ref_kept)
+            for field in ("seed", "dim", "forward", "backward", "trace"):
+                assert getattr(got, field) == getattr(want, field), (field, a)
+            assert oh.up == ref_oh.up and absorbed == ref_absorbed, a
+            assert kept == ref_kept == [-1] * K.n, a
+            components += 1
+    assert components == len(frontier_edges_matching(K).components)
 
 
 def test_frontier_on_circle():

@@ -1,6 +1,7 @@
 """Covering graph construction, interfaces, matchings, and orientation."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +217,21 @@ def test_orient_lists_every_problem_in_pair_order():
         "pair 3: simplex (0, 1) matched twice",
         "pair 4: simplex (0,) matched twice",
     ]
+
+
+def test_orient_rejects_a_malformed_up_array():
+    # a wrong length, or an entry outside -1 .. n-1, is no matching at all
+    n = TRIANGLE.n
+    cases = {
+        "face id 0 has up entry 12": [n + 5] + [-1] * (n - 1),
+        "up array has 8 entries for 7 simplices": [-1] * n + [3],
+        "face id 0 has up entry -2": [-2] + [-1] * (n - 1),
+        "up array has 6 entries for 7 simplices": [-1] * (n - 1),
+    }
+    for message, up in cases.items():
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            orient(TRIANGLE, OrientedHasse(TRIANGLE, up))
+        assert not isinstance(exc.value, InvalidMatching)
 
 
 def test_hasse_edge_count_identity():

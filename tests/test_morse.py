@@ -196,6 +196,15 @@ def test_critical_profile_counts_unmatched():
     assert critical_profile(EDGE, frozenset({((1,), (0, 1))})).counts == (1, 0)
 
 
+def test_critical_profile_rejects_pairs_that_are_no_matching_on_K():
+    # Counted pair by pair, these once gave (2, 1, 1): Euler sum 2 against
+    # 1, and criticals + 2 * pairs = 8 against n = 7.
+    with pytest.raises(InvalidMatching, match=re.escape("simplex (0,) matched twice")):
+        critical_profile(TRIANGLE, [((0,), (0, 1)), ((0,), (0, 2))])
+    with pytest.raises(InvalidMatching, match=re.escape("unknown simplex (2, 9)")):
+        critical_profile(TRIANGLE, [((0,), (0, 1)), ((2,), (2, 9))])
+
+
 def test_critical_simplices_of_sphere_pairing():
     K, matching = simplex_boundary(3)
     prof = critical_profile(K, matching.pairs)
@@ -439,8 +448,14 @@ def test_heuristic_and_frontier_profiles_obey_the_morse_inequalities(seed, dim):
     chi = euler(K.simplices)
     for name, produce in all_algorithms().items():
         pairs = produce(K)
-        assert certify(K, pairs).acyclic, name
+        mm = certify(K, pairs)
+        assert mm.acyclic, name
         c = profile_of(K, pairs)
+        # every profile critical_profile returns obeys both identities
+        for prof in (critical_profile(K, pairs), critical_profile(K, mm)):
+            assert prof.counts == c, name
+            assert prof.alternating_sum() == chi, name
+            assert prof.total + 2 * len(pairs) == K.n, name
         # Euler identity
         assert (-1) ** top * signed_sum(c, top) == chi == (-1) ** top * signed_sum(b, top), name
         # weak Morse inequalities
