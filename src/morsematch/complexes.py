@@ -27,6 +27,15 @@ downward one level at a time, since every face of a valid simplex is
 valid.  The file parser, which checks its simplices as it reads them,
 shares that closure step.
 
+Homology comes from discrete Morse theory.  The elimination kernel of
+the greedy heuristics lives here, on the incidence it reads, so that
+coreduction's up array can be computed once per complex and kept on it
+(_coreduction) for the three modules that start from it: hasse grows the
+maximum matching from it, heuristics certifies it as coreduction's
+result, and betti_gf2 ranks the boundary of its Morse complex, which
+has only the critical simplices as cells, instead of the boundary of
+the full complex.
+
 Record, at the end, is the base of the package's result types
 (MorseMatching, FrontierResult, OracleResult and the rest): immutable
 fields in __slots__, declared like a frozen dataclass's.  It stands in
@@ -34,6 +43,7 @@ for dataclasses, whose import would take most of the CLI's start-up.
 """
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import combinations
 from types import MappingProxyType
 
@@ -83,13 +93,15 @@ class SimplicialComplex:
     the codimension-1 faces and cofaces of simplex i, ascending, so in
     canonical order.  Hot loops run on ids and turn them back into
     simplices at the edge.
-    The maximum matching (as a mate array) and the Betti numbers are
-    filled in on first request and kept, since the complex never changes.
+    Coreduction's up array and its certified matching, the maximum
+    matching grown from it (as a mate array) and the Betti numbers of its
+    Morse complex are filled in on first request and kept, since the
+    complex never changes.
     """
 
     __slots__ = (
         "simplices", "by_dim", "dim", "n", "index", "facet_ids", "cofacet_ids",
-        "_mates", "_betti",
+        "_coreduction", "_coreduction_matching", "_mates", "_betti",
     )
 
     def __init__(self, simplices):
@@ -137,6 +149,7 @@ class SimplicialComplex:
         self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
         self.dim: int = len(levels) - 1
         self.n: int = len(simplices)
+        self._coreduction = self._coreduction_matching = None
         self._mates = None
         self._betti = None
 
@@ -162,7 +175,7 @@ class SimplicialComplex:
 
     def __reduce__(self):
         # index is a mappingproxy, which cannot be pickled; the kept
-        # matching and Betti numbers are recomputed on demand instead.
+        # matchings and Betti numbers are recomputed on demand instead.
         return SimplicialComplex, (self.simplices,)
 
     @property
@@ -254,22 +267,125 @@ def gf2_rank(rows) -> int:
 
 
 def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
-    """Mod-2 Betti numbers (beta_0, ..., beta_D).
+    """Mod-2 Betti numbers (beta_0, ..., beta_D), from the Morse complex of coreduction.
 
-    beta_d = dim ker(boundary_d) - rank(boundary_{d+1}), with the boundary
-    maps taken over GF(2), boundary_1's rank being the vertex count less
-    the component count.  Computed once per complex and kept.
+    An acyclic matching leaves a Morse complex on the critical simplices
+    with the homology of K (Forman).  Over GF(2), the boundary of a
+    critical d-simplex is the sum of flow(f) over its facets f: flow(f) is
+    f when f is critical, 0 when f is matched down, and otherwise the sum
+    of flow(g) over the facets g != f of up[f].  flow is memoized per
+    simplex and filled on an explicit stack; a simplex met again while
+    its own flow is still open would be a gradient cycle, which raises.
+    A critical simplex gets its bit only when a boundary first reaches
+    it, so the rows are as wide as the critical cells they touch, not as
+    the level below.  beta_d = c_d - rank_d - rank_{d+1}, with c_d the
+    critical d-simplices and the ranks from gf2_rank.  The matching is
+    coreduction's (see _coreduction); computed once per complex and kept.
     """
-    if K._betti is None:
-        ranks = [0] * (K.dim + 2)
-        if K.dim:
-            ranks[1] = len(K.by_dim[0]) - len(component_roots(K))
-        for d in range(2, K.dim + 1):
-            ranks[d] = gf2_rank(boundary_matrix_gf2(K, d))
-        K._betti = tuple(
-            len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)
-        )
+    if K._betti is not None:
+        return K._betti
+    F, up = K.facet_ids, _coreduction(K)
+    flow: list = [None] * K.n
+    for b in up:
+        if b >= 0:
+            flow[b] = 0
+    critical = [b < 0 and flow[i] is None for i, b in enumerate(up)]
+    opened = bytearray(K.n)
+    counts, ranks = [], [0] * (K.dim + 2)
+    for d in range(K.dim + 1):
+        lo, hi = K.offset(d), K.offset(d + 1)
+        counts.append(critical[lo:hi].count(True))
+        if not d:
+            continue
+        bit = 1
+        rows = []
+        for s in range(lo, hi):
+            if not critical[s]:
+                continue
+            row = 0
+            for f in F[s]:
+                stack = [f] if flow[f] is None else ()
+                while stack:
+                    x = stack[-1]
+                    if flow[x] is None:
+                        c = up[x]
+                        if c < 0:  # critical: the next bit
+                            flow[x] = bit
+                            bit <<= 1
+                        elif todo := [g for g in F[c] if g != x and flow[g] is None]:
+                            if opened[x]:
+                                raise RuntimeError("gradient cycle in the coreduction matching")
+                            opened[x] = 1
+                            stack += todo
+                            continue
+                        else:
+                            v = 0
+                            for g in F[c]:
+                                if g != x:
+                                    v ^= flow[g]
+                            flow[x] = v
+                    stack.pop()
+                row ^= flow[f]
+            rows.append(row)
+        ranks[d] = gf2_rank(rows)
+    K._betti = tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
     return K._betti
+
+
+def _eliminate(K: SimplicialComplex, counted, notified, order) -> list[int]:
+    """The up array of greedy elimination over one side of the incidence.
+
+    counted[s] holds the neighbours of s that its count covers, and
+    notified, the inverse relation, the simplices whose counts drop when
+    s goes.  A simplex with one counted neighbour left pairs with it,
+    smallest id first, through a heap whose stale entries are skipped on
+    pop; when none is left, the next alive id of order is critical.  The
+    coface of a pair is the larger id of the two.
+    """
+    alive = bytearray(b"\x01") * K.n
+    count = [len(xs) for xs in counted]
+    heap = [s for s, k in enumerate(count) if k == 1]
+    up = [-1] * K.n
+    crits = iter(order)
+    while True:
+        while heap:
+            x = heappop(heap)
+            if alive[x] and count[x] == 1:
+                for y in counted[x]:
+                    if alive[y]:
+                        break
+                a, b = (x, y) if x < y else (y, x)
+                up[a] = b
+                alive[x] = alive[y] = 0
+                gone = notified[x] + notified[y]
+                break
+        else:
+            for x in crits:
+                if alive[x]:
+                    break
+            else:
+                return up
+            alive[x] = 0
+            gone = notified[x]
+        for c in gone:
+            if alive[c]:
+                count[c] -= 1
+                if count[c] == 1:
+                    heappush(heap, c)
+
+
+def _coreduction(K: SimplicialComplex) -> tuple[int, ...]:
+    """Coreduction's up array, eliminated once per complex and kept on it.
+
+    Elimination pairs each simplex with its unique remaining facet, and
+    declares the smallest remaining simplex critical when none has one;
+    no simplex of a fresh complex has one facet, so it starts with the
+    first vertex.  The maximum matching and the Betti numbers start from
+    this array, and heuristics.coreduction_matching certifies it, once.
+    """
+    if K._coreduction is None:
+        K._coreduction = tuple(_eliminate(K, K.facet_ids, K.cofacet_ids, range(K.n)))
+    return K._coreduction
 
 
 def component_roots(K: SimplicialComplex) -> list[int]:

@@ -1,7 +1,8 @@
 """Morse matchings by breadth-first repair of a maximum matching.
 
-Start from a maximum-cardinality matching on the Hasse diagram, which is
-usually cyclic, and orient it.  Matched up-edges connect to each other
+Start from a maximum-cardinality matching on the Hasse diagram, which
+may be cyclic, and orient it.  It is grown from coreduction's acyclic
+matching (see hasse), so most of its pairs close no cycle.  Matched up-edges connect to each other
 through shared facets: from an up-edge (a, b), each facet of b other than
 a that is itself matched upward carries a "leading" up-edge one step away.
 The search grows a component of examined edges breadth-first.  Every
@@ -19,9 +20,9 @@ bfs_component flags a coface when it classifies its pair and never steps
 into or onto a flagged one, so it classifies no pair twice and later
 components stay out of it.  Its queue is its list of kept pairs,
 walked in the order they were kept.  The search runs on simplex ids,
-reading and writing the up array of the orientation, and turns ids into
-simplices only in the EdgeComponent it returns, a Record built by
-position, the cheap way, since there is one per component.
+reading and writing the up array of the orientation, and hands its
+pairs to the EdgeComponent it returns as ids: the component builds their
+simplex tuples only when they are first read, which the CLI never does.
 
 Cycles alternate up and down edges and need at least three up-edges, so
 the first processed level of a component can never reverse anything.
@@ -42,6 +43,10 @@ class EdgeComponent(Record):
     """One BFS component: its classifications and per-step trace.
 
     Its edges are the facet edges of the cofaces in forward and backward.
+    bfs_component keeps only _ids, the simplices of the complex and the
+    kept and reversed pairs as id pairs; seed, forward and backward are
+    built from them on first access and kept.  The ids take no part in
+    comparisons, the repr or pickling.
     """
 
     seed: Pair
@@ -49,6 +54,19 @@ class EdgeComponent(Record):
     forward: tuple[Pair, ...]
     backward: tuple[Pair, ...]
     trace: tuple[tuple[int, int, int], ...]
+    _ids: tuple | None = None
+
+    def __getattr__(self, name: str):
+        # Called only when lookup fails, so for the pair fields bfs_component left unset.
+        if name not in ("seed", "forward", "backward") or self._ids is None:
+            raise AttributeError(name)
+        S, forward, backward = self._ids
+        fwd = tuple((S[a], S[b]) for a, b in forward)
+        set_seed, _, set_forward, set_backward = self._setters[:4]
+        set_seed(self, fwd[0])
+        set_forward(self, fwd)
+        set_backward(self, tuple((S[a], S[b]) for a, b in backward))
+        return getattr(self, name)
 
 
 class FrontierResult(Record):
@@ -111,14 +129,15 @@ def bfs_component(
                 forward.append(a)
                 frontier.update(_leading(F, up, absorbed, a, b))
         trace.append((len(forward), len(backward), len(frontier)))
-    S = K.simplices
-    forward_pairs = tuple((S[a], S[up[a]]) for a in forward)
+    forward_pairs = [(a, kept[a]) for a in forward]
     for a in forward:
         kept[a] = -1
-    return EdgeComponent(
-        forward_pairs[0], len(S[b0]) - 1, forward_pairs,
-        tuple((S[a], S[b]) for a, b in backward), tuple(trace),
-    )
+    comp = EdgeComponent.__new__(EdgeComponent)  # the pair fields stay unset until read
+    _, set_dim, _, _, set_trace, set_ids = EdgeComponent._setters
+    set_dim(comp, len(K.simplices[b0]) - 1)
+    set_trace(comp, tuple(trace))
+    set_ids(comp, (K.simplices, forward_pairs, backward))
+    return comp
 
 
 def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:

@@ -8,17 +8,16 @@ validation and orientation take the complex itself and work on ids
 inside, and hasse(K) lists the covering edges only for a caller that
 wants them as data.  A matching selects disjoint covering pairs;
 orienting the diagram by a matching points matched edges up (face to
-coface) and everything else down.  The maximum matching comes out as a
-mate array on ids; other matchings go in as simplex pairs, with one
+coface) and everything else down.  The maximum matching is grown from
+coreduction's matching, which complexes keeps on the complex, and comes
+out as a mate array on ids; other matchings go in as simplex pairs, with one
 exception: orient, the one matching validator, also takes an
 OrientedHasse whose up array the package's own algorithms filled on
 ids, so that certifying their results never maps ids to tuples and back.
 """
 from __future__ import annotations
 
-from operator import add
-
-from .complexes import Simplex, SimplicialComplex, facets_of
+from .complexes import Simplex, SimplicialComplex, _coreduction, facets_of
 
 Pair = tuple[Simplex, Simplex]
 
@@ -34,38 +33,25 @@ def max_cardinality_matching(K: SimplicialComplex) -> int:
 
 
 def max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
-    """Maximum matching on the covering graph by alternating-path augmentation.
+    """Maximum matching on the covering graph, grown from coreduction's matching.
 
-    The graph is bipartite between even and odd dimensions.  Scan order is
-    fixed, augmenting from even-dimension nodes top dimension first and
-    lexicographic within one, with adjacency in canonical order, so ties
-    between maximum matchings resolve the same way on every run.  Seeding
-    from the top tends to leave the leftover matching closer to acyclic.
-    The search runs on simplex ids: a node's neighbours, its facet ids
-    followed by its cofacet ids, are already in canonical order, and are
-    joined the first time the search pops the node.
-
-    The matching is that of a plain breadth-first search from each free
-    node u, which stops at the first free neighbour of the first popped
-    node that has one.  Three rules skip only work whose result that
-    search throws away:
-
-    1. free[x] counts the unmatched neighbours of x.  Matched nodes never
-       become free again, so the one upkeep is to decrement the counts
-       around the odd node an augmentation matches: O(edges) in total.
-    2. The search ends when it queues a node z with free[z] > 0, or at
-       once when free[u] > 0, taking the first free neighbour of z in
-       adjacency order.  The plain search would pop every node queued
-       before z without a hit, since each was queued with a zero count
-       and counts hold still during a search; it would then pop z and
-       take that same neighbour, and z's path back to u is already set.
-    3. stamp[y] == epoch marks an odd node reached, and the epoch moves
-       on only after an augmentation.  A failed search leaves its marks:
-       until the matching changes, nothing it reached leads to a free
-       node, and a node it reached leads only to nodes it reached, so
-       skipping them changes neither the order in which a later search
-       queues the other nodes nor the path it finds.  Even nodes need no
-       mark: one is queued only through its mate.
+    The graph is bipartite between even and odd dimensions.  The search
+    starts from coreduction's up array, kept on the complex (see
+    complexes._coreduction), and
+    augments once from each even-dimension node it leaves free, top
+    dimension first and in id order, with neighbours, facet ids then
+    cofacet ids, in canonical order, so ties between maximum matchings
+    resolve the same way on every run.  By Berge's theorem that one pass
+    reaches a maximum matching: a free node with no augmenting path never
+    gains one as the matching grows.  Each search is a plain
+    breadth-first search that stops at the first free neighbour of the
+    first popped node that has one.  stamp[y] == epoch marks an odd node
+    reached, and the epoch moves on only after an augmentation, so a
+    failed search leaves its marks: until the matching changes, nothing
+    it reached leads to a free node, and a node it reached leads only to
+    nodes it reached, so skipping them changes neither the order in
+    which a later search queues the other nodes nor the path it finds.
+    Even nodes need no mark: one is queued only through its mate.
 
     The result is the mate array, mate[i] the id matched with simplex i
     or -1, computed once per complex and kept on it.
@@ -74,44 +60,31 @@ def max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
         return K._mates
     F, C = K.facet_ids, K.cofacet_ids
     mate = [-1] * K.n
+    for a, b in enumerate(_coreduction(K)):
+        if b >= 0:
+            mate[a], mate[b] = b, a
     prev = [-1] * K.n
     stamp = [-1] * K.n
-    free = list(map(add, map(len, F), map(len, C)))
-    nbrs: list = [None] * K.n
     epoch = 0
     for d in range(K.dim - K.dim % 2, -1, -2):
         for u in range(K.offset(d), K.offset(d + 1)):
             if mate[u] >= 0:
                 continue
-            hit = u
-            if not free[u]:
-                hit = -1
-                q = [u]
-                for x in q:
-                    adj = nbrs[x]
-                    if adj is None:
-                        adj = nbrs[x] = F[x] + C[x]
-                    for y in adj:
-                        if stamp[y] != epoch:
-                            stamp[y] = epoch
-                            prev[y] = x
-                            z = mate[y]
-                            if free[z]:
-                                hit = z
-                                break
-                            q.append(z)
-                    if hit >= 0:
-                        break
+            q = [u]
+            for x in q:
+                for y in F[x] + C[x]:
+                    if stamp[y] != epoch:
+                        stamp[y] = epoch
+                        prev[y] = x
+                        z = mate[y]
+                        if z < 0:
+                            break
+                        q.append(z)
                 else:
-                    continue  # no augmenting path: the marks stay (rule 3)
-            for y in F[hit] + C[hit]:
-                if mate[y] < 0:
-                    break
-            for x in F[y]:
-                free[x] -= 1
-            for x in C[y]:
-                free[x] -= 1
-            prev[y] = hit
+                    continue
+                break
+            else:
+                continue  # no augmenting path: the marks stay
             while y >= 0:
                 x = prev[y]
                 nxt = mate[x]

@@ -6,7 +6,8 @@ d-interface (a directed edge changes dimension by exactly one, up from
 d-1 or down from d), so acyclicity is checked one interface at a time,
 on simplex ids: certify takes simplex pairs from outside, or an up array
 of ids from the package's own algorithms, runs both through one
-validator and then a search over the matched cofaces alone.  Critical
+validator and then a search over the matched cofaces alone; the public
+is_acyclic runs the same two steps on an OrientedHasse.  Critical
 simplices are the unmatched ones.  critical_profile and the surgery
 functions accept a matching by one rule, _accept, and then work on its
 up array.
@@ -82,7 +83,7 @@ def closes_cycle(up: list[int], F, alpha: int, beta: int) -> bool:
     alpha.  The only down-edge skipped is beta's to alpha; a coface's
     step down to its own mate leads straight back to it.  This is the
     one incremental test for a growing matching, shared by frontier and
-    the oracle; is_acyclic certifies a finished one independently.
+    the oracle; certify checks a finished one independently.
     """
     stack = [c for y in F[beta] if y != alpha and (c := up[y]) >= 0]
     if not stack:
@@ -99,20 +100,18 @@ def closes_cycle(up: list[int], F, alpha: int, beta: int) -> bool:
     return False
 
 
-def is_acyclic(oh: OrientedHasse):
-    """Certify the orientation, one d-interface at a time.
+def _witness(K: SimplicialComplex, up) -> tuple[Simplex, ...] | None:
+    """One alternating cycle of a validated up array, or None when it is acyclic.
 
-    Returns (True, None) or (False, witness) where witness is an
-    alternating cycle normalized to start at its smallest lower simplex.
     Unmatched (d-1)-simplices are sinks and unmatched d-simplices are
     sources, so a depth-first search over the matched d-simplices alone
     finds every cycle: from a coface b it steps to up[f] for each facet f
     of b but b's mate, roots taken in the id order of their mates.
     state[b] is 1 while b is on the search path and 2 once finished.  The
-    witness's lower simplices are the mates of its cofaces.
+    cycle's lower simplices are the mates of its cofaces, and it is
+    normalized to start at its smallest lower simplex.
     """
-    K = oh.complex
-    F, up = K.facet_ids, oh.up
+    F = K.facet_ids
     state = bytearray(K.n)
     for root in up:
         if root < 0 or state[root]:
@@ -131,7 +130,7 @@ def is_acyclic(oh: OrientedHasse):
                     cycle = [(next(g for g in F[x] if up[g] == x), x) for x in cycle]
                     k = cycle.index(min(cycle))
                     S = K.simplices
-                    return False, tuple(S[x] for pair in cycle[k:] + cycle[:k] for x in pair)
+                    return tuple(S[x] for pair in cycle[k:] + cycle[:k] for x in pair)
                 state[c] = 1
                 path.append(c)
                 stack.append(iter(F[c]))
@@ -139,7 +138,20 @@ def is_acyclic(oh: OrientedHasse):
             else:
                 stack.pop()
                 state[path.pop()] = 2
-    return True, None
+    return None
+
+
+def is_acyclic(oh: OrientedHasse):
+    """Certify an orientation: validate it through orient, then search it.
+
+    Returns (True, None) or (False, witness) where witness is an
+    alternating cycle normalized to start at its smallest lower simplex.
+    An up array that is malformed raises ValueError, and one that is no
+    matching InvalidMatching, as in orient.
+    """
+    oh = orient(oh.complex, oh)
+    witness = _witness(oh.complex, oh.up)
+    return witness is None, witness
 
 
 def certify(K: SimplicialComplex, pairs) -> MorseMatching:
@@ -147,12 +159,14 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
 
     pairs are (face, coface) simplex pairs or, from the package's own
     algorithms, an OrientedHasse of K (see orient): both are validated
-    on ids by the same checks before is_acyclic searches them.
+    on ids by the same checks, in one pass, before the cycle search.
     """
     oh = orient(K, pairs)
-    ok, witness = is_acyclic(oh)
+    witness = _witness(K, oh.up)
     mm = MorseMatching.__new__(MorseMatching)  # pairs stays unset until read
-    for set_field, value in zip(MorseMatching._setters[1:], (ok, witness, (K, tuple(oh.up)))):
+    for set_field, value in zip(
+        MorseMatching._setters[1:], (witness is None, witness, (K, tuple(oh.up)))
+    ):
         set_field(mm, value)
     return mm
 

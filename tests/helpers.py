@@ -4,10 +4,13 @@ Everything here is deliberately naive and self-contained: subset tests
 instead of incidence caches, exhaustive search instead of augmenting
 paths, dense numpy arithmetic for ranks.  Slow is fine at test scale;
 what matters is that none of it shares code paths with the package.
-reference_max_matching_mates is a frozen copy of the package's earlier,
-unpruned maximum-matching search, kept so that the pruned one can be
-held to the same mate array; is_maximum_matching checks maximality
-independently.  reference_coreduction_matching and
+reference_max_matching_mates grows a maximum matching from the frozen
+coreduction below by a plain BFS whose marks never outlive a search, so
+that the package's search, which keeps the marks of failed searches, can
+be held to the same mate array; is_maximum_matching checks maximality
+independently.  reference_betti_gf2 is a frozen copy of the package's
+dense elimination over the full complex, kept so that the Betti numbers
+of the Morse complex can be held to it.  reference_coreduction_matching and
 reference_reduction_matching are frozen copies of the two greedy loops
 as they stood before they became one elimination kernel, kept so that
 the kernel can be held to the same up arrays.  reference_gamma_graph and
@@ -32,15 +35,18 @@ from morsematch import (
     MorseMatching,
     OrientedHasse,
     SimplicialComplex,
+    boundary_matrix_gf2,
     certify,
     coreduction_matching,
     dunce_hat,
     from_maximal_simplices,
     frontier_edges_matching,
+    gf2_rank,
     is_connected,
     reduction_matching,
     rp2,
 )
+from morsematch.complexes import component_roots
 from morsematch.frontier import EdgeComponent, _leading
 from morsematch.hasse import max_matching_mates
 from morsematch.morse import closes_cycle
@@ -97,54 +103,6 @@ def brute_max_matching_size(simplices) -> int:
     size = best(0)
     best.cache_clear()
     return size
-
-
-def reference_max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
-    """The package's maximum matching as it stood before its search was pruned.
-
-    A plain BFS per free even-dimension node u, top dimension first, that
-    marks a node reached with stamp[x] == u and stops at the first free
-    node it pops a neighbour of.  The package must return this exact mate
-    array; it is not cached on K.
-    """
-    F, C = K.facet_ids, K.cofacet_ids
-    mate = [-1] * K.n
-    prev = [-1] * K.n
-    stamp = [-1] * K.n
-    nbrs: list = [None] * K.n
-    for d in range(K.dim - K.dim % 2, -1, -2):
-        for u in range(K.offset(d), K.offset(d + 1)):
-            if mate[u] >= 0:
-                continue
-            stamp[u] = u
-            q = [u]
-            end = -1
-            for x in q:
-                adj = nbrs[x]
-                if adj is None:
-                    adj = nbrs[x] = F[x] + C[x]
-                for y in adj:
-                    if stamp[y] == u:
-                        continue
-                    stamp[y] = u
-                    prev[y] = x
-                    z = mate[y]
-                    if z < 0:
-                        end = y
-                        break
-                    if stamp[z] != u:
-                        stamp[z] = u
-                        q.append(z)
-                if end >= 0:
-                    break
-            y = end
-            while y >= 0:
-                x = prev[y]
-                nxt = mate[x]
-                mate[x] = y
-                mate[y] = x
-                y = nxt
-    return tuple(mate)
 
 
 def reference_coreduction_matching(K: SimplicialComplex) -> MorseMatching:
@@ -238,6 +196,70 @@ def reference_reduction_matching(K: SimplicialComplex) -> MorseMatching:
                 crit += 1
             remove(crit_order[crit])
     return certify(K, OrientedHasse(K, up))
+
+
+def reference_max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
+    """The maximum matching grown from reference_coreduction_matching by plain BFS.
+
+    The mates start as the frozen coreduction's pairs; then one plain BFS
+    per free even-dimension node u, top dimension first, marks a node
+    reached with stamp[x] == u and stops at the first free node it pops a
+    neighbour of.  No mark outlives its search.  The package must return
+    this exact mate array; it is not cached on K.
+    """
+    F, C = K.facet_ids, K.cofacet_ids
+    mate = [-1] * K.n
+    for sigma, tau in reference_coreduction_matching(K).pairs:
+        a, b = K.index[sigma], K.index[tau]
+        mate[a], mate[b] = b, a
+    prev = [-1] * K.n
+    stamp = [-1] * K.n
+    for d in range(K.dim - K.dim % 2, -1, -2):
+        for u in range(K.offset(d), K.offset(d + 1)):
+            if mate[u] >= 0:
+                continue
+            stamp[u] = u
+            q = [u]
+            end = -1
+            for x in q:
+                for y in F[x] + C[x]:
+                    if stamp[y] == u:
+                        continue
+                    stamp[y] = u
+                    prev[y] = x
+                    z = mate[y]
+                    if z < 0:
+                        end = y
+                        break
+                    if stamp[z] != u:
+                        stamp[z] = u
+                        q.append(z)
+                if end >= 0:
+                    break
+            y = end
+            while y >= 0:
+                x = prev[y]
+                nxt = mate[x]
+                mate[x] = y
+                mate[y] = x
+                y = nxt
+    return tuple(mate)
+
+
+def reference_betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
+    """Mod-2 Betti numbers by dense elimination on the full complex.
+
+    A frozen copy of the package's betti_gf2 before it moved to the Morse
+    complex: every boundary row is a bit row as wide as the level below,
+    ranked by gf2_rank, and rank boundary_1 is the vertex count less the
+    component count.  Not cached on K.
+    """
+    ranks = [0] * (K.dim + 2)
+    if K.dim:
+        ranks[1] = len(K.by_dim[0]) - len(component_roots(K))
+    for d in range(2, K.dim + 1):
+        ranks[d] = gf2_rank(boundary_matrix_gf2(K, d))
+    return tuple(len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
 
 
 def max_matching_pairs(K: SimplicialComplex) -> frozenset[Pair]:

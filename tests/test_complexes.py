@@ -14,6 +14,7 @@ from morsematch import (
     betti_gf2,
     boundary_matrix_gf2,
     canonical_key,
+    dunce_hat,
     euler_characteristic,
     facets_of,
     from_maximal_simplices,
@@ -21,9 +22,20 @@ from morsematch import (
     is_connected,
     parse_complex,
     random_complex,
+    rp2,
     simplex,
+    wedge,
 )
-from helpers import betti_numpy, brute_closure, euler, named_complexes
+from morsematch.complexes import _coreduction
+from morsematch.hasse import max_matching_mates
+from helpers import (
+    betti_numpy,
+    brute_closure,
+    euler,
+    named_complexes,
+    reference_betti_gf2,
+    reference_max_matching_mates,
+)
 
 
 def test_simplex_sorts_and_validates():
@@ -140,8 +152,6 @@ def test_boundary_matrix_shape_and_rank():
 
 
 def test_betti_point_sphere_projective_plane():
-    from morsematch import rp2
-
     point = from_maximal_simplices([(0,)])
     assert betti_gf2(point) == (1,)
     sphere = from_maximal_simplices([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
@@ -157,10 +167,48 @@ def test_betti_matches_numpy_reference():
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 12))
 def test_betti_matches_numpy_reference_on_disconnected_complexes(seed, dim, facets):
-    # rank of boundary_1 comes from the component count, so inputs of
+    # coreduction leaves one critical vertex per component, so inputs of
     # several components must agree with dense elimination too
     K = random_complex(seed, dim=dim, n_vertices=dim + 8, n_facets=facets, connected=False)
     assert betti_gf2(K) == betti_numpy(K.simplices)
+
+
+def complexes_for_homology():
+    """Sparse and denser random complexes in dims 1-4, dunce and RP2 wedges.
+
+    Coreduction leaves two critical simplices beyond the homology on each
+    dunce hat, so on the wedges the Morse complex has boundaries to rank.
+    """
+    seeds, dims = st.integers(0, 2**32 - 1), st.integers(1, 4)
+    sparse = st.builds(
+        lambda s, d: random_complex(s, dim=d, n_vertices=d + 6, n_facets=10, connected=s % 2 == 0),
+        seeds, dims,
+    )
+    denser = st.builds(
+        lambda s, d: random_complex(s, dim=d, n_vertices=d + 7, n_facets=40, connected=True),
+        seeds, dims,
+    )
+    wedges = st.builds(
+        lambda base, copies: wedge(base(), 1, copies),
+        st.sampled_from([dunce_hat, rp2]), st.integers(1, 12),
+    )
+    return st.one_of(sparse, denser, wedges)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(complexes_for_homology())
+def test_morse_complex_betti_numbers_equal_both_references(K):
+    assert betti_gf2(K) == reference_betti_gf2(K) == betti_numpy(K.simplices)
+
+
+def test_morse_complex_betti_numbers_where_coreduction_leaves_many_criticals():
+    # Dense 2-D input: coreduction leaves over a thousand critical simplices
+    # beyond the homology, so most Morse boundaries are not zero.
+    K = random_complex(2, dim=2, n_vertices=150, n_facets=20000, connected=True)
+    criticals = K.n - 2 * (K.n - _coreduction(K).count(-1))
+    beta = betti_gf2(K)
+    assert criticals - sum(beta) > 1000
+    assert beta == reference_betti_gf2(K)
 
 
 def test_euler_equals_alternating_betti_sum():
@@ -196,6 +244,17 @@ def test_pickle_and_deepcopy_rebuild_the_complex():
         assert twin.cofacet_ids == K.cofacet_ids
         assert dict(twin.index) == dict(K.index)
         assert twin._betti is None and twin._mates is None
+
+
+def test_pickle_drops_the_kept_coreduction_and_recomputes_equal_results():
+    K = wedge(dunce_hat(), 1, 3)
+    mates, beta = max_matching_mates(K), betti_gf2(K)
+    assert K._coreduction is not None
+    twin = pickle.loads(pickle.dumps(K))
+    assert twin._coreduction is None and twin._mates is None and twin._betti is None
+    assert max_matching_mates(twin) == mates == reference_max_matching_mates(twin)
+    assert betti_gf2(twin) == beta
+    assert twin._coreduction == K._coreduction
 
 
 def test_complex_equality_and_hash():

@@ -64,18 +64,18 @@ from morsematch.cli import main
 from morsematch.hasse import max_matching_mates
 from helpers import max_matching_pairs
 
-GOLDEN_SHA256 = "dceea2b130c68a080d84993a8389d598aa3351b5f2f807a8b814bd5bf3ae3597"
+GOLDEN_SHA256 = "80b0d483c8e348a3faeafe36fcae59e11f0878a68365bfea6b7f3368ea32d515"
 ORACLE_GOLDEN_SHA256 = {
     0: "2db4139fc6513aaab36d77441a105c1968d0aade02e7726baef5b52a5f08fbb2",
     50: "7d5f062ccaba23e2888356df230bc39e14d6bc863047939f3e95ae954ae14a43",
     2000: "b0aea383968ac56699ebec119a77cf03aedfcb520db33b0881e9909965701786",
 }
 DEEP_ORACLE_GOLDEN_SHA256 = "89a262c61dedf04fc383b4dc9650edfe4d06185c173a31c1d58ab88c49cbd0ff"
-WITNESS_GOLDEN_SHA256 = "7520845971ed6e38c97d051d94b3ea48c490ad33689973788cf19310c3472df8"
+WITNESS_GOLDEN_SHA256 = "e209b1d6078eb5dddbd4cbb3364d843e41c96075d7173d299ac4283fabf09090"
 COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
-FRONTIER_GOLDEN_SHA256 = "3b4a0e0638b31df10e62e41989b1b5cb05ac50a87f81a0c197e6e7b9363fecf4"
-MATES_GOLDEN_SHA256 = "0ca5ea71b605374662bd1656a23bbca6f89929c2fd4a7bc62810a8fc5e6748b6"
-COLLAPSE_TOOLS_GOLDEN_SHA256 = "1cc433cb20bc61b553fdf817c806e607674b8062768c5033113c7e141dbd82b4"
+FRONTIER_GOLDEN_SHA256 = "119a115cb55ef69f19993596c9ce6a00cdd8ef2eb0be4b45920f8126e6b13e80"
+MATES_GOLDEN_SHA256 = "95b962dbdaa13784dbf4ed3f41dfadb7cad608a707e14f0a8b2aee10bae0ccd4"
+COLLAPSE_TOOLS_GOLDEN_SHA256 = "0dfcc8025896acb726cb3d4d16be352f81db1e91caa044a78ae683c2f60c6651"
 
 
 def golden_corpus():

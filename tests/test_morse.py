@@ -69,6 +69,28 @@ def test_is_acyclic_on_oriented_hasse():
     assert not ok and len(witness) == 6
 
 
+def test_is_acyclic_rejects_an_up_entry_past_the_last_simplex():
+    up = [-1] * TRIANGLE.n
+    up[0] = TRIANGLE.n + 5
+    with pytest.raises(ValueError, match=re.escape("face id 0 has up entry 12")):
+        is_acyclic(OrientedHasse(TRIANGLE, up))
+
+
+def test_is_acyclic_rejects_a_negative_up_entry_other_than_minus_one():
+    up = [-1] * TRIANGLE.n
+    up[0] = -2
+    with pytest.raises(ValueError, match=re.escape("face id 0 has up entry -2")):
+        is_acyclic(OrientedHasse(TRIANGLE, up))
+
+
+def test_is_acyclic_rejects_a_coface_matched_up_to_a_face():
+    # the triangle's entry names vertex 0: a simplex id, but no matching
+    up = [-1] * TRIANGLE.n
+    up[TRIANGLE.n - 1] = 0
+    with pytest.raises(InvalidMatching, match="not a covering pair"):
+        is_acyclic(OrientedHasse(TRIANGLE, up))
+
+
 def test_sphere_pairing_toward_one_vertex_is_acyclic():
     K, matching = simplex_boundary(3)
     assert matching.acyclic

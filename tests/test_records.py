@@ -31,7 +31,7 @@ FIELDS = {
     CriticalProfile: (("counts",), {}),
     MorseMatching: (("pairs", "acyclic", "witness"), {"witness": None, "_ids": None}),
     MorseInequalityReport: (("ok", "alternating_failures", "pointwise_failures"), {}),
-    EdgeComponent: (("seed", "dim", "forward", "backward", "trace"), {}),
+    EdgeComponent: (("seed", "dim", "forward", "backward", "trace"), {"_ids": None}),
     FrontierResult: (("morse", "components", "source_matching_size"), {}),
     OracleResult: (("matching", "optimal", "nodes", "pair_upper_bound"), {}),
     CollapsibilityResult: (("collapsible", "indeterminate", "nodes", "sequence"), {}),
@@ -142,6 +142,22 @@ def test_a_certified_matching_pickles_without_its_ids():
     back = pickle.loads(pickle.dumps(matching))
     assert matching._ids is not None and back._ids is None
     assert back == matching
+
+
+def test_a_frontier_component_builds_its_pairs_on_first_access():
+    # bfs_component keeps id pairs only; seed, forward and backward are
+    # built from them when read, and a round trip leaves the ids out
+    K = wedge(dunce_hat(), 1, 3)
+    fresh = frontier_edges_matching(K).components
+    back = [pickle.loads(pickle.dumps(c)) for c in fresh]
+    assert all(c._ids is not None for c in fresh)
+    assert all(b._ids is None for b in back) and back == list(fresh)
+    for c in frontier_edges_matching(K).components:
+        S, forward, backward = c._ids
+        assert c.forward == tuple((S[a], S[b]) for a, b in forward)
+        assert c.seed == c.forward[0]
+        assert c.backward == tuple((S[a], S[b]) for a, b in backward)
+        assert repr(c) == repr(EdgeComponent(c.seed, c.dim, c.forward, c.backward, c.trace))
 
 
 def test_a_subclass_that_declares_no_fields_keeps_its_base_fields():
