@@ -11,7 +11,6 @@ from .complexes import (
     SimplicialComplex,
     Simplex,
     betti_gf2,
-    boundary_matrix_gf2,
     canonical_key,
     euler_characteristic,
     facets_of,
@@ -92,7 +91,6 @@ __all__ = [
     "SimplicialComplex",
     "amplified",
     "betti_gf2",
-    "boundary_matrix_gf2",
     "canonical_key",
     "canonicalize_single_critical_vertex",
     "certify",

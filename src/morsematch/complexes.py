@@ -33,8 +33,8 @@ coreduction's up array can be computed once per complex and kept on it
 (_coreduction) for the three modules that start from it: hasse grows the
 maximum matching from it, heuristics certifies it as coreduction's
 result, and betti_gf2 ranks the boundary of its Morse complex, which
-has only the critical simplices as cells, instead of the boundary of
-the full complex.
+has only the critical simplices as cells.  is_connected reads
+beta_0 == 1 from those kept Betti numbers.
 
 Record, at the end, is the base of the package's result types
 (MorseMatching, FrontierResult, OracleResult and the rest): immutable
@@ -93,15 +93,15 @@ class SimplicialComplex:
     the codimension-1 faces and cofaces of simplex i, ascending, so in
     canonical order.  Hot loops run on ids and turn them back into
     simplices at the edge.
-    Coreduction's up array and its certified matching, the maximum
-    matching grown from it (as a mate array) and the Betti numbers of its
-    Morse complex are filled in on first request and kept, since the
-    complex never changes.
+    Coreduction's up array, the maximum matching grown from it (as a mate
+    array) and the Betti numbers of its Morse complex are filled in on
+    first request and kept, since the complex never changes; connectivity
+    is read from those Betti numbers.
     """
 
     __slots__ = (
         "simplices", "by_dim", "dim", "n", "index", "facet_ids", "cofacet_ids",
-        "_coreduction", "_coreduction_matching", "_mates", "_betti",
+        "_coreduction", "_mates", "_betti",
     )
 
     def __init__(self, simplices):
@@ -149,9 +149,7 @@ class SimplicialComplex:
         self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
         self.dim: int = len(levels) - 1
         self.n: int = len(simplices)
-        self._coreduction = self._coreduction_matching = None
-        self._mates = None
-        self._betti = None
+        self._coreduction = self._mates = self._betti = None
 
     def __contains__(self, s) -> bool:
         return s in self.index
@@ -229,25 +227,6 @@ def _close(tops: list[Simplex]) -> SimplicialComplex:
 
 def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** d * len(level) for d, level in enumerate(K.by_dim))
-
-
-def boundary_matrix_gf2(K: SimplicialComplex, d: int) -> list[int]:
-    """Mod-2 boundary matrix of dimension d as bit rows.
-
-    Row i corresponds to the i-th d-simplex in canonical order; bit j is
-    set when the j-th (d-1)-simplex is one of its facets.
-    """
-    if not 1 <= d <= K.dim:
-        raise ValueError(f"no boundary matrix in dimension {d}")
-    lo, start, stop = K.offset(d - 1), K.offset(d), K.offset(d + 1)
-    F = K.facet_ids
-    rows = []
-    for i in range(start, stop):
-        row = 0
-        for f in F[i]:
-            row |= 1 << (f - lo)
-        rows.append(row)
-    return rows
 
 
 def gf2_rank(rows) -> int:
@@ -332,6 +311,11 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     return K._betti
 
 
+def is_connected(K: SimplicialComplex) -> bool:
+    """Connectivity of the 1-skeleton (a single vertex counts as connected), from beta_0."""
+    return betti_gf2(K)[0] == 1
+
+
 def _eliminate(K: SimplicialComplex, counted, notified, order) -> list[int]:
     """The up array of greedy elimination over one side of the incidence.
 
@@ -381,40 +365,11 @@ def _coreduction(K: SimplicialComplex) -> tuple[int, ...]:
     declares the smallest remaining simplex critical when none has one;
     no simplex of a fresh complex has one facet, so it starts with the
     first vertex.  The maximum matching and the Betti numbers start from
-    this array, and heuristics.coreduction_matching certifies it, once.
+    this array, and heuristics.coreduction_matching certifies it.
     """
     if K._coreduction is None:
         K._coreduction = tuple(_eliminate(K, K.facet_ids, K.cofacet_ids, range(K.n)))
     return K._coreduction
-
-
-def component_roots(K: SimplicialComplex) -> list[int]:
-    """The least vertex of each connected component of the 1-skeleton, ascending."""
-    adj: dict[int, list[int]] = {v: [] for v in K.vertices}
-    if K.dim >= 1:
-        for a, b in K.by_dim[1]:
-            adj[a].append(b)
-            adj[b].append(a)
-    roots = []
-    seen: set[int] = set()
-    for root in adj:
-        if root in seen:
-            continue
-        roots.append(root)
-        seen.add(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return roots
-
-
-def is_connected(K: SimplicialComplex) -> bool:
-    """Connectivity of the 1-skeleton (a single vertex counts as connected)."""
-    return len(component_roots(K)) == 1
 
 
 class _Fields(type):
@@ -443,7 +398,8 @@ class Record(metaclass=_Fields):
 
     Built by position, the fast path, or by keyword.  Equality, hashing,
     the repr and pickling go over the public fields; assignment and
-    deletion raise AttributeError.
+    deletion raise AttributeError.  A builder that leaves fields unset
+    until read makes the record with __new__ and names the rest in _set.
     """
 
     _fields = _defaults = ()
@@ -463,6 +419,12 @@ class Record(metaclass=_Fields):
             args = [given[f] for f in fields]
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
+
+    def _set(self, **fields):
+        """Set the named fields on a record made with __new__, and return it."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def _public(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields if f[0] != "_")

@@ -62,10 +62,7 @@ class EdgeComponent(Record):
             raise AttributeError(name)
         S, forward, backward = self._ids
         fwd = tuple((S[a], S[b]) for a, b in forward)
-        set_seed, _, set_forward, set_backward = self._setters[:4]
-        set_seed(self, fwd[0])
-        set_forward(self, fwd)
-        set_backward(self, tuple((S[a], S[b]) for a, b in backward))
+        self._set(seed=fwd[0], forward=fwd, backward=tuple((S[a], S[b]) for a, b in backward))
         return getattr(self, name)
 
 
@@ -132,12 +129,11 @@ def bfs_component(
     forward_pairs = [(a, kept[a]) for a in forward]
     for a in forward:
         kept[a] = -1
-    comp = EdgeComponent.__new__(EdgeComponent)  # the pair fields stay unset until read
-    _, set_dim, _, _, set_trace, set_ids = EdgeComponent._setters
-    set_dim(comp, len(K.simplices[b0]) - 1)
-    set_trace(comp, tuple(trace))
-    set_ids(comp, (K.simplices, forward_pairs, backward))
-    return comp
+    return EdgeComponent.__new__(EdgeComponent)._set(  # the pair fields stay unset until read
+        dim=len(K.simplices[b0]) - 1,
+        trace=tuple(trace),
+        _ids=(K.simplices, forward_pairs, backward),
+    )
 
 
 def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:

@@ -1,10 +1,14 @@
-"""Named complexes and deterministic random ones for tests and benchmarks."""
+"""Named complexes and deterministic random ones for tests and benchmarks.
+
+random_complex closes its facets once, links included: it finds the
+components it links by a union-find over those facets.
+"""
 from __future__ import annotations
 
 import random
 from itertools import combinations
 
-from .complexes import SimplicialComplex, component_roots, from_maximal_simplices
+from .complexes import SimplicialComplex, from_maximal_simplices
 from .morse import MorseMatching, certify
 
 # Minimal projective plane: 6 vertices, full K6 1-skeleton, 10 triangles,
@@ -85,17 +89,26 @@ def amplified(K: SimplicialComplex, p: int, c: int, cap: int = 20000) -> Simplic
 
     Any Morse matching on the result that stays below n**(c-1) + 1 critical
     simplices would certify K collapsible, which is what makes this body
-    useful as a hardness amplifier.  Refuses to build past the size cap.
+    useful as a hardness amplifier.  Refuses to build past the size cap,
+    which it decides before the power of n can outgrow it.
     """
     if c < 1:
         raise ValueError("c must be at least 1")
-    copies = K.n ** (c - 1)
-    total = (K.n - 1) * copies + 1
-    if total > cap:
-        raise ValueError(
-            f"amplified complex would need {total} simplices, over the cap {cap}"
-        )
+    copies = 1
+    for _ in range(c - 1 if K.n > 1 else 0):
+        if (K.n - 1) * copies + 1 > cap:
+            break
+        copies *= K.n
+    if (K.n - 1) * copies + 1 > cap:
+        raise ValueError(f"amplified complex would be over the cap of {cap} simplices")
     return wedge(K, p, copies)
+
+
+def _root(parent: dict[int, int], v: int) -> int:
+    """Root of v in a union-find forest, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
 
 
 def random_complex(
@@ -109,7 +122,9 @@ def random_complex(
 
     Facet sizes are drawn uniformly from 2..dim+1 on vertex ids below
     n_vertices.  With connected=True the components get chained together
-    by extra edges between their smallest vertices.
+    by extra edges between their smallest vertices, in ascending order: in
+    the union-find over the facets the smaller root wins, so each root is
+    its component's least vertex, the first vertex of some facet.
     """
     if not 1 <= dim <= 4:
         raise ValueError("dim must be between 1 and 4")
@@ -122,11 +137,16 @@ def random_complex(
     for _ in range(n_facets):
         k = rng.randint(2, dim + 1)
         facets.append(tuple(sorted(rng.sample(range(n_vertices), k))))
-    K = from_maximal_simplices(facets)
-    if not connected:
-        return K
-    roots = component_roots(K)
-    if len(roots) == 1:
-        return K
-    links = [(roots[i], roots[i + 1]) for i in range(len(roots) - 1)]
-    return from_maximal_simplices(list(K.facets()) + links)
+    if connected:
+        parent = {v: v for f in facets for v in f}
+        for f in facets:
+            r = _root(parent, f[0])
+            for v in f[1:]:
+                s = _root(parent, v)
+                if s < r:
+                    parent[r] = r = s
+                elif s > r:
+                    parent[s] = r
+        roots = sorted({f[0] for f in facets if parent[f[0]] == f[0]})
+        facets += zip(roots, roots[1:])
+    return from_maximal_simplices(facets)

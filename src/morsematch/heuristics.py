@@ -11,11 +11,11 @@ order itself witnesses acyclicity; the result is still certified.
 Both run one kernel, complexes._eliminate, on simplex ids: it counts
 remaining facets (coreduction) or cofacets (reduction), and only the
 order of criticals differs.  The pairs go into an up array (face id to
-coface id).  Coreduction's is computed and certified once per complex
-and kept on it, since the maximum matching and the Betti numbers start
-from it too (see complexes._coreduction); reduction's goes to certify
-as it is.  Ties break on (dimension, vertex tuple) so runs are
-reproducible.
+coface id), which goes to certify.  Coreduction's is computed once per
+complex and kept on it, since the maximum matching and the Betti
+numbers start from it too (see complexes._coreduction); the certified
+matching is not kept.  Ties break on (dimension, vertex tuple) so runs
+are reproducible.
 """
 from __future__ import annotations
 
@@ -27,12 +27,10 @@ from .morse import MorseMatching, certify
 def coreduction_matching(K: SimplicialComplex) -> MorseMatching:
     """Pair each simplex with its unique remaining facet when one exists.
 
-    The up array is the one complexes._coreduction keeps on K; it is
-    certified on the first call and the result kept on K as well.
+    The up array is the one complexes._coreduction keeps on K; each call
+    certifies it and returns a new, equal matching.
     """
-    if K._coreduction_matching is None:
-        K._coreduction_matching = certify(K, OrientedHasse(K, _coreduction(K)))
-    return K._coreduction_matching
+    return certify(K, OrientedHasse(K, _coreduction(K)))
 
 
 def reduction_matching(K: SimplicialComplex) -> MorseMatching:

@@ -60,9 +60,8 @@ class MorseMatching(Record):
         if name != "pairs" or self._ids is None:
             raise AttributeError(name)
         K, up = self._ids
-        pairs = frozenset(OrientedHasse(K, up).up_pairs())
-        self._setters[0](self, pairs)
-        return pairs
+        self._set(pairs=frozenset(OrientedHasse(K, up).up_pairs()))
+        return self.pairs
 
     def __len__(self) -> int:
         if self._ids is None:
@@ -163,12 +162,9 @@ def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     """
     oh = orient(K, pairs)
     witness = _witness(K, oh.up)
-    mm = MorseMatching.__new__(MorseMatching)  # pairs stays unset until read
-    for set_field, value in zip(
-        MorseMatching._setters[1:], (witness is None, witness, (K, tuple(oh.up)))
-    ):
-        set_field(mm, value)
-    return mm
+    return MorseMatching.__new__(MorseMatching)._set(  # pairs stays unset until read
+        acyclic=witness is None, witness=witness, _ids=(K, tuple(oh.up))
+    )
 
 
 def _accept(K: SimplicialComplex, matching) -> MorseMatching:

@@ -10,7 +10,13 @@ that the package's search, which keeps the marks of failed searches, can
 be held to the same mate array; is_maximum_matching checks maximality
 independently.  reference_betti_gf2 is a frozen copy of the package's
 dense elimination over the full complex, kept so that the Betti numbers
-of the Morse complex can be held to it.  reference_coreduction_matching and
+of the Morse complex can be held to it; it ranks the rows of
+boundary_matrix_gf2 and counts components with reference_component_roots,
+both frozen copies of functions the package no longer has.
+reference_random_complex is the generator's component linking as it stood
+on reference_component_roots, before it became a union-find over the
+facets, kept so that the union-find can be held to the same complexes.
+reference_coreduction_matching and
 reference_reduction_matching are frozen copies of the two greedy loops
 as they stood before they became one elimination kernel, kept so that
 the kernel can be held to the same up arrays.  reference_gamma_graph and
@@ -26,6 +32,7 @@ held to the same components and state.
 from __future__ import annotations
 
 import heapq
+import random
 from collections import defaultdict, deque
 from functools import lru_cache
 
@@ -35,18 +42,15 @@ from morsematch import (
     MorseMatching,
     OrientedHasse,
     SimplicialComplex,
-    boundary_matrix_gf2,
     certify,
     coreduction_matching,
     dunce_hat,
     from_maximal_simplices,
     frontier_edges_matching,
     gf2_rank,
-    is_connected,
     reduction_matching,
     rp2,
 )
-from morsematch.complexes import component_roots
 from morsematch.frontier import EdgeComponent, _leading
 from morsematch.hasse import max_matching_mates
 from morsematch.morse import closes_cycle
@@ -246,6 +250,71 @@ def reference_max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(mate)
 
 
+def reference_component_roots(K: SimplicialComplex) -> list[int]:
+    """The least vertex of each connected component of the 1-skeleton, ascending."""
+    adj: dict[int, list[int]] = {v: [] for v in K.vertices}
+    if K.dim >= 1:
+        for a, b in K.by_dim[1]:
+            adj[a].append(b)
+            adj[b].append(a)
+    roots = []
+    seen: set[int] = set()
+    for root in adj:
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return roots
+
+
+def reference_random_complex(
+    seed: int, dim: int, n_vertices: int, n_facets: int
+) -> SimplicialComplex:
+    """random_complex(..., connected=True) as it linked components on their roots.
+
+    The same draws from the seed; the closure of the facets is built, its
+    components found by reference_component_roots, and consecutive roots
+    joined by an edge in a second closure over its maximal simplices.
+    """
+    rng = random.Random(seed)
+    facets = []
+    for _ in range(n_facets):
+        k = rng.randint(2, dim + 1)
+        facets.append(tuple(sorted(rng.sample(range(n_vertices), k))))
+    K = from_maximal_simplices(facets)
+    roots = reference_component_roots(K)
+    if len(roots) == 1:
+        return K
+    links = [(roots[i], roots[i + 1]) for i in range(len(roots) - 1)]
+    return from_maximal_simplices(list(K.facets()) + links)
+
+
+def boundary_matrix_gf2(K: SimplicialComplex, d: int) -> list[int]:
+    """Mod-2 boundary matrix of dimension d as bit rows.
+
+    Row i corresponds to the i-th d-simplex in canonical order; bit j is
+    set when the j-th (d-1)-simplex is one of its facets.
+    """
+    if not 1 <= d <= K.dim:
+        raise ValueError(f"no boundary matrix in dimension {d}")
+    lo, start, stop = K.offset(d - 1), K.offset(d), K.offset(d + 1)
+    F = K.facet_ids
+    rows = []
+    for i in range(start, stop):
+        row = 0
+        for f in F[i]:
+            row |= 1 << (f - lo)
+        rows.append(row)
+    return rows
+
+
 def reference_betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     """Mod-2 Betti numbers by dense elimination on the full complex.
 
@@ -256,7 +325,7 @@ def reference_betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     """
     ranks = [0] * (K.dim + 2)
     if K.dim:
-        ranks[1] = len(K.by_dim[0]) - len(component_roots(K))
+        ranks[1] = len(K.by_dim[0]) - len(reference_component_roots(K))
     for d in range(2, K.dim + 1):
         ranks[d] = gf2_rank(boundary_matrix_gf2(K, d))
     return tuple(len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
@@ -281,7 +350,7 @@ def reference_gamma_graph(K: SimplicialComplex, matching) -> dict[int, tuple[int
     connected: walking from any vertex along unmatched or downward-matched
     edges reaches every other vertex.
     """
-    if not is_connected(K):
+    if len(reference_component_roots(K)) != 1:
         raise ValueError("connected complex required")
     removed = {
         sigma for sigma, tau in _pairs_of(matching)

@@ -12,7 +12,6 @@ from morsematch import (
     ParseError,
     SimplicialComplex,
     betti_gf2,
-    boundary_matrix_gf2,
     canonical_key,
     dunce_hat,
     euler_characteristic,
@@ -30,6 +29,7 @@ from morsematch.complexes import _coreduction
 from morsematch.hasse import max_matching_mates
 from helpers import (
     betti_numpy,
+    boundary_matrix_gf2,
     brute_closure,
     euler,
     named_complexes,

@@ -1,6 +1,7 @@
 """Built-in complex families and the random generator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsematch import (
     amplified,
@@ -16,6 +17,7 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
+from helpers import reference_component_roots, reference_random_complex
 
 
 def test_simplex_boundary_smallest_case():
@@ -116,6 +118,17 @@ def test_amplified_respects_cap():
         amplified(dunce_hat(), 1, 2, cap=10)
 
 
+def test_amplified_decides_the_cap_before_the_power():
+    # 31**2999 has over 4300 digits, more than an int may print; the cap
+    # is decided without building it and the message names the cap.
+    with pytest.raises(ValueError, match="over the cap of 20000 simplices"):
+        amplified(rp2(), 1, 3000)
+    with pytest.raises(ValueError, match="over the cap of 30 simplices"):
+        amplified(rp2(), 1, 1, cap=30)
+    assert amplified(rp2(), 1, 2).n == 30 * 31 + 1
+    assert amplified(from_maximal_simplices([(0,)]), 0, 3000).n == 1
+
+
 def test_random_complex_is_deterministic():
     assert random_complex(7) == random_complex(7)
     assert random_complex(7) != random_complex(8)
@@ -147,3 +160,36 @@ def test_random_complexes_are_valid_complexes():
             if len(s) > 1:
                 for f in facets_of(s):
                     assert f in K
+
+
+def test_random_complex_links_many_components_in_root_order():
+    loose = random_complex(5, dim=2, n_vertices=400, n_facets=60)
+    assert len(reference_component_roots(loose)) == 41
+    assert not is_connected(loose)
+    K = random_complex(5, dim=2, n_vertices=400, n_facets=60, connected=True)
+    assert K.simplices == reference_random_complex(5, 2, 400, 60).simplices
+    assert is_connected(K)
+    assert betti_gf2(K)[0] == 1
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.one_of(
+        st.tuples(st.integers(5, 12), st.integers(1, 30)),
+        st.tuples(st.integers(100, 400), st.integers(10, 80)),
+    ),
+)
+def test_random_complex_links_components_as_on_their_roots(seed, dim, shape):
+    # Small dense inputs and sparse ones of many components; the union-find
+    # must link exactly as the search over the closed complex did, and
+    # is_connected must agree with the frozen component count.
+    n_vertices, n_facets = shape
+    K = random_complex(seed, dim, n_vertices, n_facets, connected=True)
+    assert K.simplices == reference_random_complex(seed, dim, n_vertices, n_facets).simplices
+    assert is_connected(K)
+    loose = random_complex(seed, dim, n_vertices, n_facets)
+    roots = reference_component_roots(loose)
+    assert is_connected(loose) == (len(roots) == 1)
+    assert betti_gf2(loose)[0] == len(roots)
