@@ -30,14 +30,27 @@ DUNCE_HAT_FACETS = (
 )
 
 
+# Most simplices simplex_boundary and full_simplex build.  The n-simplex
+# has 2**(n+1) - 1 faces at about 1 KB each, so the cap admits n <= 15
+# (some 70 MB) and refuses n = 16 before any face is made.
+SIMPLEX_CAP = 1 << 16
+
+
+def _check_simplex_cap(what: str, faces: int) -> None:
+    if faces > SIMPLEX_CAP:
+        raise ValueError(f"{what} would be over the cap of {SIMPLEX_CAP} simplices")
+
+
 def simplex_boundary(n: int) -> tuple[SimplicialComplex, MorseMatching]:
     """Boundary of the n-simplex on vertices 1..n+1 with its standard matching.
 
     Every face not containing vertex 1 is paired with its extension by 1;
     only the vertex (1,) and the opposite facet (2,...,n+1) stay critical.
+    Refuses past SIMPLEX_CAP simplices.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_simplex_cap(f"boundary of the {n}-simplex", (1 << n + 1) - 2)
     verts = tuple(range(1, n + 2))
     faces = [c for k in range(1, n + 1) for c in combinations(verts, k)]
     K = SimplicialComplex(faces)
@@ -50,9 +63,10 @@ def simplex_boundary(n: int) -> tuple[SimplicialComplex, MorseMatching]:
 
 
 def full_simplex(n: int) -> SimplicialComplex:
-    """The solid n-simplex on vertices 0..n."""
+    """The solid n-simplex on vertices 0..n.  Refuses past SIMPLEX_CAP simplices."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    _check_simplex_cap(f"solid {n}-simplex", (1 << n + 1) - 1)
     verts = tuple(range(n + 1))
     return from_maximal_simplices([verts])
 

@@ -6,7 +6,12 @@ maximum acyclic matchings, a backtracking collapsibility test, and a
 subset search for the least number of interior 2-faces whose removal
 makes a 2-complex collapse down to a graph.  The collapse searches run
 on simplex ids and count live cofacets from K.cofacet_ids, which finds
-exactly the free faces of a downward-closed set (see complexes).
+exactly the free faces of a downward-closed set (see complexes).  One
+collapse of the top-dimensional simplices through their free faces,
+_top_core, serves the erasability test and the branch-and-bound's
+bound, which it lifts by one pair per dunce hat: a complex whose greedy
+incumbent leaves just one extra critical pair per hat, such as a wedge
+of hats, is proven optimal at the root, with no node searched.
 
 All budgets count search-node expansions, so runs are deterministic and
 machine independent.  Each search reports in an immutable Record
@@ -47,9 +52,22 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     most pairs if any pairing between adjacent dimensions were allowed,
     which greedy along the dimension chain attains, since each level's
     simplices split between pairs below and pairs above.  That is capped
-    globally by the maximum cardinality matching and by homology, which
-    forces at least sum(beta) critical simplices (parity-adjusted).  The
-    greedy results seed the incumbent.  The search state is flat id
+    globally by the maximum cardinality matching and by a floor on the
+    critical count, parity-adjusted: sum(beta) + 2 * max(0, k - beta_D),
+    where D = K.dim and k counts the components of the top-dimensional
+    core (see _top_core), two D-simplices adjacent when they share a
+    (D-1)-face.  Each component holds a critical D-simplex.  Were every
+    sigma in one matched, necessarily down to a face f(sigma), then
+    f(sigma), not free in the core, would have a second core coface tau,
+    and tau -> f(sigma) -> sigma would be a gradient step inside the
+    component; every sigma there having a predecessor, the component
+    would hold a closed V-path.  So c_D >= k.  The weak Morse
+    inequalities give c_d >= beta_d, and the Euler characteristic
+    equates the alternating sums of c and beta, so the excess
+    c_D - beta_D is matched by as much excess at the dimensions of the
+    other parity.  On a dunce hat, which has no free face, this closes
+    the one pair by which homology alone falls short.  The greedy
+    results seed the incumbent.  The search state is flat id
     arrays: up[f] is the coface face f is matched with, or -1, which is
     what closes_cycle reads, and an improvement is a copy of it, handed
     to certify as an OrientedHasse.  Without an explicit budget,
@@ -62,10 +80,11 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
         )
 
     seed = max((coreduction_matching(K), reduction_matching(K)), key=len)
-    sum_beta = sum(betti_gf2(K))
-    if (K.n - sum_beta) % 2:
-        sum_beta += 1
-    ub = min((K.n - sum_beta) // 2, max_cardinality_matching(K))
+    beta = betti_gf2(K)
+    floor = sum(beta) + 2 * max(0, _core_components(K) - beta[K.dim])
+    if (K.n - floor) % 2:
+        floor += 1
+    ub = min((K.n - floor) // 2, max_cardinality_matching(K))
 
     best: list[int] | None = None
     best_len = len(seed)
@@ -259,18 +278,19 @@ class ErasabilityResult(Record):
     tested: int
 
 
-def _erases(K: SimplicialComplex, dead) -> bool:
-    """True when greedy free-edge collapses remove every 2-face whose id is not in dead.
+def _top_core(K: SimplicialComplex, dead=()) -> bytearray:
+    """Alive flags, by id, of the top-dimensional core of the D-simplices not in dead.
 
-    K is a 2-complex, so an edge's cofacets are its triangles.  Order of
-    collapses cannot matter: distinct free edges of distinct triangles
-    commute, and two free edges of one triangle leave the same triangle
-    set either way.
+    D is K.dim.  Repeatedly deletes a D-simplex that has a (D-1)-face
+    with exactly one remaining D-coface; the D-simplices left are
+    flagged 1, every other id 0.  Order of deletions cannot matter: a
+    face that is free stays free until its one coface goes, and two free
+    faces of one D-simplex leave the same set either way.
     """
     F, C = K.facet_ids, K.cofacet_ids
     alive = bytearray(K.n)
     count = [0] * K.n
-    for t in range(K.offset(2), K.n):
+    for t in range(K.offset(K.dim), K.n):
         if t not in dead:
             alive[t] = 1
             for e in F[t]:
@@ -286,7 +306,26 @@ def _erases(K: SimplicialComplex, dead) -> bool:
             count[f] -= 1
             if count[f] == 1:
                 queue.append(f)
-    return not any(alive)
+    return alive
+
+
+def _core_components(K: SimplicialComplex) -> int:
+    """Components of the top-dimensional core, two D-simplices adjacent when they share a (D-1)-face."""
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = _top_core(K)
+    k = 0
+    for s in range(K.offset(K.dim), K.n):
+        if alive[s]:
+            k += 1
+            alive[s] = 0
+            stack = [s]
+            while stack:
+                for f in F[stack.pop()]:
+                    for t in C[f]:
+                        if alive[t]:
+                            alive[t] = 0
+                            stack.append(t)
+    return k
 
 
 def erasability(K: SimplicialComplex, budget: int | None = 100_000) -> ErasabilityResult:
@@ -315,7 +354,7 @@ def erasability(K: SimplicialComplex, budget: int | None = 100_000) -> Erasabili
                     er=None, witness=None, lower=r, upper=len(interior),
                     indeterminate=True, tested=tested - 1,
                 )
-            if _erases(K, sub):
+            if not any(_top_core(K, sub)):
                 return ErasabilityResult(
                     er=r, witness=tuple(K.simplices[t] for t in sub), lower=r, upper=r,
                     indeterminate=False, tested=tested,

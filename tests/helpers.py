@@ -27,6 +27,9 @@ reference_bfs_component is a frozen copy of frontier's component search
 as it stood with a deque for its queue and a set of classified faces,
 kept so that the search on its forward list and absorbed flags can be
 held to the same components and state.
+dunce_hat_with_tetrahedron is a dunce hat with a solid tetrahedron on
+one of its triangles: the oracle's bound stays one pair above the
+optimum on it and its wedges, so budgeted searches there still run out.
 """
 
 from __future__ import annotations
@@ -680,6 +683,16 @@ def named_complexes() -> dict[str, SimplicialComplex]:
         "rp2": rp2(),
         "dunce": dunce_hat(),
     }
+
+
+def dunce_hat_with_tetrahedron() -> SimplicialComplex:
+    """The dunce hat with the solid tetrahedron (1, 2, 4, 9) on its triangle (1, 2, 4).
+
+    Contractible and 57 simplices.  The tetrahedron has free triangles,
+    so the top-dimensional core is empty and the oracle's bound falls
+    back on homology, one pair above the optimum of 27 pairs.
+    """
+    return from_maximal_simplices(dunce_hat().facets() + ((1, 2, 4, 9),))
 
 
 def all_algorithms():

@@ -18,8 +18,9 @@ from morsematch import (
     wedge,
     write_complex,
 )
-from morsematch import cli
+from morsematch import cli, generators
 from morsematch.cli import main
+from helpers import dunce_hat_with_tetrahedron
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 HEXAGON = frozenset({((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))})
@@ -148,8 +149,8 @@ def test_unknown_algorithm_is_a_usage_error(sphere_file):
 
 
 def test_match_oracle_budget_exhaustion_exit_code(capsys, tmp_path):
-    path = tmp_path / "dunce.txt"
-    write_complex(dunce_hat(), path)
+    path = tmp_path / "hat_tetra.txt"
+    write_complex(dunce_hat_with_tetrahedron(), path)
     code, payload = run_json(
         capsys, ["match", str(path), "--algo", "oracle", "--budget", "2000"]
     )
@@ -159,20 +160,20 @@ def test_match_oracle_budget_exhaustion_exit_code(capsys, tmp_path):
 
 
 def test_match_oracle_deep_search_exhausts_budget_with_report(capsys, tmp_path):
-    path = tmp_path / "dunce80.txt"
-    write_complex(wedge(dunce_hat(), 1, 80), path)
+    path = tmp_path / "hat_tetra70.txt"
+    write_complex(wedge(dunce_hat_with_tetrahedron(), 1, 70), path)
     code, payload = run_json(
         capsys, ["match", str(path), "--algo", "oracle", "--budget", "3000"]
     )
     assert code == 4
     assert payload["optimal"] is False
     assert payload["acyclic"] is True
-    assert payload["n"] == 3841
+    assert payload["n"] == 3921
 
 
 def test_oracle_budget_env_var(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "dunce.txt"
-    write_complex(dunce_hat(), path)
+    path = tmp_path / "hat_tetra.txt"
+    write_complex(dunce_hat_with_tetrahedron(), path)
     monkeypatch.setenv("MORSE_ORACLE_BUDGET", "2000")
     code, payload = run_json(capsys, ["match", str(path), "--algo", "oracle"])
     assert code == 4
@@ -261,6 +262,19 @@ def test_gen_outputs_parse_back(tmp_path, capsys):
         assert parse_complex(out) == expect
 
 
+@pytest.mark.parametrize("name", ["boundary", "full"])
+def test_gen_refuses_a_simplex_over_the_cap(capsys, monkeypatch, name):
+    def build(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(generators, "combinations", build)
+    monkeypatch.setattr(generators, "from_maximal_simplices", build)
+    assert main(["gen", name, "--n", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "40-simplex would be over the cap of 65536 simplices" in captured.err
+
+
 def test_gen_writes_file_with_header(tmp_path):
     out = tmp_path / "w.txt"
     code = main(["gen", "wedge", "--base", "dunce", "--copies", "3", "--out", str(out)])
@@ -302,14 +316,14 @@ def test_bench_cyclic_result_exits_2_over_budget_exhaustion(tmp_path, capsys, cy
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     shutil.copy(cyclic_file, corpus / "circle.txt")
-    write_complex(dunce_hat(), corpus / "dunce.txt")
+    write_complex(dunce_hat_with_tetrahedron(), corpus / "hat_tetra.txt")
     code, payload = run_json(
         capsys, ["bench", str(corpus), "--algos", "frontier,oracle", "--budget", "50"]
     )
     assert code == 2
     rows = {(r["complex"], r["algorithm"]): r for r in payload["rows"]}
     assert rows[("circle.txt", "frontier")]["acyclic"] is False
-    assert rows[("dunce.txt", "oracle")]["optimal"] is False
+    assert rows[("hat_tetra.txt", "oracle")]["optimal"] is False
 
 
 def test_bench_human_output_is_a_table(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morsematch import generators
 from morsematch import (
     amplified,
     betti_gf2,
@@ -47,6 +48,24 @@ def test_simplex_boundary_matching_is_acyclic(n):
 def test_simplex_boundary_rejects_degenerate_input():
     with pytest.raises(ValueError, match="at least 1"):
         simplex_boundary(0)
+
+
+def test_simplex_generators_refuse_past_the_cap_before_building(monkeypatch):
+    # 2**41 faces would need terabytes; any step toward building them fails
+    def build(*args):
+        raise AssertionError("built past the cap")
+
+    for name in ("combinations", "SimplicialComplex", "from_maximal_simplices"):
+        monkeypatch.setattr(generators, name, build)
+    for n in (16, 40):
+        with pytest.raises(ValueError, match=f"boundary of the {n}-simplex would be over the cap of 65536 simplices"):
+            simplex_boundary(n)
+        with pytest.raises(ValueError, match=f"solid {n}-simplex would be over the cap of 65536 simplices"):
+            full_simplex(n)
+
+
+def test_simplex_cap_admits_the_eleven_simplex_boundary():
+    assert simplex_boundary(11)[0].n == 4094
 
 
 def test_full_simplex_counts():

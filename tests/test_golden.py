@@ -9,8 +9,12 @@ not pinned: it reflects the acyclicity and optimal flags of the rows,
 which the rows themselves already carry.
 
 The oracle is pinned at budgets 0, 50 and 2000 over one corpus, and
-in one deep search of 50 000 nodes on a two-hat dunce wedge, so a
-change to its search order or pruning moves some node count.
+in one deep search of 50 000 nodes on a two-copy wedge of the dunce hat
+with a solid tetrahedron, so a change to its search order or pruning
+moves some node count.  Every complex of the first corpus, the dunce
+wedge included, is proven optimal at the root, so its three pins agree;
+on the deep input the bound stays one pair per copy above the optimum
+and the search runs to its budget.
 
 A third checksum pins what certify reports on a fixed set of matchings,
 most of them cyclic: the acyclic flag and the witness cycle, whose
@@ -62,15 +66,15 @@ from morsematch import (
 )
 from morsematch.cli import main
 from morsematch.hasse import max_matching_mates
-from helpers import max_matching_pairs
+from helpers import dunce_hat_with_tetrahedron, max_matching_pairs
 
 GOLDEN_SHA256 = "80b0d483c8e348a3faeafe36fcae59e11f0878a68365bfea6b7f3368ea32d515"
 ORACLE_GOLDEN_SHA256 = {
-    0: "2db4139fc6513aaab36d77441a105c1968d0aade02e7726baef5b52a5f08fbb2",
-    50: "7d5f062ccaba23e2888356df230bc39e14d6bc863047939f3e95ae954ae14a43",
-    2000: "b0aea383968ac56699ebec119a77cf03aedfcb520db33b0881e9909965701786",
+    0: "7a96af9b02cfcbf0620c00c481933b59a038226345f29a35a9c694db766ad3e8",
+    50: "7a96af9b02cfcbf0620c00c481933b59a038226345f29a35a9c694db766ad3e8",
+    2000: "7a96af9b02cfcbf0620c00c481933b59a038226345f29a35a9c694db766ad3e8",
 }
-DEEP_ORACLE_GOLDEN_SHA256 = "89a262c61dedf04fc383b4dc9650edfe4d06185c173a31c1d58ab88c49cbd0ff"
+DEEP_ORACLE_GOLDEN_SHA256 = "f029a218b6bf36297ff5c5f69f4b28c4154fe0a6ef2bc93de8aed9fc799cc35a"
 WITNESS_GOLDEN_SHA256 = "e209b1d6078eb5dddbd4cbb3364d843e41c96075d7173d299ac4283fabf09090"
 COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
 FRONTIER_GOLDEN_SHA256 = "119a115cb55ef69f19993596c9ce6a00cdd8ef2eb0be4b45920f8126e6b13e80"
@@ -122,7 +126,7 @@ def test_bench_output_matches_golden_checksum(tmp_path, capsys):
 
 def test_oracle_bench_output_matches_golden_checksum(tmp_path, capsys):
     runs = [(budget, oracle_corpus(), sha) for budget, sha in ORACLE_GOLDEN_SHA256.items()]
-    deep = {"dunce_wedge2.txt": wedge(dunce_hat(), 1, 2)}
+    deep = {"hat_tetra_wedge2.txt": wedge(dunce_hat_with_tetrahedron(), 1, 2)}
     runs.append((50_000, deep, DEEP_ORACLE_GOLDEN_SHA256))
     for budget, corpus, sha in runs:
         out = tmp_path / str(budget)

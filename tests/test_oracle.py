@@ -1,9 +1,13 @@
 """Exact search: optimal matchings, collapsibility, erasability."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import morsematch.oracle
 from morsematch import (
+    betti_gf2,
     certify,
     coreduction_matching,
     critical_profile,
@@ -20,7 +24,7 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
-from helpers import brute_optimal_pairs, replay_collapses
+from helpers import brute_optimal_pairs, dunce_hat_with_tetrahedron, replay_collapses
 
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
 
@@ -67,7 +71,7 @@ def test_size_limit_without_budget():
 
 
 def test_budget_exhaustion_reports_honestly():
-    K = dunce_hat()
+    K = dunce_hat_with_tetrahedron()
     result = optimal_morse_matching(K, budget=5_000)
     assert not result.optimal
     assert result.nodes > 5_000
@@ -77,14 +81,64 @@ def test_budget_exhaustion_reports_honestly():
 
 
 def test_budgeted_search_deeper_than_the_recursion_limit():
-    # one search level per simplex: 3841 levels, more than Python's
+    # one search level per simplex: 3921 levels, more than Python's
     # default recursion limit of 1000
-    K = wedge(dunce_hat(), 1, 80)
+    K = wedge(dunce_hat_with_tetrahedron(), 1, 70)
+    assert K.n == 3921 > sys.getrecursionlimit()
     result = optimal_morse_matching(K, budget=3000)
     assert not result.optimal
     assert result.nodes == 3001
     assert result.matching.acyclic
     assert len(result.matching.pairs) <= result.pair_upper_bound
+
+
+@pytest.mark.parametrize("hats", [1, 8, 120])
+def test_dunce_hats_prove_optimal_at_the_root(hats):
+    # The homology bound alone sits one pair per hat above the optimum;
+    # one core component per hat with beta_2 = 0 closes it.  One copy is
+    # dunce_hat() itself.
+    K = wedge(dunce_hat(), 1, hats)
+    seed = max((coreduction_matching(K), reduction_matching(K)), key=len)
+    result = optimal_morse_matching(K, budget=0)
+    assert result.optimal
+    assert result.nodes == 0
+    assert result.pair_upper_bound == (K.n - 1) // 2 - hats
+    assert result.matching.pairs == seed.pairs
+    assert critical_profile(K, result.matching.pairs).total == 1 + 2 * hats
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 3), st.integers(1, 7))
+def test_bound_is_never_below_the_brute_force_optimum(seed, dim, extra, n_facets):
+    K = random_complex(seed, dim=dim, n_vertices=dim + 1 + extra, n_facets=n_facets)
+    result = optimal_morse_matching(K, budget=0)
+    assert result.pair_upper_bound >= brute_optimal_pairs(K.simplices)
+
+
+HAT_EDGES = [f for t in dunce_hat().facets() for f in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.lists(
+    st.tuples(st.sampled_from(["edge", "fan", "flap"]), st.integers(0, len(HAT_EDGES) - 1)),
+    min_size=1, max_size=3,
+))
+def test_bound_holds_on_dunce_hats_with_pendants(pendants):
+    # A pendant edge or triangle on a vertex, or a triangle on an edge,
+    # keeps the hat contractible.  Then an optimal matching leaves one
+    # critical simplex when the complex is collapsible and at least three
+    # otherwise, which is_collapsible decides by a search of its own.
+    facets = list(dunce_hat().facets())
+    for j, (kind, e) in enumerate(pendants):
+        a, b = HAT_EDGES[e]
+        new = 20 + 2 * j
+        facets.append({"edge": (a, new), "fan": (a, new, new + 1), "flap": (a, b, new)}[kind])
+    K = from_maximal_simplices(facets)
+    assert betti_gf2(K) == (1, 0, 0)
+    optimum = (K.n - (1 if is_collapsible(K, budget=None).collapsible else 3)) // 2
+    result = optimal_morse_matching(K, budget=0)
+    assert result.pair_upper_bound >= optimum
+    assert result.optimal and result.nodes == 0
 
 
 def test_oracle_never_loses_to_other_algorithms():
