@@ -20,7 +20,10 @@ keep the set downward closed, so live cofacet counts find every free face.
 One builder fills a complex, from one set of canonical simplices per
 dimension, in a single sweep up the dimensions: it sorts each level into
 ids and looks up the facet ids of its simplices among the level below,
-which also fills the cofacet ids and finds the first missing face.  The
+which also fills the cofacet ids and finds the first missing face.  It
+keeps few containers alive at once: each level's set is cleared once
+sorted, the cofacet lists of level d-1 become tuples as soon as level d
+has been swept, and every id is the one int object the index holds.  The
 constructor validates every simplex it is given before grouping them;
 from_maximal_simplices validates only the maximal ones and closes them
 downward one level at a time, since every face of a valid simplex is
@@ -113,20 +116,25 @@ class SimplicialComplex:
     def _build(self, levels: list[set[Simplex]]) -> None:
         """Fill every field from one set of canonical d-simplices per dimension d.
 
-        One sweep, level by level: sort the level into ids, look up the
-        facet ids of each of its simplices among the ids of the level
-        below, and append each simplex's id to the cofacet lists of its
-        facets.  The first face missing in canonical order raises.
+        One sweep, level by level: sort the level into ids, clearing its
+        set, look up the facet ids of each of its simplices among the ids
+        of the level below, and append each simplex's id to the cofacet
+        lists of its facets.  Those lists of level d-1 are then complete
+        and become tuples in place.  Every id is the one int object the
+        index holds, in facet and cofacet tuples alike.  The first face
+        missing in canonical order raises.
         """
         simplices: list[Simplex] = []
         by_dim: list[tuple[Simplex, ...]] = []
         index: dict[Simplex, int] = {}
         facet_ids: list[tuple[int, ...]] = []
-        cofacets: list[list[int]] = []
+        cofacets: list[list[int] | tuple[int, ...]] = []
         get = index.__getitem__
+        below = 0
         for d, level in enumerate(levels):
             lo = len(simplices)
             members = sorted(level)
+            level.clear()
             simplices += members
             by_dim.append(tuple(members))
             index.update(zip(members, range(lo, len(simplices))))
@@ -138,14 +146,17 @@ class SimplicialComplex:
                 fids = [tuple(map(get, combinations(s, d))) for s in members]
             except KeyError as exc:
                 raise ValueError(f"not downward closed: missing face {exc.args[0]}") from None
-            for i, fs in enumerate(fids, lo):
+            for i, fs in zip(map(get, members), fids):
                 for f in fs:
                     cofacets[f].append(i)
             facet_ids += fids
+            cofacets[below:lo] = map(tuple, cofacets[below:lo])
+            below = lo
+        cofacets[below:] = map(tuple, cofacets[below:])
         self.simplices: tuple[Simplex, ...] = tuple(simplices)
         self.index: MappingProxyType[Simplex, int] = MappingProxyType(index)
         self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
-        self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, cofacets))
+        self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(cofacets)
         self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
         self.dim: int = len(levels) - 1
         self.n: int = len(simplices)

@@ -52,8 +52,7 @@ def simplex_boundary(n: int) -> tuple[SimplicialComplex, MorseMatching]:
         raise ValueError("n must be at least 1")
     _check_simplex_cap(f"boundary of the {n}-simplex", (1 << n + 1) - 2)
     verts = tuple(range(1, n + 2))
-    faces = [c for k in range(1, n + 1) for c in combinations(verts, k)]
-    K = SimplicialComplex(faces)
+    K = from_maximal_simplices(combinations(verts, n))
     rest = verts[1:]
     pairs = set()
     for k in range(1, n):

@@ -19,6 +19,8 @@ are reproducible.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from .complexes import SimplicialComplex, _coreduction, _eliminate
 from .hasse import OrientedHasse
 from .morse import MorseMatching, certify
@@ -38,8 +40,8 @@ def reduction_matching(K: SimplicialComplex) -> MorseMatching:
 
     Removal keeps the remaining set downward closed, so cofacet counts
     inside the original complex stay accurate.  Criticals go by the key
-    (-dim, id), largest dimension first.
+    (-dim, id), largest dimension first, from a lazy chain of id ranges.
     """
-    order = [s for d in range(K.dim, -1, -1) for s in range(K.offset(d), K.offset(d + 1))]
+    order = chain.from_iterable(range(K.offset(d), K.offset(d + 1)) for d in range(K.dim, -1, -1))
     up = _eliminate(K, K.cofacet_ids, K.facet_ids, order)
     return certify(K, OrientedHasse(K, up))

@@ -53,7 +53,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     which greedy along the dimension chain attains, since each level's
     simplices split between pairs below and pairs above.  That is capped
     globally by the maximum cardinality matching and by a floor on the
-    critical count, parity-adjusted: sum(beta) + 2 * max(0, k - beta_D),
+    critical count, sum(beta) + 2 * max(0, k - beta_D),
     where D = K.dim and k counts the components of the top-dimensional
     core (see _top_core), two D-simplices adjacent when they share a
     (D-1)-face.  Each component holds a critical D-simplex.  Were every
@@ -65,7 +65,9 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     inequalities give c_d >= beta_d, and the Euler characteristic
     equates the alternating sums of c and beta, so the excess
     c_D - beta_D is matched by as much excess at the dimensions of the
-    other parity.  On a dunce hat, which has no free face, this closes
+    other parity.  K.n minus the floor is always even, since over GF(2)
+    sum(beta) = chi = K.n (mod 2) and the core term is even, so it halves
+    exactly into pairs.  On a dunce hat, which has no free face, this closes
     the one pair by which homology alone falls short.  The greedy
     results seed the incumbent.  The search state is flat id
     arrays: up[f] is the coface face f is matched with, or -1, which is
@@ -82,8 +84,6 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     seed = max((coreduction_matching(K), reduction_matching(K)), key=len)
     beta = betti_gf2(K)
     floor = sum(beta) + 2 * max(0, _core_components(K) - beta[K.dim])
-    if (K.n - floor) % 2:
-        floor += 1
     ub = min((K.n - floor) // 2, max_cardinality_matching(K))
 
     best: list[int] | None = None

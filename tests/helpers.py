@@ -30,6 +30,11 @@ held to the same components and state.
 dunce_hat_with_tetrahedron is a dunce hat with a solid tetrahedron on
 one of its triangles: the oracle's bound stays one pair above the
 optimum on it and its wedges, so budgeted searches there still run out.
+reference_close and reference_complex build through frozen copies of
+the package's closure and builder as they stood before cofacets were
+finalized per level, kept so that both constructions can be held to
+them; reference_simplex_boundary is simplex_boundary's complex as it was
+built then, from every proper face through the validating constructor.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ import heapq
 import random
 from collections import defaultdict, deque
 from functools import lru_cache
+from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from morsematch import (
     gf2_rank,
     reduction_matching,
     rp2,
+    simplex,
 )
 from morsematch.frontier import EdgeComponent, _leading
 from morsematch.hasse import max_matching_mates
@@ -742,3 +750,87 @@ def brute_closure(facets) -> dict:
         "by_dim": by_dim,
         "offsets": offsets,
     }
+
+
+def _reference_levels(simplices) -> list[set[Simplex]]:
+    """Canonical simplices grouped into one set per dimension."""
+    levels: list[set[Simplex]] = [set() for _ in range(max(map(len, simplices)))]
+    for s in simplices:
+        levels[len(s) - 1].add(s)
+    return levels
+
+
+def _reference_build(self, levels: list[set[Simplex]]) -> None:
+    """Fill every field from one set of canonical d-simplices per dimension d.
+
+    One sweep, level by level: sort the level into ids, look up the
+    facet ids of each of its simplices among the ids of the level
+    below, and append each simplex's id to the cofacet lists of its
+    facets.  The first face missing in canonical order raises.
+    """
+    simplices: list[Simplex] = []
+    by_dim: list[tuple[Simplex, ...]] = []
+    index: dict[Simplex, int] = {}
+    facet_ids: list[tuple[int, ...]] = []
+    cofacets: list[list[int]] = []
+    get = index.__getitem__
+    for d, level in enumerate(levels):
+        lo = len(simplices)
+        members = sorted(level)
+        simplices += members
+        by_dim.append(tuple(members))
+        index.update(zip(members, range(lo, len(simplices))))
+        cofacets += [[] for _ in members]
+        if not d:
+            facet_ids += [()] * len(members)
+            continue
+        try:
+            fids = [tuple(map(get, combinations(s, d))) for s in members]
+        except KeyError as exc:
+            raise ValueError(f"not downward closed: missing face {exc.args[0]}") from None
+        for i, fs in enumerate(fids, lo):
+            for f in fs:
+                cofacets[f].append(i)
+        facet_ids += fids
+    self.simplices: tuple[Simplex, ...] = tuple(simplices)
+    self.index: MappingProxyType[Simplex, int] = MappingProxyType(index)
+    self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
+    self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, cofacets))
+    self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
+    self.dim: int = len(levels) - 1
+    self.n: int = len(simplices)
+    self._coreduction = self._mates = self._betti = None
+
+
+def reference_close(tops: list[Simplex]) -> SimplicialComplex:
+    """The complex of a non-empty list of canonical simplices and all their faces.
+
+    The closure is taken one level at a time, the facets of each distinct
+    d-simplex going into level d-1, and its faces are valid because they
+    are subsets of valid ones, so nothing is checked again here.
+    """
+    levels = _reference_levels(tops)
+    for d in range(len(levels) - 1, 0, -1):
+        below = levels[d - 1]
+        for s in levels[d]:
+            below.update(combinations(s, d))
+    K = SimplicialComplex.__new__(SimplicialComplex)
+    _reference_build(K, levels)
+    return K
+
+
+def reference_complex(simplices) -> SimplicialComplex:
+    """SimplicialComplex(simplices) as built by the frozen builder above."""
+    members = {simplex(s) for s in simplices}
+    if not members:
+        raise ValueError("empty complex")
+    K = SimplicialComplex.__new__(SimplicialComplex)
+    _reference_build(K, _reference_levels(members))
+    return K
+
+
+def reference_simplex_boundary(n: int) -> SimplicialComplex:
+    """The boundary of the n-simplex on vertices 1..n+1, through the validating constructor."""
+    verts = tuple(range(1, n + 2))
+    faces = [c for k in range(1, n + 1) for c in combinations(verts, k)]
+    return SimplicialComplex(faces)

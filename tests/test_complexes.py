@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,8 @@ from helpers import (
     euler,
     named_complexes,
     reference_betti_gf2,
+    reference_close,
+    reference_complex,
     reference_max_matching_mates,
 )
 
@@ -394,3 +397,51 @@ def test_one_live_cofacet_means_one_live_proper_coface(seed, dim):
         else:
             live.remove(rng.choice(sorted(s for s in live if not cofaces[s])))
         assert all(f in live for s in live for f in facets_of(s))
+
+
+def assert_same_construction(K, R):
+    """Every field of the builder equals the reference's."""
+    assert K.simplices == R.simplices
+    assert K.by_dim == R.by_dim
+    assert dict(K.index) == dict(R.index)
+    assert K.facet_ids == R.facet_ids
+    assert K.cofacet_ids == R.cofacet_ids
+    assert (K.dim, K.n) == (R.dim, R.n)
+
+
+@st.composite
+def maximal_simplex_lists(draw):
+    """Maximal simplices of a random complex in dims 1-4, a wedge or a simplex boundary."""
+    kind = draw(st.sampled_from(["random", "wedge", "boundary"]))
+    if kind == "random":
+        dim = draw(st.integers(1, 4))
+        K = random_complex(
+            draw(st.integers(0, 2**32 - 1)), dim=dim,
+            n_vertices=dim + 1 + draw(st.integers(0, 8)),
+            n_facets=draw(st.integers(1, 40)), connected=draw(st.booleans()),
+        )
+        return list(K.facets())
+    if kind == "wedge":
+        base = draw(st.sampled_from([dunce_hat, rp2]))()
+        return list(wedge(base, min(base.vertices), draw(st.integers(1, 4))).facets())
+    n = draw(st.integers(1, 7))
+    return list(combinations(range(1, n + 2), n))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(maximal_simplex_lists(), st.randoms(use_true_random=False))
+def test_construction_matches_the_reference_builder(facets, rng):
+    K = from_maximal_simplices(facets)
+    assert_same_construction(K, reference_close([simplex(f) for f in facets]))
+    everything = list(K.simplices)
+    rng.shuffle(everything)
+    assert_same_construction(SimplicialComplex(everything), reference_complex(everything))
+
+
+@pytest.mark.parametrize("K", [rp2(), wedge(dunce_hat(), 1, 40)], ids=["rp2", "dunce_wedge"])
+def test_incidence_holds_the_index_ints_in_finished_tuples(K):
+    # one int object per id, shared by the index and both incidence tuples
+    ids = {i: i for i in K.index.values()}
+    for fs, cs in zip(K.facet_ids, K.cofacet_ids):
+        assert type(fs) is tuple and type(cs) is tuple
+        assert all(ids[j] is j for j in fs + cs)

@@ -7,6 +7,7 @@ from morsematch import generators
 from morsematch import (
     amplified,
     betti_gf2,
+    certify,
     critical_profile,
     dunce_hat,
     euler_characteristic,
@@ -18,7 +19,7 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
-from helpers import reference_component_roots, reference_random_complex
+from helpers import reference_component_roots, reference_random_complex, reference_simplex_boundary
 
 
 def test_simplex_boundary_smallest_case():
@@ -43,6 +44,17 @@ def test_simplex_boundary_matching_is_acyclic(n):
     assert matching.acyclic
     assert critical_profile(K, matching.pairs).total == 2
     assert K.n == 2 ** (n + 1) - 2
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_simplex_boundary_builds_the_complex_of_all_proper_faces(n):
+    K, matching = simplex_boundary(n)
+    R = reference_simplex_boundary(n)
+    assert (K.simplices, K.by_dim, dict(K.index)) == (R.simplices, R.by_dim, dict(R.index))
+    assert (K.facet_ids, K.cofacet_ids, K.dim, K.n) == (R.facet_ids, R.cofacet_ids, R.dim, R.n)
+    assert matching.acyclic
+    assert critical_profile(K, matching).total == 2
+    assert matching.pairs == certify(R, matching.pairs).pairs
 
 
 def test_simplex_boundary_rejects_degenerate_input():

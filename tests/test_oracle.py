@@ -115,6 +115,22 @@ def test_bound_is_never_below_the_brute_force_optimum(seed, dim, extra, n_facets
     assert result.pair_upper_bound >= brute_optimal_pairs(K.simplices)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 6), st.integers(1, 30))
+def test_simplex_count_and_betti_sum_have_one_parity(seed, dim, extra, n_facets):
+    # Over GF(2), sum(beta) = chi = n (mod 2), so the oracle's critical floor
+    # sum(beta) + 2 * max(0, k - beta_D) leaves an even number to halve into pairs.
+    K = random_complex(seed, dim=dim, n_vertices=dim + 1 + extra, n_facets=n_facets)
+    assert (K.n - sum(betti_gf2(K))) % 2 == 0
+
+
+@pytest.mark.parametrize("base", [dunce_hat, rp2])
+@pytest.mark.parametrize("copies", [1, 2, 7])
+def test_wedges_have_one_parity_of_simplex_count_and_betti_sum(base, copies):
+    K = wedge(base(), 1, copies)
+    assert (K.n - sum(betti_gf2(K))) % 2 == 0
+
+
 HAT_EDGES = [f for t in dunce_hat().facets() for f in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))]
 
 
