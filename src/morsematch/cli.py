@@ -6,11 +6,11 @@ field is the only run-dependent value and --no-timing drops it), on
 stdout, or on stderr when match writes its matching to stdout (--out -).
 
 Exit codes: 0 success, 2 validation failure (including a cyclic result
-from match or bench, whose report is still printed; in bench it takes
+from match or bench, whose report is still printed, and which takes
 precedence over 4), 3 parse error (including input that is not UTF-8),
-4 oracle budget exhausted.  The oracle budget comes from --budget or the
-MORSE_ORACLE_BUDGET environment variable and must be a non-negative
-integer.
+4 oracle budget exhausted; _exit_code is the one rule match and bench
+share.  The oracle budget comes from --budget alone and must be a
+non-negative integer.  GENERATORS is the catalogue of gen.
 """
 from __future__ import annotations
 
@@ -72,18 +72,6 @@ def _budget(text: str) -> int:
     return int(text)
 
 
-def _oracle_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("MORSE_ORACLE_BUDGET")
-    if not env:
-        return None
-    try:
-        return _budget(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"MORSE_ORACLE_BUDGET {exc}") from None
-
-
 def _run_algo(K: SimplicialComplex, algo: str, budget: int | None):
     """Returns (matching, oracle_extras or None)."""
     if algo == "oracle":
@@ -131,6 +119,15 @@ def _match_report(K: SimplicialComplex, algo: str, mm, extras, facts) -> dict:
     return rep
 
 
+def _exit_code(rows) -> int:
+    """2 if any row is cyclic, else 4 if any oracle row is not proven optimal, else 0."""
+    if not all(r["acyclic"] for r in rows):
+        return EXIT_INVALID
+    if any(r.get("optimal") is False for r in rows):
+        return EXIT_BUDGET
+    return EXIT_OK
+
+
 def _emit(payload: dict, args, file=None) -> None:
     """Print the report to file, stdout when None."""
     if not args.no_timing:
@@ -163,7 +160,7 @@ def cmd_stats(args) -> int:
 
 def cmd_match(args) -> int:
     K = read_complex(args.input)
-    mm, extras = _run_algo(K, args.algo, _oracle_budget(args))
+    mm, extras = _run_algo(K, args.algo, args.budget)
     if args.canonicalize is not None:
         mm = canonicalize_single_critical_vertex(K, mm, args.canonicalize)
     payload = _match_report(K, args.algo, mm, extras, _complex_facts(K))
@@ -171,7 +168,7 @@ def cmd_match(args) -> int:
     payload["config"] = {
         "algo": args.algo,
         "canonicalize": args.canonicalize,
-        "budget": _oracle_budget(args),
+        "budget": args.budget,
     }
     if args.out == "-":
         sys.stdout.write(serialize_matching(mm.pairs))
@@ -181,11 +178,7 @@ def cmd_match(args) -> int:
         payload["matching_file"] = args.out
     # stdout holds only the matching, so that parse_matching can read it
     _emit(payload, args, sys.stderr if args.out == "-" else None)
-    if not mm.acyclic:
-        return EXIT_INVALID
-    if extras is not None and not extras["optimal"]:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _exit_code([payload])
 
 
 def cmd_validate(args) -> int:
@@ -216,44 +209,33 @@ def cmd_validate(args) -> int:
     return EXIT_OK if mm.acyclic else EXIT_INVALID
 
 
-def _generate(args) -> SimplicialComplex:
-    name = args.name
-    if name == "boundary":
-        return simplex_boundary(args.n)[0]
-    if name == "full":
-        return full_simplex(args.n)
-    if name == "rp2":
-        return rp2()
-    if name == "dunce":
-        return dunce_hat()
-    if name == "wedge":
-        base = {"dunce": dunce_hat, "rp2": rp2}[args.base]()
-        return wedge(base, min(base.vertices), args.copies)
-    if name == "random":
-        return random_complex(
-            seed=args.seed or 0,
-            dim=args.dim,
-            n_vertices=args.vertices,
-            n_facets=args.facets,
-            connected=args.connected,
-        )
-    raise ValueError(f"unknown generator {name}")
+def _wedge(args) -> SimplicialComplex:
+    base = GENERATORS[args.base][0](args)
+    return wedge(base, min(base.vertices), args.copies)
+
+
+# name -> (builder of the parsed arguments, the options its header records)
+GENERATORS = {
+    "boundary": (lambda a: simplex_boundary(a.n)[0], ("n",)),
+    "full": (lambda a: full_simplex(a.n), ("n",)),
+    "rp2": (lambda a: rp2(), ()),
+    "dunce": (lambda a: dunce_hat(), ()),
+    "wedge": (_wedge, ("base", "copies")),
+    "random": (
+        lambda a: random_complex(a.seed, a.dim, a.vertices, a.facets, a.connected),
+        ("seed", "dim", "vertices", "facets", "connected"),
+    ),
+}
 
 
 def cmd_gen(args) -> int:
-    K = _generate(args)
-    params = {
-        "boundary": f" --n {args.n}",
-        "full": f" --n {args.n}",
-        "wedge": f" --base {args.base} --copies {args.copies}",
-        "random": (
-            f" --seed {args.seed or 0} --dim {args.dim}"
-            f" --vertices {args.vertices} --facets {args.facets}"
-            + (" --connected" if args.connected else "")
-        ),
-    }.get(args.name, "")
-    header = f"# morse gen {args.name}{params}\n"
-    text = header + serialize_complex(K)
+    build, options = GENERATORS[args.name]
+    # a flag is written when set; every other option with its value
+    opts = "".join(
+        f" --{o}" if v is True else f" --{o} {v}"
+        for o in options if (v := getattr(args, o)) is not False
+    )
+    text = f"# morse gen {args.name}{opts}\n" + serialize_complex(build(args))
     if args.out == "-" or not args.out:
         sys.stdout.write(text)
     else:
@@ -277,30 +259,21 @@ def cmd_bench(args) -> int:
     )
     if not names:
         raise ParseError(f"no complex files in {args.corpus}")
-    budget = _oracle_budget(args)
     rows = []
-    exhausted = False
-    cyclic = False
     for name in names:
         K = read_complex(os.path.join(args.corpus, name))
         facts = _complex_facts(K)
         for algo in algos:
-            mm, extras = _run_algo(K, algo, budget)
+            mm, extras = _run_algo(K, algo, args.budget)
             row = _match_report(K, algo, mm, extras, facts)
             row["complex"] = name
             rows.append(row)
-            cyclic = cyclic or not mm.acyclic
-            if extras is not None and not extras["optimal"]:
-                exhausted = True
     agg = {}
     for algo in algos:
         rs = [r for r in rows if r["algorithm"] == algo]
         agg[algo] = {
-            "mean_matched_pairs": round(sum(r["matched_pairs"] for r in rs) / len(rs), 6),
-            "mean_critical_total": round(sum(r["critical_total"] for r in rs) / len(rs), 6),
-            "mean_ratio_vs_max_matching": round(
-                sum(r["ratio_vs_max_matching"] for r in rs) / len(rs), 6
-            ),
+            f"mean_{key}": round(sum(r[key] for r in rs) / len(rs), 6)
+            for key in ("matched_pairs", "critical_total", "ratio_vs_max_matching")
         }
     payload = {"corpus": args.corpus, "rows": rows, "aggregates": agg}
     if args.json:
@@ -321,9 +294,7 @@ def cmd_bench(args) -> int:
                 f"criticals={a['mean_critical_total']} "
                 f"ratio={a['mean_ratio_vs_max_matching']}"
             )
-    if cyclic:
-        return EXIT_INVALID
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    return _exit_code(rows)
 
 
 @functools.cache
@@ -369,13 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("gen", help="write a generated complex")
-    sp.add_argument(
-        "name", choices=["boundary", "full", "rp2", "dunce", "wedge", "random"],
-    )
+    sp.add_argument("name", choices=GENERATORS)
     sp.add_argument("--n", type=int, default=3, help="dimension for boundary/full")
     sp.add_argument("--base", default="dunce", choices=["dunce", "rp2"])
     sp.add_argument("--copies", type=int, default=2, help="copies in a wedge")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--vertices", type=int, default=10)
     sp.add_argument("--facets", type=int, default=8)

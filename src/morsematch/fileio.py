@@ -19,10 +19,15 @@ class ParseError(ValueError):
 
 def _parse_vertices(token_text: str, lineno: int) -> Simplex:
     verts = []
-    for tok in token_text.split():
-        if not (tok.isascii() and tok.isdigit()):
-            raise ParseError(f"line {lineno}: bad vertex id {tok!r}")
-        verts.append(int(tok))
+    try:
+        for tok in token_text.split():
+            if not (tok.isascii() and tok.isdigit()):
+                raise ParseError(f"line {lineno}: bad vertex id {tok!r}")
+            verts.append(int(tok))
+    except ParseError:
+        raise
+    except ValueError:  # int() refuses ids past the interpreter's digit limit
+        raise ParseError(f"line {lineno}: vertex id of {len(tok)} digits is too long") from None
     if not verts:
         raise ParseError(f"line {lineno}: no vertices")
     if len(set(verts)) != len(verts):

@@ -1,6 +1,7 @@
 """Text round-trips for complexes and matchings."""
 
 import re
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from morsematch import (
     simplex_boundary,
     write_complex,
 )
+from morsematch.fileio import read_matching
 
 
 def test_parse_single_facet():
@@ -83,6 +85,43 @@ def test_matching_parse_errors():
         parse_matching("0 1\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_matching("0 ; 0 1\n0 ; ; 1\n")
+    with pytest.raises(ParseError, match="line 2: no vertices"):
+        parse_matching("0 ; 0 1\n; 0 1\n")
+
+
+def test_matching_parse_skips_comments_and_blanks():
+    text = "# a matching\n\n0 ; 0 1\n   \n# done\n1 ; 1 2\n"
+    assert parse_matching(text) == [((0,), (0, 1)), ((1,), (1, 2))]
+
+
+@pytest.fixture
+def int_digit_limit():
+    # Python's default limit on the digits int() converts; 3.10 releases
+    # before 3.10.7 have none, and then no id is too long.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no integer string conversion limit in this interpreter")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "name, text, read",
+    [
+        ("complex.txt", "0 1\n0 {big}\n", read_complex),
+        ("matching.txt", "0 ; 0 1\n0 ; 0 {big}\n", read_matching),
+    ],
+    ids=["complex", "matching"],
+)
+def test_a_vertex_id_over_the_digit_limit_is_a_parse_error(
+    tmp_path, int_digit_limit, name, text, read
+):
+    path = tmp_path / name
+    path.write_text(text.format(big="9" * 5000))
+    with pytest.raises(ParseError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: line 2: vertex id of 5000 digits is too long"
 
 
 def test_file_round_trip(tmp_path):

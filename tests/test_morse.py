@@ -314,6 +314,19 @@ def test_canonicalize_rejects_bad_inputs():
         canonicalize_single_critical_vertex(CIRCLE, claimed, 0)
 
 
+def test_canonicalize_refuses_a_disconnected_complex():
+    # Two components: vertex 0 cannot reach 2 or 3 through unmatched edges.
+    two = from_maximal_simplices([(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="connected complex required"):
+        canonicalize_single_critical_vertex(two, coreduction_matching(two), 0)
+
+
+def test_len_of_an_uncertified_matching_counts_its_pairs():
+    _, standard = simplex_boundary(3)
+    claimed = MorseMatching(standard.pairs, True)
+    assert len(claimed) == len(standard.pairs) == len(standard)
+
+
 def test_surgery_rejects_invalid_pairs():
     # The three surgery functions accept a matching by one rule, so simplex
     # pairs that are no matching on K raise the validator's error in each.
