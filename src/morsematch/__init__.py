@@ -13,9 +13,7 @@ from .complexes import (
     betti_gf2,
     canonical_key,
     euler_characteristic,
-    facets_of,
     from_maximal_simplices,
-    gf2_rank,
     is_connected,
     simplex,
 )
@@ -60,7 +58,6 @@ from .morse import (
     check_morse_inequalities,
     collapse_sequence,
     critical_profile,
-    gamma_graph,
     is_acyclic,
 )
 from .oracle import (
@@ -101,12 +98,9 @@ __all__ = [
     "dunce_hat",
     "erasability",
     "euler_characteristic",
-    "facets_of",
     "from_maximal_simplices",
     "frontier_edges_matching",
     "full_simplex",
-    "gamma_graph",
-    "gf2_rank",
     "hasse",
     "is_acyclic",
     "is_collapsible",

@@ -71,13 +71,6 @@ def canonical_key(s: Simplex):
     return (len(s), s)
 
 
-def facets_of(s: Simplex) -> list[Simplex]:
-    """Codimension-1 faces of s, in canonical order."""
-    if len(s) <= 1:
-        return []
-    return [s[:i] + s[i + 1:] for i in range(len(s) - 1, -1, -1)]
-
-
 def _levels(simplices) -> list[set[Simplex]]:
     """Canonical simplices grouped into one set per dimension."""
     levels: list[set[Simplex]] = [set() for _ in range(max(map(len, simplices)))]
@@ -195,14 +188,6 @@ class SimplicialComplex:
         """Id of the first d-simplex; the d-simplices hold ids offset(d) .. offset(d+1)-1."""
         return sum(len(level) for level in self.by_dim[:d])
 
-    def cofacets_of(self, s: Simplex) -> tuple[Simplex, ...]:
-        """Codimension-1 cofaces of s, in canonical order."""
-        i = self.index.get(s)
-        if i is None:
-            raise ValueError(f"unknown simplex {s}")
-        S = self.simplices
-        return tuple(S[j] for j in self.cofacet_ids[i])
-
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
         return tuple(s for s, cs in zip(self.simplices, self.cofacet_ids) if not cs)
@@ -240,7 +225,7 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** d * len(level) for d, level in enumerate(K.by_dim))
 
 
-def gf2_rank(rows) -> int:
+def _gf2_rank(rows) -> int:
     """Rank of a set of GF(2) bit rows by elimination on leading bits."""
     pivots: dict[int, int] = {}
     rank = 0
@@ -269,7 +254,7 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     A critical simplex gets its bit only when a boundary first reaches
     it, so the rows are as wide as the critical cells they touch, not as
     the level below.  beta_d = c_d - rank_d - rank_{d+1}, with c_d the
-    critical d-simplices and the ranks from gf2_rank.  The matching is
+    critical d-simplices and the ranks from _gf2_rank.  The matching is
     coreduction's (see _coreduction); computed once per complex and kept.
     """
     if K._betti is not None:
@@ -317,7 +302,7 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
                     stack.pop()
                 row ^= flow[f]
             rows.append(row)
-        ranks[d] = gf2_rank(rows)
+        ranks[d] = _gf2_rank(rows)
     K._betti = tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
     return K._betti
 

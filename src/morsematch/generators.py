@@ -1,7 +1,9 @@
 """Named complexes and deterministic random ones for tests and benchmarks.
 
-random_complex closes its facets once, links included: it finds the
-components it links by a union-find over those facets.
+Every generator whose size is known before it builds refuses past one
+cap, SIMPLEX_CAP, before making any face.  random_complex, whose size is
+known only after closing its facets, stays uncapped; it closes them
+once, links included, finding the components it links by a union-find.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ DUNCE_HAT_FACETS = (
 )
 
 
-# Most simplices simplex_boundary and full_simplex build.  The n-simplex
-# has 2**(n+1) - 1 faces at about 1 KB each, so the cap admits n <= 15
-# (some 70 MB) and refuses n = 16 before any face is made.
+# Most simplices a generator builds.  The n-simplex has 2**(n+1) - 1
+# faces at about 1 KB each, so the cap admits n <= 15 (some 70 MB) and
+# refuses n = 16 before any face is made.
 SIMPLEX_CAP = 1 << 16
 
 
@@ -83,12 +85,14 @@ def wedge(K: SimplicialComplex, p: int, copies: int) -> SimplicialComplex:
 
     Copy j shifts every vertex except p by j times a fixed stride, so the
     copies share exactly the basepoint and nothing else.  The result has
-    (n - 1) * copies + 1 simplices for an n-simplex input.
+    (n - 1) * copies + 1 simplices for an n-simplex input, and past
+    SIMPLEX_CAP of them nothing is built.
     """
     if (p,) not in K:
         raise ValueError(f"basepoint {p} is not a vertex of the complex")
     if copies < 1:
         raise ValueError("copies must be at least 1")
+    _check_simplex_cap(f"wedge of {copies} copies", (K.n - 1) * copies + 1)
     stride = max(K.vertices) + 1
     out = []
     for j in range(copies):
@@ -97,23 +101,22 @@ def wedge(K: SimplicialComplex, p: int, copies: int) -> SimplicialComplex:
     return from_maximal_simplices(out)
 
 
-def amplified(K: SimplicialComplex, p: int, c: int, cap: int = 20000) -> SimplicialComplex:
+def amplified(K: SimplicialComplex, p: int, c: int) -> SimplicialComplex:
     """Wedge of n**(c-1) copies of K at p, n the simplex count of K.
 
     Any Morse matching on the result that stays below n**(c-1) + 1 critical
     simplices would certify K collapsible, which is what makes this body
-    useful as a hardness amplifier.  Refuses to build past the size cap,
-    which it decides before the power of n can outgrow it.
+    useful as a hardness amplifier.  The copy count stops growing as soon
+    as its wedge is past SIMPLEX_CAP, so the power of n is never computed
+    in full, and wedge then refuses it.
     """
     if c < 1:
         raise ValueError("c must be at least 1")
     copies = 1
     for _ in range(c - 1 if K.n > 1 else 0):
-        if (K.n - 1) * copies + 1 > cap:
+        if (K.n - 1) * copies + 1 > SIMPLEX_CAP:
             break
         copies *= K.n
-    if (K.n - 1) * copies + 1 > cap:
-        raise ValueError(f"amplified complex would be over the cap of {cap} simplices")
     return wedge(K, p, copies)
 
 

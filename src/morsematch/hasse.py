@@ -5,26 +5,28 @@ one edge joins each simplex to each of its codimension-1 faces.  The
 complex already stores that incidence on simplex ids (K.facet_ids and
 K.cofacet_ids), so there is no separate diagram object: matching,
 validation and orientation take the complex itself and work on ids
-inside, and hasse(K) lists the covering edges only for a caller that
-wants them as data.  A matching selects disjoint covering pairs;
-orienting the diagram by a matching points matched edges up (face to
-coface) and everything else down.  The maximum matching is grown from
-coreduction's matching, which complexes keeps on the complex, and comes
-out as a mate array on ids; other matchings go in as simplex pairs, with one
+inside.  hasse(K) lists the covering edges as simplex pairs; nothing in
+the package calls it, and it stays only because benchmarks/tracer.py
+wraps it.  A matching selects disjoint covering pairs; orienting the
+diagram by a matching points matched edges up (face to coface) and
+everything else down.  The maximum matching is grown from coreduction's
+matching, which complexes keeps on the complex, and comes out as a mate
+array on ids; other matchings go in as simplex pairs, with one
 exception: orient, the one matching validator, also takes an
 OrientedHasse whose up array the package's own algorithms filled on
 ids, so that certifying their results never maps ids to tuples and back.
 """
 from __future__ import annotations
 
-from .complexes import Simplex, SimplicialComplex, _coreduction, facets_of
+from .complexes import Simplex, SimplicialComplex, _coreduction
 
 Pair = tuple[Simplex, Simplex]
 
 
 def hasse(K: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
     """Covering edges (coface, facet) of K, cofaces and facets in canonical order."""
-    return [(tau, sigma) for tau in K.simplices for sigma in facets_of(tau)]
+    S = K.simplices
+    return [(tau, S[f]) for tau, fs in zip(S, K.facet_ids) for f in fs]
 
 
 def max_cardinality_matching(K: SimplicialComplex) -> int:

@@ -6,11 +6,12 @@ d-interface (a directed edge changes dimension by exactly one, up from
 d-1 or down from d), so acyclicity is checked one interface at a time,
 on simplex ids: certify takes simplex pairs from outside, or an up array
 of ids from the package's own algorithms, runs both through one
-validator and then a search over the matched cofaces alone; the public
-is_acyclic runs the same two steps on an OrientedHasse.  Critical
-simplices are the unmatched ones.  critical_profile and the surgery
-functions accept a matching by one rule, _accept, and then work on its
-up array.
+validator and then a search over the matched cofaces alone; is_acyclic
+is certify's verdict on an OrientedHasse, read as (acyclic, witness).
+Critical simplices are the unmatched ones.  critical_profile and the two
+surgery functions, canonicalize_single_critical_vertex and
+collapse_sequence, accept a matching by one rule, _accept, and then work
+on its up array.
 """
 from __future__ import annotations
 
@@ -34,9 +35,6 @@ class CriticalProfile(Record):
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def alternating_sum(self) -> int:
-        return sum((-1) ** i * c for i, c in enumerate(self.counts))
 
 
 class MorseMatching(Record):
@@ -141,16 +139,14 @@ def _witness(K: SimplicialComplex, up) -> tuple[Simplex, ...] | None:
 
 
 def is_acyclic(oh: OrientedHasse):
-    """Certify an orientation: validate it through orient, then search it.
+    """certify(oh.complex, oh) read as (True, None) or (False, witness).
 
-    Returns (True, None) or (False, witness) where witness is an
-    alternating cycle normalized to start at its smallest lower simplex.
-    An up array that is malformed raises ValueError, and one that is no
-    matching InvalidMatching, as in orient.
+    The witness is an alternating cycle normalized to start at its
+    smallest lower simplex.  An up array that is malformed raises
+    ValueError, and one that is no matching InvalidMatching, as in orient.
     """
-    oh = orient(oh.complex, oh)
-    witness = _witness(oh.complex, oh.up)
-    return witness is None, witness
+    mm = certify(oh.complex, oh)
+    return mm.acyclic, mm.witness
 
 
 def certify(K: SimplicialComplex, pairs) -> MorseMatching:
@@ -202,15 +198,15 @@ class MorseInequalityReport(Record):
     pointwise_failures: tuple[int, ...]
 
 
-def check_morse_inequalities(profile, betti) -> MorseInequalityReport:
-    """Check alternating-sum and per-dimension lower bounds.
+def check_morse_inequalities(counts, betti) -> MorseInequalityReport:
+    """Check critical counts per dimension against the Betti numbers.
 
     For each d, the alternating sum c_d - c_{d-1} + ... must be at least
     the same sum of Betti numbers; summing consecutive inequalities gives
     the per-dimension bound c_i >= beta_i.  Checking one index past the
     top dimension pins the Euler equality from both sides.
     """
-    c = profile.counts if isinstance(profile, CriticalProfile) else tuple(profile)
+    c = tuple(counts)
     b = tuple(betti)
     top = max(len(c), len(b))
     cc = c + (0,) * (top + 1 - len(c))
@@ -229,32 +225,16 @@ def check_morse_inequalities(profile, betti) -> MorseInequalityReport:
     )
 
 
-def gamma_graph(K: SimplicialComplex, matching) -> dict[int, tuple[int, ...]]:
-    """1-skeleton minus the edges matched with 2-simplices, as adjacency.
-
-    For an acyclic matching on a connected complex this graph is always
-    connected: walking from any vertex along unmatched or downward-matched
-    edges reaches every other vertex.  Read from the up array of the
-    matching _accept gives; neighbours ascend as K.cofacet_ids does.
-    """
-    if not is_connected(K):
-        raise ValueError("connected complex required")
-    up = _accept(K, matching)._ids[1]
-    S, F, C = K.simplices, K.facet_ids, K.cofacet_ids
-    return {
-        S[v][0]: tuple(S[w][0] for e in C[v] if up[e] < 0 for w in F[e] if w != v)
-        for v in range(len(K.by_dim[0]))
-    }
-
-
 def canonicalize_single_critical_vertex(K: SimplicialComplex, matching, p: int) -> MorseMatching:
     """Rebuild the vertex-edge pairs so p is the only critical vertex.
 
     Pairs whose coface has dimension 2 or more are kept.  The vertex-edge
     pairing is replaced wholesale, on a copy of the accepted up array with
     its vertex entries cleared: a depth-first spanning tree of the gamma
-    graph rooted at p (vertex ids, neighbours ascending) matches every
-    other vertex with its tree edge toward the root.  Every directed path
+    graph (the 1-skeleton less the edges matched up to triangles, which an
+    acyclic matching on a connected complex leaves connected) rooted at p
+    (vertex ids, neighbours ascending) matches every other vertex with
+    its tree edge toward the root.  Every directed path
     in the rebuilt 1-interface then descends toward p, so no cycle appears
     and the critical counts above dimension 1 are untouched.
     """

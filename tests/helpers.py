@@ -11,18 +11,23 @@ be held to the same mate array; is_maximum_matching checks maximality
 independently.  reference_betti_gf2 is a frozen copy of the package's
 dense elimination over the full complex, kept so that the Betti numbers
 of the Morse complex can be held to it; it ranks the rows of
-boundary_matrix_gf2 and counts components with reference_component_roots,
-both frozen copies of functions the package no longer has.
+boundary_matrix_gf2 with reference_gf2_rank and counts components with
+reference_component_roots, all frozen copies, so that it shares no code
+with betti_gf2.
 reference_random_complex is the generator's component linking as it stood
 on reference_component_roots, before it became a union-find over the
 facets, kept so that the union-find can be held to the same complexes.
 reference_coreduction_matching and
 reference_reduction_matching are frozen copies of the two greedy loops
 as they stood before they became one elimination kernel, kept so that
-the kernel can be held to the same up arrays.  reference_gamma_graph and
-reference_canonicalize_single_critical_vertex are frozen copies of the
-package's tuple-based surgery, before it moved onto the certified up
-array, kept so that the id versions can be held to the same results.
+the kernel can be held to the same up arrays.
+reference_canonicalize_single_critical_vertex is a frozen copy of the
+package's tuple-based canonicalization, before it moved onto the
+certified up array, kept so that the id version can be held to the same
+results; reference_gamma_graph, the graph it spans, is the only gamma
+graph left, since the package builds its spanning tree on ids without
+one.  facets_of and cofacets_of list the incidence of one simplex by
+slicing and by subset tests, apart from the complex's id tuples.
 reference_bfs_component is a frozen copy of frontier's component search
 as it stood with a deque for its queue and a set of classified faces,
 kept so that the search on its forward list and absorbed flags can be
@@ -57,7 +62,6 @@ from morsematch import (
     dunce_hat,
     from_maximal_simplices,
     frontier_edges_matching,
-    gf2_rank,
     reduction_matching,
     rp2,
     simplex,
@@ -83,6 +87,17 @@ def covering_pairs(simplices) -> list[Pair]:
                 if set(s) < tset:
                     out.append((s, t))
     return out
+
+
+def facets_of(s: Simplex) -> list[Simplex]:
+    """Codimension-1 faces of s, in canonical order; none for a vertex."""
+    return list(combinations(s, len(s) - 1)) if len(s) > 1 else []
+
+
+def cofacets_of(K: SimplicialComplex, s: Simplex) -> tuple[Simplex, ...]:
+    """Codimension-1 cofaces of s in K, in canonical order, by subset tests."""
+    above = K.by_dim[len(s)] if len(s) <= K.dim else ()
+    return tuple(t for t in above if set(s) < set(t))
 
 
 def brute_max_matching_size(simplices) -> int:
@@ -326,19 +341,39 @@ def boundary_matrix_gf2(K: SimplicialComplex, d: int) -> list[int]:
     return rows
 
 
+def reference_gf2_rank(rows) -> int:
+    """Rank of GF(2) bit rows by elimination on leading bits.
+
+    A frozen copy of complexes._gf2_rank, so that reference_betti_gf2
+    ranks with code of its own.
+    """
+    pivots: dict[int, int] = {}
+    rank = 0
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = row
+                rank += 1
+                break
+            row ^= p
+    return rank
+
+
 def reference_betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     """Mod-2 Betti numbers by dense elimination on the full complex.
 
     A frozen copy of the package's betti_gf2 before it moved to the Morse
     complex: every boundary row is a bit row as wide as the level below,
-    ranked by gf2_rank, and rank boundary_1 is the vertex count less the
-    component count.  Not cached on K.
+    ranked by reference_gf2_rank, and rank boundary_1 is the vertex count
+    less the component count.  Not cached on K.
     """
     ranks = [0] * (K.dim + 2)
     if K.dim:
         ranks[1] = len(K.by_dim[0]) - len(reference_component_roots(K))
     for d in range(2, K.dim + 1):
-        ranks[d] = gf2_rank(boundary_matrix_gf2(K, d))
+        ranks[d] = reference_gf2_rank(boundary_matrix_gf2(K, d))
     return tuple(len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
 
 
@@ -663,6 +698,11 @@ def replay_collapses(simplices, sequence) -> frozenset[Simplex]:
 
 def euler(simplices) -> int:
     return sum(-1 if len(s) % 2 == 0 else 1 for s in simplices)
+
+
+def alternating_sum(counts) -> int:
+    """c_0 - c_1 + c_2 - ... of per-dimension counts."""
+    return sum((-1) ** d * c for d, c in enumerate(counts))
 
 
 def profile_of(K: SimplicialComplex, pairs) -> tuple[int, ...]:

@@ -275,6 +275,22 @@ def test_gen_refuses_a_simplex_over_the_cap(capsys, monkeypatch, name):
     assert "40-simplex would be over the cap of 65536 simplices" in captured.err
 
 
+def test_gen_wedge_refuses_past_the_cap(capsys, monkeypatch):
+    # 48 * 4000 + 1 = 192 001 simplices; only the 17-facet base is built.
+    close = generators.from_maximal_simplices
+
+    def build(facets):
+        facets = list(facets)
+        assert len(facets) < 100, "built past the cap"
+        return close(facets)
+
+    monkeypatch.setattr(generators, "from_maximal_simplices", build)
+    assert main(["gen", "wedge", "--base", "dunce", "--copies", "4000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "wedge of 4000 copies would be over the cap of 65536 simplices" in captured.err
+
+
 def test_gen_writes_file_with_header(tmp_path):
     out = tmp_path / "w.txt"
     code = main(["gen", "wedge", "--base", "dunce", "--copies", "3", "--out", str(out)])

@@ -16,9 +16,7 @@ from morsematch import (
     canonical_key,
     dunce_hat,
     euler_characteristic,
-    facets_of,
     from_maximal_simplices,
-    gf2_rank,
     is_connected,
     parse_complex,
     random_complex,
@@ -32,11 +30,14 @@ from helpers import (
     betti_numpy,
     boundary_matrix_gf2,
     brute_closure,
+    cofacets_of,
     euler,
+    facets_of,
     named_complexes,
     reference_betti_gf2,
     reference_close,
     reference_complex,
+    reference_gf2_rank,
     reference_max_matching_mates,
 )
 
@@ -78,20 +79,24 @@ def test_membership_and_vertices():
     assert K.dim == 2 and K.n == 7
 
 
+def incident(K, ids_of, s):
+    """The simplices ids_of (K.facet_ids or K.cofacet_ids) lists for s."""
+    return [K.simplices[j] for j in ids_of[K.index[s]]]
+
+
 def test_facets_of_is_lexicographic():
-    assert facets_of((0, 1, 2)) == [(0, 1), (0, 2), (1, 2)]
-    assert facets_of((3, 7)) == [(3,), (7,)]
-    assert facets_of((0,)) == []
+    K = from_maximal_simplices([(0, 1, 2), (3, 7)])
+    assert incident(K, K.facet_ids, (0, 1, 2)) == [(0, 1), (0, 2), (1, 2)]
+    assert incident(K, K.facet_ids, (3, 7)) == [(3,), (7,)]
+    assert incident(K, K.facet_ids, (0,)) == []
 
 
 def test_cofacets_of():
     K = from_maximal_simplices([(0, 1, 2), (1, 2, 3)])
-    assert K.cofacets_of((1, 2)) == ((0, 1, 2), (1, 2, 3))
-    assert K.cofacets_of((0, 1, 2)) == ()
+    assert incident(K, K.cofacet_ids, (1, 2)) == [(0, 1, 2), (1, 2, 3)]
+    assert incident(K, K.cofacet_ids, (0, 1, 2)) == []
     circle = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
-    assert circle.cofacets_of((0,)) == ((0, 1), (0, 2))
-    with pytest.raises(ValueError, match="unknown simplex"):
-        K.cofacets_of((9,))
+    assert incident(circle, circle.cofacet_ids, (0,)) == [(0, 1), (0, 2)]
 
 
 ID_CORPUS = [
@@ -108,12 +113,9 @@ def test_id_arrays_map_back_to_the_incidence(K):
     for i, s in enumerate(S):
         assert K.index[s] == i
         assert [S[j] for j in K.facet_ids[i]] == facets_of(s)
-        assert tuple(S[j] for j in K.cofacet_ids[i]) == K.cofacets_of(s)
+        assert tuple(S[j] for j in K.cofacet_ids[i]) == cofacets_of(K, s)
         assert list(K.facet_ids[i]) == sorted(K.facet_ids[i])
         assert list(K.cofacet_ids[i]) == sorted(K.cofacet_ids[i])
-        for t in S:
-            if len(t) == len(s) + 1 and set(s) < set(t):
-                assert K.index[t] in K.cofacet_ids[i]
     assert sorted(S, key=canonical_key) == list(S)
     assert len(K.index) == K.n
 
@@ -149,7 +151,7 @@ def test_boundary_matrix_shape_and_rank():
     K = from_maximal_simplices([(0, 1, 2)])
     rows = boundary_matrix_gf2(K, 1)
     assert len(rows) == 3
-    assert gf2_rank(rows) == 2
+    assert reference_gf2_rank(rows) == 2
     with pytest.raises(ValueError, match="no boundary matrix"):
         boundary_matrix_gf2(K, 5)
 
@@ -228,7 +230,7 @@ def test_downward_closure_and_incidence_consistency():
                 for f in facets_of(s):
                     assert f in K, (name, s, f)
         for s in K:
-            for t in K.cofacets_of(s):
+            for t in incident(K, K.cofacet_ids, s):
                 assert s in facets_of(t), (name, s, t)
 
 
@@ -387,7 +389,7 @@ def test_one_live_cofacet_means_one_live_proper_coface(seed, dim):
     rng = random.Random(seed)
     live = set(K.simplices)
     while live:
-        cofacets = {s: [t for t in K.cofacets_of(s) if t in live] for s in live}
+        cofacets = {s: [t for t in incident(K, K.cofacet_ids, s) if t in live] for s in live}
         cofaces = {s: [t for t in live if set(s) < set(t)] for s in live}
         free = sorted(s for s in live if len(cofacets[s]) == 1)
         assert free == sorted(s for s in live if len(cofaces[s]) == 1)

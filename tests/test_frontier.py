@@ -7,7 +7,6 @@ from morsematch import (
     certify,
     critical_profile,
     dunce_hat,
-    facets_of,
     from_maximal_simplices,
     frontier_edges_matching,
     hasse,
@@ -20,7 +19,7 @@ from morsematch import (
 )
 from morsematch.frontier import _leading, bfs_component
 from morsematch.hasse import max_matching_mates
-from helpers import max_matching_pairs, reference_bfs_component
+from helpers import facets_of, max_matching_pairs, reference_bfs_component
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])

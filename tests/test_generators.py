@@ -19,7 +19,12 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
-from helpers import reference_component_roots, reference_random_complex, reference_simplex_boundary
+from helpers import (
+    facets_of,
+    reference_component_roots,
+    reference_random_complex,
+    reference_simplex_boundary,
+)
 
 
 def test_simplex_boundary_smallest_case():
@@ -105,7 +110,7 @@ def test_dunce_hat_triangulation():
 def test_dunce_hat_has_no_free_edge():
     K = dunce_hat()
     for edge in K.by_dim[1]:
-        assert len(K.cofacets_of(edge)) != 1
+        assert len(K.cofacet_ids[K.index[edge]]) != 1
 
 
 def test_wedge_size_and_homology():
@@ -129,6 +134,19 @@ def test_wedge_single_copy_is_identity():
     assert wedge(K, 1, 1) == K
 
 
+def test_wedge_refuses_past_the_cap_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("built past the cap")
+
+    hat = dunce_hat()
+    monkeypatch.setattr(generators, "from_maximal_simplices", build)
+    # 48 * 1365 + 1 = 65 521 simplices fit; one copy more is 65 569.
+    with pytest.raises(ValueError, match="wedge of 1366 copies would be over the cap of 65536 simplices"):
+        wedge(hat, 1, 1366)
+    with pytest.raises(AssertionError, match="built past the cap"):
+        wedge(hat, 1, 1365)
+
+
 def test_wedge_input_checks():
     K = rp2()
     with pytest.raises(ValueError, match="not a vertex"):
@@ -144,18 +162,26 @@ def test_amplified_grows_geometrically():
     assert len(A.facets()) == 3
 
 
-def test_amplified_respects_cap():
-    with pytest.raises(ValueError, match="over the cap"):
-        amplified(dunce_hat(), 1, 2, cap=10)
+def test_amplified_respects_cap(monkeypatch):
+    def build(*args):
+        raise AssertionError("built past the cap")
+
+    hat = dunce_hat()
+    monkeypatch.setattr(generators, "from_maximal_simplices", build)
+    # The dunce hat has 49 simplices: 49**2 copies would be 115 249.
+    with pytest.raises(ValueError, match="wedge of 2401 copies would be over the cap of 65536 simplices"):
+        amplified(hat, 1, 3)
 
 
 def test_amplified_decides_the_cap_before_the_power():
     # 31**2999 has over 4300 digits, more than an int may print; the cap
     # is decided without building it and the message names the cap.
-    with pytest.raises(ValueError, match="over the cap of 20000 simplices"):
+    with pytest.raises(ValueError, match="over the cap of 65536 simplices"):
         amplified(rp2(), 1, 3000)
-    with pytest.raises(ValueError, match="over the cap of 30 simplices"):
-        amplified(rp2(), 1, 1, cap=30)
+    # RP2 has 31 simplices: 31**3 copies would be 893 731, 31**2 fit.
+    with pytest.raises(ValueError, match="wedge of 29791 copies would be over the cap of 65536 simplices"):
+        amplified(rp2(), 1, 4)
+    assert amplified(rp2(), 1, 3).n == 30 * 31**2 + 1 == 28831
     assert amplified(rp2(), 1, 2).n == 30 * 31 + 1
     assert amplified(from_maximal_simplices([(0,)]), 0, 3000).n == 1
 
@@ -183,8 +209,6 @@ def test_random_complex_argument_validation():
 
 
 def test_random_complexes_are_valid_complexes():
-    from morsematch import facets_of
-
     for seed in range(20):
         K = random_complex(seed)
         for s in K:

@@ -51,7 +51,6 @@ from morsematch import (
     coreduction_matching,
     dunce_hat,
     erasability,
-    facets_of,
     from_maximal_simplices,
     frontier_edges_matching,
     full_simplex,
@@ -66,7 +65,7 @@ from morsematch import (
 )
 from morsematch.cli import main
 from morsematch.hasse import max_matching_mates
-from helpers import dunce_hat_with_tetrahedron, max_matching_pairs
+from helpers import dunce_hat_with_tetrahedron, facets_of, max_matching_pairs
 
 GOLDEN_SHA256 = "80b0d483c8e348a3faeafe36fcae59e11f0878a68365bfea6b7f3368ea32d515"
 ORACLE_GOLDEN_SHA256 = {

@@ -23,6 +23,7 @@ from morsematch import (
     wedge,
 )
 from helpers import (
+    alternating_sum,
     max_matching_pairs,
     named_complexes,
     reference_coreduction_matching,
@@ -59,7 +60,7 @@ def test_reduction_on_full_triangle():
     result = reduction_matching(TRIANGLE)
     assert result.acyclic
     prof = critical_profile(TRIANGLE, result.pairs)
-    assert prof.alternating_sum() == 1
+    assert alternating_sum(prof.counts) == 1
     assert prof.counts == (1, 0, 0)
 
 
@@ -100,7 +101,7 @@ def test_outputs_certified_and_euler_consistent():
             result = algo(K)
             assert result.acyclic
             prof = critical_profile(K, result.pairs)
-            assert prof.alternating_sum() == euler_characteristic(K)
+            assert alternating_sum(prof.counts) == euler_characteristic(K)
             assert check_morse_inequalities(prof.counts, betti_gf2(K)).ok
 
 
