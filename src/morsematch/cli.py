@@ -244,6 +244,24 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _bench_file(corpus: str, name: str, algos, budget: int | None) -> list[dict]:
+    """The bench rows of one corpus file, one per algorithm.
+
+    The complex, its kept caches and every matching live only in this
+    call, so bench holds one complex at a time and its peak memory
+    follows the largest file of the corpus.
+    """
+    K = read_complex(os.path.join(corpus, name))
+    facts = _complex_facts(K)
+    rows = []
+    for algo in algos:
+        mm, extras = _run_algo(K, algo, budget)
+        row = _match_report(K, algo, mm, extras, facts)
+        row["complex"] = name
+        rows.append(row)
+    return rows
+
+
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
@@ -261,13 +279,7 @@ def cmd_bench(args) -> int:
         raise ParseError(f"no complex files in {args.corpus}")
     rows = []
     for name in names:
-        K = read_complex(os.path.join(args.corpus, name))
-        facts = _complex_facts(K)
-        for algo in algos:
-            mm, extras = _run_algo(K, algo, args.budget)
-            row = _match_report(K, algo, mm, extras, facts)
-            row["complex"] = name
-            rows.append(row)
+        rows += _bench_file(args.corpus, name, algos, args.budget)
     agg = {}
     for algo in algos:
         rs = [r for r in rows if r["algorithm"] == algo]

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from morsematch import (
     from_maximal_simplices,
     parse_complex,
     parse_matching,
+    random_complex,
     rp2,
     simplex_boundary,
     wedge,
@@ -375,6 +377,65 @@ def test_bench_human_output_is_a_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "algorithm" in out and "frontier" in out
+
+
+def _corpus(root, name, K, copies):
+    corpus = root / name
+    corpus.mkdir()
+    for i in range(copies):
+        write_complex(K, corpus / f"{i}.txt")
+    return str(corpus)
+
+
+@pytest.mark.parametrize("algos", ["coreduction,reduction", "frontier"])
+def test_bench_holds_one_complex_at_a_time(tmp_path, capsys, algos):
+    # Peak traced memory over three copies of one file stays near the peak
+    # over one copy: each file's complex, caches and matchings are released
+    # before the next file is parsed.  Two resident complexes read 1.8-2.3x.
+    # The rest above 1x is freed tuples and lists that CPython keeps on its
+    # free lists and tracemalloc still counts: a few hundred KB however
+    # large the file, which read over 1.5x beside a 1817-simplex complex
+    # depending on the tests run before, so the complex is larger.
+    K = random_complex(1, 3, 120, 1600, connected=True)
+    assert K.n == 7006
+    one = _corpus(tmp_path, "one", K, 1)
+    three = _corpus(tmp_path, "three", K, 3)
+    argv = ["--algos", algos, "--json", "--no-timing"]
+    assert main(["bench", one, *argv]) == 0  # untraced warm-up
+
+    def peak(corpus):
+        tracemalloc.start()
+        try:
+            assert main(["bench", corpus, *argv]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single, triple = peak(one), peak(three)
+    capsys.readouterr()
+    assert triple <= 1.5 * single, (single, triple)
+
+
+def test_bench_carries_no_state_between_files(tmp_path, capsys):
+    # a and c hold the same complex with b between them: their rows must
+    # match each other and each row must match a bench over its file alone.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, K in (("a.txt", dunce_hat()), ("b.txt", rp2()), ("c.txt", dunce_hat())):
+        write_complex(K, corpus / name)
+    argv = ["--algos", "frontier,coreduction,reduction,oracle", "--budget", "2000"]
+    code, payload = run_json(capsys, ["bench", str(corpus), *argv])
+    assert code == 0
+    rows = {}
+    for row in payload["rows"]:
+        rows.setdefault(row["complex"], []).append(row)
+    assert len(rows["a.txt"]) == 4
+    assert [{**r, "complex": "c.txt"} for r in rows["a.txt"]] == rows["c.txt"]
+    for name, file_rows in rows.items():
+        alone = tmp_path / f"alone-{name}"
+        alone.mkdir()
+        shutil.copy(corpus / name, alone / name)
+        assert run_json(capsys, ["bench", str(alone), *argv])[1]["rows"] == file_rows
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
