@@ -7,10 +7,11 @@ stdout, or on stderr when match writes its matching to stdout (--out -).
 
 Exit codes: 0 success, 2 validation failure (including a cyclic result
 from match or bench, whose report is still printed, and which takes
-precedence over 4), 3 parse error (including input that is not UTF-8),
-4 oracle budget exhausted; _exit_code is the one rule match and bench
-share.  The oracle budget comes from --budget alone and must be a
-non-negative integer.  GENERATORS is the catalogue of gen.
+precedence over 4), 3 parse error (including input that is not UTF-8)
+or a file that cannot be read or written, 4 oracle budget exhausted;
+_exit_code is the one rule match and bench share.  The oracle budget
+comes from --budget alone and must be a non-negative integer.
+GENERATORS is the catalogue of gen.
 """
 from __future__ import annotations
 

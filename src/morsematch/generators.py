@@ -34,7 +34,9 @@ DUNCE_HAT_FACETS = (
 
 # Most simplices a generator builds.  The n-simplex has 2**(n+1) - 1
 # faces at about 1 KB each, so the cap admits n <= 15 (some 70 MB) and
-# refuses n = 16 before any face is made.
+# refuses n = 16 before any face is made.  The simplex generators count
+# with n clipped at the cap's bit length, still over the cap there, so a
+# huge n is refused without forming its power of two.
 SIMPLEX_CAP = 1 << 16
 
 
@@ -52,7 +54,7 @@ def simplex_boundary(n: int) -> tuple[SimplicialComplex, MorseMatching]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_simplex_cap(f"boundary of the {n}-simplex", (1 << n + 1) - 2)
+    _check_simplex_cap(f"boundary of the {n}-simplex", (2 << min(n, SIMPLEX_CAP.bit_length())) - 2)
     verts = tuple(range(1, n + 2))
     K = from_maximal_simplices(combinations(verts, n))
     rest = verts[1:]
@@ -67,7 +69,7 @@ def full_simplex(n: int) -> SimplicialComplex:
     """The solid n-simplex on vertices 0..n.  Refuses past SIMPLEX_CAP simplices."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_simplex_cap(f"solid {n}-simplex", (1 << n + 1) - 1)
+    _check_simplex_cap(f"solid {n}-simplex", (2 << min(n, SIMPLEX_CAP.bit_length())) - 1)
     verts = tuple(range(n + 1))
     return from_maximal_simplices([verts])
 

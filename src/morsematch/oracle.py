@@ -69,10 +69,11 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     sum(beta) = chi = K.n (mod 2) and the core term is even, so it halves
     exactly into pairs.  On a dunce hat, which has no free face, this closes
     the one pair by which homology alone falls short.  The greedy
-    results seed the incumbent.  The search state is flat id
-    arrays: up[f] is the coface face f is matched with, or -1, which is
-    what closes_cycle reads, and an improvement is a copy of it, handed
-    to certify as an OrientedHasse.  Without an explicit budget,
+    results seed the incumbent.  The search is a loop over a stack of
+    generators, one per node, so no depth needs recursion.  Its state is
+    flat id arrays: up[f] is the coface face f is matched with, or -1,
+    which is what closes_cycle reads, and an improvement is a copy of
+    it, handed to certify as an OrientedHasse.  Without an explicit budget,
     complexes over 40 simplices are refused; with one, exhaustion returns
     the incumbent flagged non-optimal.
     """
@@ -102,75 +103,63 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     nodes = 0
     optimal = True
 
-    # Depth-first over an explicit stack, in the order of the recursion
-    # search(i): skip matched ids from i; at the end record an improvement;
-    # otherwise prune on the bound, count the node, then try each free
-    # cofacet t of s = i that closes no cycle, each time continuing with
-    # search(s + 1), and last continue with s critical.  A frame [s, k, t]
-    # holds the position k of the next cofacet to try (len(C[s]) for the
-    # critical branch, beyond that for done) and the cofacet t that s is
-    # matched with in the branch below it, or -1.  i is the id the next
-    # search(i) starts from, or -1 when the top frame moves on instead.
-    stack: list[list[int]] = []
-    i = 0
-    while True:
-        if i >= 0:
-            while i < n and matched[i]:
-                i += 1
-            if i == n:
-                if npairs > best_len:
-                    best, best_len = up[:], npairs
-                    if best_len >= ub:
-                        break
-            else:
-                bound = npairs
-                x = 0
-                for d in chain:
-                    x = remaining[d - 1] - x
-                    if x > remaining[d]:
-                        x = remaining[d]
-                    elif x < 0:
-                        x = 0
-                    bound += x
-                if bound > best_len:
-                    nodes += 1
-                    if budget is not None and nodes > budget:
-                        optimal = False
-                        break
-                    remaining[dim[i]] -= 1
-                    stack.append([i, 0, -1])
-            i = -1
-        if not stack:
-            break
-        frame = stack[-1]
-        s, k, t = frame
-        if t >= 0:
-            remaining[dim[t]] += 1
-            npairs -= 1
-            up[s] = -1
-            matched[s] = matched[t] = 0
-        cofs = C[s]
-        m = len(cofs)
-        while k < m:
-            t = cofs[k]
-            k += 1
+    def branches(s: int):
+        """Yield s + 1, where the search goes on, once per choice at the unmatched id s.
+
+        s is paired with each unmatched cofacet that closes no cycle, then
+        left critical; a choice is applied just before its yield and undone
+        just after.
+        """
+        nonlocal npairs
+        remaining[dim[s]] -= 1
+        for t in C[s]:
             if matched[t] or closes_cycle(up, F, s, t):
                 continue
             matched[s] = matched[t] = 1
             up[s] = t
             npairs += 1
             remaining[dim[t]] -= 1
-            frame[1], frame[2] = k, t
-            i = s + 1
-            break
+            yield s + 1
+            remaining[dim[t]] += 1
+            npairs -= 1
+            up[s] = -1
+            matched[s] = matched[t] = 0
+        yield s + 1
+        remaining[dim[s]] += 1
+
+    stack = []
+    i = 0
+    while True:
+        while i < n and matched[i]:
+            i += 1
+        if i == n:
+            if npairs > best_len:
+                best, best_len = up[:], npairs
+                if best_len >= ub:
+                    break
         else:
-            frame[2] = -1
-            if k == m:
-                frame[1] = k + 1
-                i = s + 1
-            else:
-                remaining[dim[s]] += 1
-                stack.pop()
+            bound = npairs
+            x = 0
+            for d in chain:
+                x = remaining[d - 1] - x
+                if x > remaining[d]:
+                    x = remaining[d]
+                elif x < 0:
+                    x = 0
+                bound += x
+            if bound > best_len:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    optimal = False
+                    break
+                stack.append(branches(i))
+        while stack:
+            i = next(stack[-1], -1)
+            if i >= 0:
+                break
+            stack.pop()
+        else:
+            break
     return OracleResult(
         matching=seed if best is None else certify(K, OrientedHasse(K, best)),
         optimal=optimal,

@@ -40,6 +40,10 @@ the package's closure and builder as they stood before cofacets were
 finalized per level, kept so that both constructions can be held to
 them; reference_simplex_boundary is simplex_boundary's complex as it was
 built then, from every proper face through the validating constructor.
+reference_optimal_morse_matching is a frozen copy of the oracle's
+branch-and-bound as it stood with hand-encoded [s, k, t] frames, kept so
+that the search on a stack of choice generators can be held to the same
+nodes, verdict, bound and matching.
 """
 
 from __future__ import annotations
@@ -55,13 +59,16 @@ import numpy as np
 
 from morsematch import (
     MorseMatching,
+    OracleResult,
     OrientedHasse,
     SimplicialComplex,
+    betti_gf2,
     certify,
     coreduction_matching,
     dunce_hat,
     from_maximal_simplices,
     frontier_edges_matching,
+    max_cardinality_matching,
     reduction_matching,
     rp2,
     simplex,
@@ -69,6 +76,7 @@ from morsematch import (
 from morsematch.frontier import EdgeComponent, _leading
 from morsematch.hasse import max_matching_mates
 from morsematch.morse import closes_cycle
+from morsematch.oracle import SIZE_LIMIT, _core_components
 
 Simplex = tuple[int, ...]
 Pair = tuple[Simplex, Simplex]
@@ -874,3 +882,108 @@ def reference_simplex_boundary(n: int) -> SimplicialComplex:
     verts = tuple(range(1, n + 2))
     faces = [c for k in range(1, n + 1) for c in combinations(verts, k)]
     return SimplicialComplex(faces)
+
+
+def reference_optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> OracleResult:
+    """optimal_morse_matching as it stood with its recursion encoded in [s, k, t] frames."""
+    if budget is None and K.n > SIZE_LIMIT:
+        raise ValueError(
+            f"complex has {K.n} simplices, over the no-budget limit {SIZE_LIMIT}"
+        )
+
+    seed = max((coreduction_matching(K), reduction_matching(K)), key=len)
+    beta = betti_gf2(K)
+    floor = sum(beta) + 2 * max(0, _core_components(K) - beta[K.dim])
+    ub = min((K.n - floor) // 2, max_cardinality_matching(K))
+
+    best: list[int] | None = None
+    best_len = len(seed)
+    if best_len >= ub:
+        return OracleResult(matching=seed, optimal=True, nodes=0, pair_upper_bound=ub)
+
+    n = K.n
+    C, F = K.cofacet_ids, K.facet_ids
+    dim = [d for d, level in enumerate(K.by_dim) for _ in level]
+    remaining = [len(level) for level in K.by_dim]
+    chain = range(1, len(remaining))
+    matched = bytearray(n)
+    up = [-1] * n
+    npairs = 0
+    nodes = 0
+    optimal = True
+
+    # Depth-first over an explicit stack, in the order of the recursion
+    # search(i): skip matched ids from i; at the end record an improvement;
+    # otherwise prune on the bound, count the node, then try each free
+    # cofacet t of s = i that closes no cycle, each time continuing with
+    # search(s + 1), and last continue with s critical.  A frame [s, k, t]
+    # holds the position k of the next cofacet to try (len(C[s]) for the
+    # critical branch, beyond that for done) and the cofacet t that s is
+    # matched with in the branch below it, or -1.  i is the id the next
+    # search(i) starts from, or -1 when the top frame moves on instead.
+    stack: list[list[int]] = []
+    i = 0
+    while True:
+        if i >= 0:
+            while i < n and matched[i]:
+                i += 1
+            if i == n:
+                if npairs > best_len:
+                    best, best_len = up[:], npairs
+                    if best_len >= ub:
+                        break
+            else:
+                bound = npairs
+                x = 0
+                for d in chain:
+                    x = remaining[d - 1] - x
+                    if x > remaining[d]:
+                        x = remaining[d]
+                    elif x < 0:
+                        x = 0
+                    bound += x
+                if bound > best_len:
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        optimal = False
+                        break
+                    remaining[dim[i]] -= 1
+                    stack.append([i, 0, -1])
+            i = -1
+        if not stack:
+            break
+        frame = stack[-1]
+        s, k, t = frame
+        if t >= 0:
+            remaining[dim[t]] += 1
+            npairs -= 1
+            up[s] = -1
+            matched[s] = matched[t] = 0
+        cofs = C[s]
+        m = len(cofs)
+        while k < m:
+            t = cofs[k]
+            k += 1
+            if matched[t] or closes_cycle(up, F, s, t):
+                continue
+            matched[s] = matched[t] = 1
+            up[s] = t
+            npairs += 1
+            remaining[dim[t]] -= 1
+            frame[1], frame[2] = k, t
+            i = s + 1
+            break
+        else:
+            frame[2] = -1
+            if k == m:
+                frame[1] = k + 1
+                i = s + 1
+            else:
+                remaining[dim[s]] += 1
+                stack.pop()
+    return OracleResult(
+        matching=seed if best is None else certify(K, OrientedHasse(K, best)),
+        optimal=optimal,
+        nodes=nodes,
+        pair_upper_bound=ub,
+    )

@@ -502,6 +502,16 @@ def test_missing_file_exit_code(capsys):
     assert main(["stats", "/nonexistent/nowhere.txt"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["gen", "dunce"], ["match", "{sphere}"]])
+def test_unwritable_out_exits_3(tmp_path, capsys, sphere_file, argv):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([arg.format(sphere=sphere_file) for arg in argv] + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.parent.exists()
+
+
 def test_validation_error_exit_code(capsys, sphere_file):
     # vertex 99 is not in the complex, so canonicalization must fail
     code = main(["match", sphere_file, "--canonicalize", "99"])

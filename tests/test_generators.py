@@ -1,5 +1,7 @@
 """Built-in complex families and the random generator."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,11 +76,16 @@ def test_simplex_generators_refuse_past_the_cap_before_building(monkeypatch):
 
     for name in ("combinations", "SimplicialComplex", "from_maximal_simplices"):
         monkeypatch.setattr(generators, name, build)
-    for n in (16, 40):
+    # 2**(10**9 + 1) alone would take 125 MB: the cap is decided on n
+    for n in (16, 40, 10**9):
+        tracemalloc.start()
         with pytest.raises(ValueError, match=f"boundary of the {n}-simplex would be over the cap of 65536 simplices"):
             simplex_boundary(n)
         with pytest.raises(ValueError, match=f"solid {n}-simplex would be over the cap of 65536 simplices"):
             full_simplex(n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_simplex_cap_admits_the_eleven_simplex_boundary():

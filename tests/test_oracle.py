@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 import morsematch.oracle
 from morsematch import (
     betti_gf2,
@@ -24,7 +25,12 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
-from helpers import brute_optimal_pairs, dunce_hat_with_tetrahedron, replay_collapses
+from helpers import (
+    brute_optimal_pairs,
+    dunce_hat_with_tetrahedron,
+    reference_optimal_morse_matching,
+    replay_collapses,
+)
 
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
 
@@ -80,6 +86,10 @@ def test_budget_exhaustion_reports_honestly():
     assert critical_profile(K, result.matching.pairs).total == 3
 
 
+def _search_outcome(result):
+    return result.nodes, result.optimal, result.pair_upper_bound, result.matching.pairs
+
+
 def test_budgeted_search_deeper_than_the_recursion_limit():
     # one search level per simplex: 3921 levels, more than Python's
     # default recursion limit of 1000
@@ -90,6 +100,8 @@ def test_budgeted_search_deeper_than_the_recursion_limit():
     assert result.nodes == 3001
     assert result.matching.acyclic
     assert len(result.matching.pairs) <= result.pair_upper_bound
+    want = reference_optimal_morse_matching(K, budget=3000)
+    assert _search_outcome(result) == _search_outcome(want)
 
 
 @pytest.mark.parametrize("hats", [1, 8, 120])
@@ -188,6 +200,38 @@ def test_oracle_finds_the_brute_force_optimum(monkeypatch):
             result = optimal_morse_matching(K)
             assert result.optimal, (starved, K.n)
             assert len(result.matching.pairs) == top, (starved, K.n)
+
+
+ORACLE_INPUTS = st.one_of(
+    st.builds(
+        lambda seed, dim, extra, n_facets: random_complex(
+            seed, dim=dim, n_vertices=dim + 2 + extra, n_facets=n_facets
+        ),
+        st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 4), st.integers(2, 10),
+    ),
+    st.sampled_from([dunce_hat, rp2]).map(lambda base: base()),
+    st.integers(1, 3).map(lambda copies: wedge(dunce_hat_with_tetrahedron(), 1, copies)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(ORACLE_INPUTS)
+def test_search_matches_the_frozen_frame_loop(K):
+    # Same nodes, verdict, bound and matching as the loop on hand-encoded
+    # frames, at every budget.  Random complexes are proven optimal at the
+    # root from the greedy seed, so a second pass starts them from an
+    # empty incumbent, where the search itself has to run.
+    budgets = (0, 1, 50, 2000) + ((None,) if K.n <= morsematch.oracle.SIZE_LIMIT else ())
+    for starved in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if starved:
+                for module in (morsematch.oracle, helpers):
+                    for name in ("coreduction_matching", "reduction_matching"):
+                        mp.setattr(module, name, lambda K: certify(K, []))
+            for budget in budgets:
+                got = optimal_morse_matching(K, budget)
+                want = reference_optimal_morse_matching(K, budget)
+                assert _search_outcome(got) == _search_outcome(want), (K.n, budget, starved)
 
 
 def test_collapsible_full_simplices():
