@@ -161,6 +161,8 @@ def cmd_stats(args) -> int:
 
 def cmd_match(args) -> int:
     K = read_complex(args.input)
+    if args.out and args.out != "-":  # an unwritable --out fails before the search
+        open(args.out, "a").close()  # "a" truncates nothing, not even the input
     mm, extras = _run_algo(K, args.algo, args.budget)
     if args.canonicalize is not None:
         mm = canonicalize_single_critical_vertex(K, mm, args.canonicalize)
@@ -236,6 +238,8 @@ def cmd_gen(args) -> int:
         f" --{o}" if v is True else f" --{o} {v}"
         for o in options if (v := getattr(args, o)) is not False
     )
+    if args.out and args.out != "-":  # an unwritable --out fails before the build
+        open(args.out, "a").close()  # "a" truncates nothing
     text = f"# morse gen {args.name}{opts}\n" + serialize_complex(build(args))
     if args.out == "-" or not args.out:
         sys.stdout.write(text)

@@ -27,10 +27,11 @@ simplex tuples only when they are first read, which the CLI never does.
 Cycles alternate up and down edges and need at least three up-edges, so
 the first processed level of a component can never reverse anything.
 Counting forward, backward and still-frontier edges after each processed
-queue node keeps the kept fraction of every component at least
+queue node shows the kept fraction of every component stays at least
 (d+1)/(d*d+d+1) for its interface dimension d, which bounds the final
 matching against the maximum one on the whole diagram by the same ratio
-at d = dim K.
+at d = dim K.  The search keeps no such count; the frozen reference in
+tests/helpers.py does, and the tests check the bound at every step.
 """
 from __future__ import annotations
 
@@ -40,29 +41,28 @@ from .morse import MorseMatching, certify, closes_cycle
 
 
 class EdgeComponent(Record):
-    """One BFS component: its classifications and per-step trace.
+    """One BFS component: its interface dimension and its classifications.
 
-    Its edges are the facet edges of the cofaces in forward and backward.
-    bfs_component keeps only _ids, the simplices of the complex and the
-    kept and reversed pairs as id pairs; seed, forward and backward are
-    built from them on first access and kept.  The ids take no part in
-    comparisons, the repr or pickling.
+    forward holds the kept pairs in the order they were kept, the seed
+    pair first; backward holds the reversed ones.  Its edges are the facet
+    edges of the cofaces in both.  bfs_component keeps only _ids, the
+    simplices of the complex and the pairs as id pairs; forward and
+    backward are built from them on first access and kept.  The ids take
+    no part in comparisons, the repr or pickling.
     """
 
-    seed: Pair
     dim: int
     forward: tuple[Pair, ...]
     backward: tuple[Pair, ...]
-    trace: tuple[tuple[int, int, int], ...]
     _ids: tuple | None = None
 
     def __getattr__(self, name: str):
         # Called only when lookup fails, so for the pair fields bfs_component left unset.
-        if name not in ("seed", "forward", "backward") or self._ids is None:
+        if name not in ("forward", "backward") or self._ids is None:
             raise AttributeError(name)
-        S, forward, backward = self._ids
-        fwd = tuple((S[a], S[b]) for a, b in forward)
-        self._set(seed=fwd[0], forward=fwd, backward=tuple((S[a], S[b]) for a, b in backward))
+        S, *pairs = self._ids
+        forward, backward = (tuple((S[a], S[b]) for a, b in p) for p in pairs)
+        self._set(forward=forward, backward=backward)
         return getattr(self, name)
 
 
@@ -97,11 +97,11 @@ def bfs_component(
     when it is classified, not when it leaves the queue.  A candidate
     up-edge (a, b) survives only when closes_cycle finds no alternating
     path from b back to a through those pairs, so the kept pairs stay
-    acyclic in every dimension.  The trace records (forward, backward,
-    frontier) totals after each processed queue node; the queue is the
-    forward list itself.  absorbed is a flag per id: cofaces of earlier
-    components are set there and are not entered, and this component sets
-    each of its own when it classifies the pair, which also keeps it from
+    acyclic in every dimension.  The queue is the forward list itself,
+    and each kept pair's leading up-edges are read once, when it is
+    dequeued.  absorbed is a flag per id: cofaces of earlier components
+    are set there and are not entered, and this component sets each of
+    its own when it classifies the pair, which also keeps it from
     classifying a pair twice.
     """
     K, up = oh.complex, oh.up
@@ -111,11 +111,8 @@ def bfs_component(
     absorbed[b0] = 1
     forward = [a0]
     backward: list[tuple[int, int]] = []
-    frontier = set(_leading(F, up, absorbed, a0, b0))
-    trace = []
     for c in forward:  # the queue: forward grows as pairs are kept
         for a in _leading(F, up, absorbed, c, up[c]):
-            frontier.discard(a)
             b = up[a]
             absorbed[b] = 1
             if closes_cycle(kept, F, a, b):
@@ -124,14 +121,11 @@ def bfs_component(
             else:
                 kept[a] = b
                 forward.append(a)
-                frontier.update(_leading(F, up, absorbed, a, b))
-        trace.append((len(forward), len(backward), len(frontier)))
     forward_pairs = [(a, kept[a]) for a in forward]
     for a in forward:
         kept[a] = -1
     return EdgeComponent.__new__(EdgeComponent)._set(  # the pair fields stay unset until read
         dim=len(K.simplices[b0]) - 1,
-        trace=tuple(trace),
         _ids=(K.simplices, forward_pairs, backward),
     )
 

@@ -29,9 +29,11 @@ graph left, since the package builds its spanning tree on ids without
 one.  facets_of and cofacets_of list the incidence of one simplex by
 slicing and by subset tests, apart from the complex's id tuples.
 reference_bfs_component is a frozen copy of frontier's component search
-as it stood with a deque for its queue and a set of classified faces,
-kept so that the search on its forward list and absorbed flags can be
-held to the same components and state.
+as it stood with a deque for its queue, a set of classified faces and a
+per-step count of kept, reversed and frontier edges, kept so that the
+search on its forward list and absorbed flags can be held to the same
+components and state, and so that the count behind the ratio bound is
+still checked.
 dunce_hat_with_tetrahedron is a dunce hat with a solid tetrahedron on
 one of its triangles: the oracle's bound stays one pair above the
 optimum on it and its wedges, so budgeted searches there still run out.
@@ -464,7 +466,7 @@ def reference_canonicalize_single_critical_vertex(
 
 def reference_bfs_component(
     oh: OrientedHasse, a0: int, absorbed: bytearray, kept: list[int]
-) -> EdgeComponent:
+) -> tuple[EdgeComponent, tuple[tuple[int, int, int], ...]]:
     """Classify every up-edge reachable from the seed face a0, reversing cycle makers.
 
     The seed is the pair (a0, oh.up[a0]); every other pair is named by
@@ -477,10 +479,11 @@ def reference_bfs_component(
     when it is classified, not when it leaves the queue.  A candidate
     up-edge (a, b) survives only when closes_cycle finds no alternating
     path from b back to a through those pairs, so the kept pairs stay
-    acyclic in every dimension.  The trace records (forward, backward,
-    frontier) totals after each processed queue node.  absorbed is a flag
-    per id: cofaces of earlier components are set there and are not
-    entered, and this component sets its own on return.
+    acyclic in every dimension.  Returns the component and its trace:
+    the (forward, backward, frontier) totals after each processed queue
+    node.  absorbed is a flag per id: cofaces of earlier components are
+    set there and are not entered, and this component sets its own on
+    return.
     """
     K, up = oh.complex, oh.up
     F = K.facet_ids
@@ -518,10 +521,10 @@ def reference_bfs_component(
         kept[a] = -1
     for _, b in backward:
         absorbed[b] = 1
-    return EdgeComponent(
-        forward_pairs[0], len(S[b0]) - 1, forward_pairs,
-        tuple((S[a], S[b]) for a, b in backward), tuple(trace),
+    component = EdgeComponent(
+        len(S[b0]) - 1, forward_pairs, tuple((S[a], S[b]) for a, b in backward)
     )
+    return component, tuple(trace)
 
 
 def is_maximum_matching(simplices, mates) -> bool:

@@ -502,14 +502,37 @@ def test_missing_file_exit_code(capsys):
     assert main(["stats", "/nonexistent/nowhere.txt"]) == 3
 
 
-@pytest.mark.parametrize("argv", [["gen", "dunce"], ["match", "{sphere}"]])
-def test_unwritable_out_exits_3(tmp_path, capsys, sphere_file, argv):
+@pytest.mark.parametrize("argv", [["gen", "dunce"], ["match", "{sphere}"], ["gen", "wedge"]])
+def test_unwritable_out_exits_3(tmp_path, capsys, sphere_file, argv, monkeypatch):
+    # --out is opened before the search or the build, neither of which runs
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was opened")
+
+    monkeypatch.setattr(cli, "_run_algo", never)
+    monkeypatch.setattr(cli, "wedge", never)
     out = tmp_path / "missing" / "out.txt"
     assert main([arg.format(sphere=sphere_file) for arg in argv] + ["--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert not out.parent.exists()
+
+
+def test_a_failed_run_leaves_an_existing_out_file_intact(tmp_path, capsys):
+    # the oracle refuses more than 40 simplices without --budget, after
+    # --out is open; a later run that succeeds replaces the whole file
+    path = tmp_path / "dunce.txt"
+    write_complex(dunce_hat(), path)
+    out = tmp_path / "m.txt"
+    before = b"0 1\n0\n" * 1000
+    out.write_bytes(before)
+    argv = ["match", str(path), "--algo", "oracle", "--out", str(out)]
+    assert main(argv) == 2
+    assert "over the no-budget limit" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert main(argv + ["--budget", "100", "--json"]) in (0, 4)
+    mm = parse_matching(out.read_text())
+    assert len(mm) == json.loads(capsys.readouterr().out)["matched_pairs"]
 
 
 def test_validation_error_exit_code(capsys, sphere_file):

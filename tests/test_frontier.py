@@ -1,4 +1,4 @@
-"""Frontier-edges approximation: classification, traces, and the ratio bound."""
+"""Frontier-edges approximation: classification and the ratio bound."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -38,13 +38,14 @@ def component_edges(comp):
     }
 
 
-def assert_trace_bound(result):
+def bound_holds(d, forward, backward, frontier=0):
+    """(d*d+d+1) * forward >= (d+1) * (forward + backward + frontier), in integers."""
+    return (d * d + d + 1) * forward >= (d + 1) * (forward + backward + frontier)
+
+
+def assert_component_bound(result):
     for comp in result.components:
-        d = comp.dim
-        for forward, backward, frontier in comp.trace:
-            lhs = (d * d + d + 1) * forward
-            rhs = (d + 1) * (forward + backward + frontier)
-            assert lhs >= rhs, (comp.seed, comp.trace)
+        assert bound_holds(comp.dim, len(comp.forward), len(comp.backward)), comp.forward[0]
 
 
 def leading(oh, chi):
@@ -91,12 +92,15 @@ def test_bfs_component_on_hexagon():
     absorbed = bytearray(CIRCLE.n)
     oh = hexagon_orientation()
     comp = component(oh, (0,), absorbed)
-    assert comp.seed == ((0,), (0, 1))
     assert comp.dim == 1
     assert comp.forward == (((0,), (0, 1)), ((1,), (1, 2)))
     assert comp.backward == (((2,), (0, 2)),)
     assert len(component_edges(comp)) == 6
-    assert comp.trace == ((2, 0, 1), (2, 1, 0))
+    # the reference counts (forward, backward, frontier) after each queue step
+    ref = reference_bfs_component(
+        hexagon_orientation(), CIRCLE.index[(0,)], bytearray(CIRCLE.n), [-1] * CIRCLE.n
+    )
+    assert ref == (comp, ((2, 0, 1), (2, 1, 0)))
     # the reversed pair is unmatched, and every classified coface absorbed
     assert oh.up[CIRCLE.index[(2,)]] == -1
     assert [s for s, flag in zip(CIRCLE.simplices, absorbed) if flag] == [
@@ -109,7 +113,6 @@ def test_bfs_component_isolated_up_edge():
     comp = component(oh, (0,))
     assert comp.forward == (((0,), (0, 1)),)
     assert comp.backward == ()
-    assert comp.trace == ((1, 0, 0),)
     assert component_edges(comp) == {((0, 1), (0,)), ((0, 1), (1,))}
     assert oh.up[CIRCLE.index[(0,)]] == CIRCLE.index[(0, 1)]
 
@@ -119,14 +122,14 @@ def test_bfs_component_stops_at_absorbed_cofaces():
     absorbed[CIRCLE.index[(1, 2)]] = 1
     comp = component(hexagon_orientation(), (0,), absorbed)
     assert comp.forward == (((0,), (0, 1)),)
-    assert comp.trace == ((1, 0, 0),)
+    assert comp.backward == ()
 
 
 def test_bfs_component_stays_in_one_interface():
     for K in [simplex_boundary(3)[0], rp2(), RANDOM_3D]:
         for comp in frontier_edges_matching(K).components:
             d = comp.dim
-            assert len(comp.seed[1]) == d + 1
+            assert len(comp.forward[0][1]) == d + 1
             for b, a in component_edges(comp):
                 assert (len(a), len(b)) == (d, d + 1)
 
@@ -154,6 +157,10 @@ def test_bfs_component_equals_the_reference(K):
     # Both searches run from the seeds frontier_edges_matching takes, each
     # on its own orientation, absorbed flags and kept array; after every
     # component the state they leave must agree as well as the component.
+    # The reference still counts kept, reversed and frontier edges after
+    # each queue step: every count keeps the ratio bound, the kept count
+    # never falls, and the last count has an empty frontier and the
+    # component's totals.
     mates = max_matching_mates(K)
     runs = [
         (OrientedHasse(K, [m if m > i else -1 for i, m in enumerate(mates)]),
@@ -165,9 +172,12 @@ def test_bfs_component_equals_the_reference(K):
     for b, a in enumerate(mates):
         if 0 <= a < b and not absorbed[b]:
             got = bfs_component(oh, a, absorbed, kept)
-            want = reference_bfs_component(ref_oh, a, ref_absorbed, ref_kept)
-            for field in ("seed", "dim", "forward", "backward", "trace"):
+            want, trace = reference_bfs_component(ref_oh, a, ref_absorbed, ref_kept)
+            for field in ("dim", "forward", "backward"):
                 assert getattr(got, field) == getattr(want, field), (field, a)
+            assert all(bound_holds(want.dim, *step) for step in trace), (a, trace)
+            assert all(s[0] <= t[0] for s, t in zip(trace, trace[1:])), (a, trace)
+            assert trace[-1] == (len(want.forward), len(want.backward), 0), (a, trace)
             assert oh.up == ref_oh.up and absorbed == ref_absorbed, a
             assert kept == ref_kept == [-1] * K.n, a
             components += 1
@@ -257,7 +267,7 @@ def test_frontier_is_acyclic_and_bounded_on_3d_and_4d_random_complexes():
             kept = len(result.morse.pairs)
             source = result.source_matching_size
             assert (D * D + D + 1) * kept >= (D + 1) * source, (dim, seed)
-            assert_trace_bound(result)
+            assert_component_bound(result)
 
 
 def test_ratio_guarantee_exact_arithmetic():
@@ -272,22 +282,10 @@ def test_ratio_guarantee_exact_arithmetic():
         assert result.morse.acyclic
 
 
-def test_trace_entries_respect_ratio_bound():
+def test_components_respect_ratio_bound():
     complexes = [rp2(), dunce_hat()] + [random_complex(s) for s in range(10)]
     for K in complexes:
-        assert_trace_bound(frontier_edges_matching(K))
-
-
-def test_trace_is_monotone_and_consistent():
-    result = frontier_edges_matching(rp2())
-    for comp in result.components:
-        assert comp.trace[-1][0] == len(comp.forward)
-        assert comp.trace[-1][1] == len(comp.backward)
-        assert comp.trace[-1][2] == 0
-        last_f = 0
-        for forward, backward, frontier in comp.trace:
-            assert forward >= last_f
-            last_f = forward
+        assert_component_bound(frontier_edges_matching(K))
 
 
 def test_component_subgraphs_are_acyclic():

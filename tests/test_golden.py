@@ -24,10 +24,9 @@ A fourth checksum pins what is_collapsible reports, node counts and
 collapse sequences included, on contractible complexes its search must
 back out of many times.
 
-A fifth checksum pins frontier's components (seed, interface dimension,
-kept and reversed pairs, per-step trace, all in order) and the size of
-the maximum matching it starts from, which the bench output does not
-show.
+A fifth checksum pins frontier's components (interface dimension, kept
+and reversed pairs, all in order) and the size of the maximum matching
+it starts from, which the bench output does not show.
 
 A sixth checksum pins the mate arrays of the maximum matching itself on
 dense connected 3-D and 4-D complexes, where hundreds of searches for
@@ -76,7 +75,7 @@ ORACLE_GOLDEN_SHA256 = {
 DEEP_ORACLE_GOLDEN_SHA256 = "f029a218b6bf36297ff5c5f69f4b28c4154fe0a6ef2bc93de8aed9fc799cc35a"
 WITNESS_GOLDEN_SHA256 = "e209b1d6078eb5dddbd4cbb3364d843e41c96075d7173d299ac4283fabf09090"
 COLLAPSE_GOLDEN_SHA256 = "d8e22e5ffda5f786fda2aedca029dcab72cf36118376b4ad6dbb5cb1ed6b10cf"
-FRONTIER_GOLDEN_SHA256 = "119a115cb55ef69f19993596c9ce6a00cdd8ef2eb0be4b45920f8126e6b13e80"
+FRONTIER_GOLDEN_SHA256 = "80df25ebd7c71fc6d0f690fb364d8d185ba8462d335bbf53759c3d481ea9f2fc"
 MATES_GOLDEN_SHA256 = "95b962dbdaa13784dbf4ed3f41dfadb7cad608a707e14f0a8b2aee10bae0ccd4"
 COLLAPSE_TOOLS_GOLDEN_SHA256 = "0dfcc8025896acb726cb3d4d16be352f81db1e91caa044a78ae683c2f60c6651"
 
@@ -198,7 +197,7 @@ def test_frontier_components_match_golden_checksum():
     body = json.dumps([
         [
             r.source_matching_size,
-            [[c.seed, c.dim, c.forward, c.backward, c.trace] for c in r.components],
+            [[c.dim, c.forward, c.backward] for c in r.components],
         ]
         for r in results
     ])

@@ -31,7 +31,7 @@ FIELDS = {
     CriticalProfile: (("counts",), {}),
     MorseMatching: (("pairs", "acyclic", "witness"), {"witness": None, "_ids": None}),
     MorseInequalityReport: (("ok", "alternating_failures", "pointwise_failures"), {}),
-    EdgeComponent: (("seed", "dim", "forward", "backward", "trace"), {"_ids": None}),
+    EdgeComponent: (("dim", "forward", "backward"), {"_ids": None}),
     FrontierResult: (("morse", "components", "source_matching_size"), {}),
     OracleResult: (("matching", "optimal", "nodes", "pair_upper_bound"), {}),
     CollapsibilityResult: (("collapsible", "indeterminate", "nodes", "sequence"), {}),
@@ -145,7 +145,7 @@ def test_a_certified_matching_pickles_without_its_ids():
 
 
 def test_a_frontier_component_builds_its_pairs_on_first_access():
-    # bfs_component keeps id pairs only; seed, forward and backward are
+    # bfs_component keeps id pairs only; forward and backward are
     # built from them when read, and a round trip leaves the ids out
     K = wedge(dunce_hat(), 1, 3)
     fresh = frontier_edges_matching(K).components
@@ -155,9 +155,8 @@ def test_a_frontier_component_builds_its_pairs_on_first_access():
     for c in frontier_edges_matching(K).components:
         S, forward, backward = c._ids
         assert c.forward == tuple((S[a], S[b]) for a, b in forward)
-        assert c.seed == c.forward[0]
         assert c.backward == tuple((S[a], S[b]) for a, b in backward)
-        assert repr(c) == repr(EdgeComponent(c.seed, c.dim, c.forward, c.backward, c.trace))
+        assert repr(c) == repr(EdgeComponent(c.dim, c.forward, c.backward))
 
 
 def test_a_subclass_that_declares_no_fields_keeps_its_base_fields():
