@@ -28,7 +28,9 @@ constructor validates every simplex it is given before grouping them;
 from_maximal_simplices validates only the maximal ones and closes them
 downward one level at a time, since every face of a valid simplex is
 valid.  The file parser, which checks its simplices as it reads them,
-shares that closure step.
+and every generator share that closure step, and with it one bound,
+CLOSURE_CAP simplices, checked before a too-large simplex makes any
+face and then as the faces are made.
 
 Homology comes from discrete Morse theory.  The elimination kernel of
 the greedy heuristics lives here, on the incidence it reads, so that
@@ -36,8 +38,10 @@ coreduction's up array can be computed once per complex and kept on it
 (_coreduction) for the three modules that start from it: hasse grows the
 maximum matching from it, heuristics certifies it as coreduction's
 result, and betti_gf2 ranks the boundary of its Morse complex, which
-has only the critical simplices as cells.  is_connected reads
-beta_0 == 1 from those kept Betti numbers.
+has only the critical simplices as cells.  That Morse complex comes
+from one kernel, _morse_boundary, which takes the up array of any
+acyclic matching; betti_gf2 is its rank step on coreduction's.
+is_connected reads beta_0 == 1 from the kept Betti numbers.
 
 Record, at the end, is the base of the package's result types
 (MorseMatching, FrontierResult, OracleResult and the rest): immutable
@@ -47,7 +51,7 @@ for dataclasses, whose import would take most of the CLI's start-up.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress
 from types import MappingProxyType
 
 Simplex = tuple[int, ...]
@@ -204,18 +208,35 @@ def from_maximal_simplices(facets) -> SimplicialComplex:
     return _close(tops)
 
 
+# Most simplices a closure makes, at some 0.43 KB each once built, so
+# about 450 MB.  It admits the 478 264-simplex sparse 2-D complex
+# random_complex(7, dim=2, n_vertices=80000, n_facets=160000, connected=True).
+CLOSURE_CAP = 1 << 20
+
+
 def _close(tops: list[Simplex]) -> SimplicialComplex:
     """The complex of a non-empty list of canonical simplices and all their faces.
 
     The closure is taken one level at a time, the facets of each distinct
     d-simplex going into level d-1, and its faces are valid because they
-    are subsets of valid ones, so nothing is checked again here.
+    are subsets of valid ones, so nothing is checked again here.  It
+    refuses past CLOSURE_CAP simplices: a simplex whose own faces are too
+    many before any face is made (its vertex count clipped at the cap's
+    bit length, so no huge power of two is formed), otherwise as soon as
+    the running count of the levels passes the cap.
     """
     levels = _levels(tops)
-    for d in range(len(levels) - 1, 0, -1):
+    top = len(levels) - 1
+    room = CLOSURE_CAP - len(levels[top])
+    if (1 << min(top + 1, CLOSURE_CAP.bit_length())) - 1 > CLOSURE_CAP or room < 0:
+        raise ValueError(f"closure would be over the cap of {CLOSURE_CAP} simplices")
+    for d in range(top, 0, -1):
         below = levels[d - 1]
         for s in levels[d]:
             below.update(combinations(s, d))
+            if len(below) > room:
+                raise ValueError(f"closure would be over the cap of {CLOSURE_CAP} simplices")
+        room -= len(below)
     K = SimplicialComplex.__new__(SimplicialComplex)
     K._build(levels)
     return K
@@ -241,42 +262,31 @@ def _gf2_rank(rows) -> int:
     return rank
 
 
-def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
-    """Mod-2 Betti numbers (beta_0, ..., beta_D), from the Morse complex of coreduction.
+def _morse_boundary(K: SimplicialComplex, up) -> tuple[list[int], list[list[int]]]:
+    """Critical counts c_d and GF(2) boundary rows, per dimension d, of an acyclic up array.
 
-    An acyclic matching leaves a Morse complex on the critical simplices
-    with the homology of K (Forman).  Over GF(2), the boundary of a
-    critical d-simplex is the sum of flow(f) over its facets f: flow(f) is
-    f when f is critical, 0 when f is matched down, and otherwise the sum
-    of flow(g) over the facets g != f of up[f].  flow is memoized per
-    simplex and filled on an explicit stack; a simplex met again while
-    its own flow is still open would be a gradient cycle, which raises.
-    A critical simplex gets its bit only when a boundary first reaches
-    it, so the rows are as wide as the critical cells they touch, not as
-    the level below.  beta_d = c_d - rank_d - rank_{d+1}, with c_d the
-    critical d-simplices and the ranks from _gf2_rank.  The matching is
-    coreduction's (see _coreduction); computed once per complex and kept.
+    These make the Morse complex of the matching, with the homology of K
+    (Forman).  A critical d-simplex has as boundary the sum of flow(f)
+    over its facets f: flow(f) is f when f is critical, 0 when f is
+    matched down, else the sum of flow(g) over the facets g != f of up[f],
+    memoized per simplex and filled on an explicit stack.  A simplex met
+    again while its own flow is still open closes a gradient cycle, which
+    raises RuntimeError.  Bits restart in each dimension: a critical simplex
+    gets the next one when a boundary first reaches it.
     """
-    if K._betti is not None:
-        return K._betti
-    F, up = K.facet_ids, _coreduction(K)
+    F = K.facet_ids
     flow: list = [None] * K.n
     for b in up:
         if b >= 0:
             flow[b] = 0
     critical = [b < 0 and flow[i] is None for i, b in enumerate(up)]
     opened = bytearray(K.n)
-    counts, ranks = [], [0] * (K.dim + 2)
+    counts, rows = [], [[] for _ in range(K.dim + 1)]
     for d in range(K.dim + 1):
         lo, hi = K.offset(d), K.offset(d + 1)
         counts.append(critical[lo:hi].count(True))
-        if not d:
-            continue
         bit = 1
-        rows = []
-        for s in range(lo, hi):
-            if not critical[s]:
-                continue
+        for s in compress(range(lo, hi), critical[lo:hi]) if d else ():
             row = 0
             for f in F[s]:
                 stack = [f] if flow[f] is None else ()
@@ -289,7 +299,7 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
                             bit <<= 1
                         elif todo := [g for g in F[c] if g != x and flow[g] is None]:
                             if opened[x]:
-                                raise RuntimeError("gradient cycle in the coreduction matching")
+                                raise RuntimeError(f"gradient cycle through {K.simplices[x]}")
                             opened[x] = 1
                             stack += todo
                             continue
@@ -301,9 +311,20 @@ def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
                             flow[x] = v
                     stack.pop()
                 row ^= flow[f]
-            rows.append(row)
-        ranks[d] = _gf2_rank(rows)
-    K._betti = tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
+            rows[d].append(row)
+    return counts, rows
+
+
+def betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
+    """Mod-2 Betti numbers (beta_0, ..., beta_D), from the Morse complex of coreduction.
+
+    beta_d = c_d - r_d - r_{d+1}, from _morse_boundary on coreduction's up
+    array (see _coreduction), r_d the rank of its d-rows; kept on K.
+    """
+    if K._betti is None:
+        counts, rows = _morse_boundary(K, _coreduction(K))
+        r = [_gf2_rank(x) for x in rows] + [0]
+        K._betti = tuple(c - r[d] - r[d + 1] for d, c in enumerate(counts))
     return K._betti
 
 

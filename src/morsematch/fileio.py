@@ -76,7 +76,11 @@ def serialize_matching(pairs) -> str:
 
 
 def _read(path: str, parse):
-    """parse applied to the text of a UTF-8 file; a ParseError names the file."""
+    """parse applied to the text of a UTF-8 file; a ValueError it raises names the file.
+
+    The error keeps its type: a ParseError stays one, and the closure cap's
+    ValueError stays a ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -85,12 +89,12 @@ def _read(path: str, parse):
             raise ParseError(f"{path}: {msg}") from None
     try:
         return parse(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def read_complex(path: str) -> SimplicialComplex:
-    """The complex in a file; a ParseError names the file."""
+    """The complex in a file; a ParseError or the closure cap's ValueError names the file."""
     return _read(path, parse_complex)
 
 

@@ -2,15 +2,17 @@
 
 Every generator whose size is known before it builds refuses past one
 cap, SIMPLEX_CAP, before making any face.  random_complex, whose size is
-known only after closing its facets, stays uncapped; it closes them
-once, links included, finding the components it links by a union-find.
+known only after closing its facets, draws at most CLOSURE_CAP of them
+and is bounded by the closure, which refuses past CLOSURE_CAP simplices
+(see complexes._close); it closes them once, links included, finding
+the components it links by a union-find.
 """
 from __future__ import annotations
 
 import random
 from itertools import combinations
 
-from .complexes import SimplicialComplex, from_maximal_simplices
+from .complexes import CLOSURE_CAP, SimplicialComplex, from_maximal_simplices
 from .morse import MorseMatching, certify
 
 # Minimal projective plane: 6 vertices, full K6 1-skeleton, 10 triangles,
@@ -148,8 +150,8 @@ def random_complex(
         raise ValueError("dim must be between 1 and 4")
     if n_vertices < dim + 1:
         raise ValueError("need at least dim+1 vertices")
-    if n_facets < 1:
-        raise ValueError("need at least one facet")
+    if not 1 <= n_facets <= CLOSURE_CAP:
+        raise ValueError(f"need at least one facet and at most {CLOSURE_CAP}")
     rng = random.Random(seed)
     facets = []
     for _ in range(n_facets):

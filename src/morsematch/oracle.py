@@ -140,12 +140,10 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
         else:
             bound = npairs
             x = 0
-            for d in chain:
+            for d in chain:  # x >= 0: the x before it is at most remaining[d - 1]
                 x = remaining[d - 1] - x
                 if x > remaining[d]:
                     x = remaining[d]
-                elif x < 0:
-                    x = 0
                 bound += x
             if bound > best_len:
                 nodes += 1

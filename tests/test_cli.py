@@ -446,6 +446,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "repeated vertex" in err
 
 
+@pytest.mark.parametrize("command", ["stats", "match", "bench"])
+def test_an_oversized_complex_file_exits_2_in_little_memory(tmp_path, capsys, command):
+    # One line of 30 vertex ids closes to 2**30 - 1 faces: refused before any is made.
+    (tmp_path / "big.txt").write_text(" ".join(map(str, range(30))) + "\n")
+    target = tmp_path if command == "bench" else tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        assert main([command, str(target)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "big.txt: closure would be over the cap of 1048576 simplices" in capsys.readouterr().err
+    assert peak < 4 << 20
+
+
 def test_stats_negative_vertex_id_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n-1 3\n")

@@ -10,27 +10,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morsematch import (
+    OrientedHasse,
     ParseError,
     SimplicialComplex,
     betti_gf2,
     canonical_key,
+    canonicalize_single_critical_vertex,
+    certify,
+    coreduction_matching,
+    critical_profile,
     dunce_hat,
     euler_characteristic,
     from_maximal_simplices,
+    frontier_edges_matching,
     is_connected,
+    optimal_morse_matching,
     parse_complex,
     random_complex,
+    reduction_matching,
     rp2,
     simplex,
+    simplex_boundary,
     wedge,
 )
-from morsematch.complexes import _coreduction
+from morsematch import complexes
+from morsematch.complexes import _coreduction, _gf2_rank, _morse_boundary
 from morsematch.hasse import max_matching_mates
+from morsematch.oracle import SIZE_LIMIT
 from helpers import (
     betti_numpy,
     boundary_matrix_gf2,
     brute_closure,
     cofacets_of,
+    dunce_hat_with_tetrahedron,
     euler,
     facets_of,
     named_complexes,
@@ -216,6 +228,84 @@ def test_morse_complex_betti_numbers_where_coreduction_leaves_many_criticals():
     assert beta == reference_betti_gf2(K)
 
 
+def morse_complex_betti(K, matching) -> tuple[int, ...]:
+    """Betti numbers ranked from the Morse complex of a certified matching.
+
+    The critical counts the kernel reports must be the matching's own.
+    """
+    assert matching.acyclic
+    counts, rows = _morse_boundary(K, matching._ids[1])
+    assert tuple(counts) == critical_profile(K, matching).counts
+    r = [_gf2_rank(x) for x in rows] + [0]
+    return tuple(c - r[d] - r[d + 1] for d, c in enumerate(counts))
+
+
+def certified_matchings(K) -> dict:
+    """Every algorithm's certified matching on K, each also canonicalized.
+
+    The oracle runs without a budget, so only on K of at most SIZE_LIMIT
+    simplices; canonicalizing to one critical vertex needs K connected.
+    """
+    found = {
+        "frontier": frontier_edges_matching(K).morse,
+        "coreduction": coreduction_matching(K),
+        "reduction": reduction_matching(K),
+    }
+    if K.n <= SIZE_LIMIT:
+        found["oracle"] = optimal_morse_matching(K).matching
+    if is_connected(K):
+        for name, m in list(found.items()):
+            found[f"{name}, canonicalized"] = canonicalize_single_critical_vertex(K, m, K.vertices[0])
+    return found
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.one_of(complexes_for_homology(), st.builds(
+    # few facets on spare vertices: mostly several components
+    lambda s, d, k: random_complex(s, dim=d, n_vertices=4 * d + 12, n_facets=k),
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 8),
+)))
+def test_morse_complex_of_every_certified_matching_has_the_homology_of_k(K):
+    # Forman's theorem as an invariant, checked without certify's cycle search
+    beta = betti_gf2(K)
+    if K.n <= 400:
+        assert beta == betti_numpy(K.simplices)
+    for name, matching in certified_matchings(K).items():
+        assert morse_complex_betti(K, matching) == beta, name
+
+
+def test_morse_complex_of_every_matching_on_dense_2d_input():
+    K = random_complex(2, dim=2, n_vertices=150, n_facets=20000, connected=True)
+    assert K.n == 21050
+    beta = reference_betti_gf2(K)
+    for name, matching in certified_matchings(K).items():
+        assert morse_complex_betti(K, matching) == beta, name
+
+
+def test_morse_complex_of_the_standard_and_budgeted_oracle_matchings():
+    for n in range(1, 8):
+        K, standard = simplex_boundary(n)
+        sphere = (1,) + (0,) * (n - 2) + (1,) if n > 1 else (2,)
+        assert morse_complex_betti(K, standard) == betti_numpy(K.simplices) == sphere, n
+    H = dunce_hat_with_tetrahedron()
+    result = optimal_morse_matching(H, budget=2000)
+    assert not result.optimal
+    assert morse_complex_betti(H, result.matching) == betti_numpy(H.simplices) == (1, 0, 0, 0)
+
+
+def test_morse_boundary_raises_on_a_gradient_cycle():
+    # A triangle's boundary with a pendant edge (0, 3).  Vertices 0, 1, 2
+    # match up around the circle, 0 -> 01 -> 1 -> 12 -> 2 -> 02 -> 0, and
+    # the boundary of the critical edge (0, 3) reaches that cycle at 0.
+    K = from_maximal_simplices([(0, 1), (1, 2), (0, 2), (0, 3)])
+    up = [-1] * K.n
+    for v, e in ((0, (0, 1)), (1, (1, 2)), (2, (0, 2))):
+        up[K.index[(v,)]] = K.index[e]
+    assert not certify(K, OrientedHasse(K, up)).acyclic
+    with pytest.raises(RuntimeError, match="gradient cycle"):
+        _morse_boundary(K, up)
+
+
 def test_euler_equals_alternating_betti_sum():
     for name, K in named_complexes().items():
         beta = betti_gf2(K)
@@ -327,6 +417,38 @@ def test_first_missing_face_in_canonical_order_is_reported():
     assert raised(SimplicialComplex, simplices) == (
         ValueError, "not downward closed: missing face (0, 2)",
     )
+
+
+def test_closure_refuses_past_the_cap(monkeypatch):
+    def build(*args):
+        raise AssertionError("closed past the cap")
+
+    # A simplex of 2**21 - 1 faces or more is refused before any face is made.
+    with monkeypatch.context() as mp:
+        mp.setattr(complexes, "combinations", build)
+        for k in (21, 30):
+            with pytest.raises(ValueError, match="closure would be over the cap of 1048576 simplices"):
+                from_maximal_simplices([range(k)])
+    monkeypatch.setattr(complexes, "CLOSURE_CAP", 64)
+    triangles = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(10)]
+    assert from_maximal_simplices(triangles[:9]).n == 63
+    assert from_maximal_simplices([range(6)]).n == 63
+    assert from_maximal_simplices([(v,) for v in range(64)]).n == 64
+    for tops in (triangles, [range(7)], [(v,) for v in range(65)]):
+        with pytest.raises(ValueError, match="over the cap of 64 simplices"):
+            from_maximal_simplices(tops)
+    # 60 disjoint edges leave room for 4 vertices, so the third edge closed
+    # is the last: the count is checked as each simplex adds its faces.
+    closed = []
+
+    def counted(s, d):
+        closed.append(s)
+        return combinations(s, d)
+
+    monkeypatch.setattr(complexes, "combinations", counted)
+    with pytest.raises(ValueError, match="over the cap of 64 simplices"):
+        from_maximal_simplices([(2 * i, 2 * i + 1) for i in range(60)])
+    assert len(closed) == 3
 
 
 def test_one_shot_generators_build_the_same_complex():

@@ -67,6 +67,8 @@ def test_simplex_boundary_builds_the_complex_of_all_proper_faces(n):
 def test_simplex_boundary_rejects_degenerate_input():
     with pytest.raises(ValueError, match="at least 1"):
         simplex_boundary(0)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        full_simplex(-1)
 
 
 def test_simplex_generators_refuse_past_the_cap_before_building(monkeypatch):
@@ -160,6 +162,8 @@ def test_wedge_input_checks():
         wedge(K, 99, 2)
     with pytest.raises(ValueError, match="at least 1"):
         wedge(K, 1, 0)
+    with pytest.raises(ValueError, match="c must be at least 1"):
+        amplified(K, 1, 0)
 
 
 def test_amplified_grows_geometrically():
@@ -213,6 +217,9 @@ def test_random_complex_argument_validation():
         random_complex(0, dim=3, n_vertices=2)
     with pytest.raises(ValueError, match="at least one facet"):
         random_complex(0, n_facets=0)
+    # more facets than the closure cap are refused before any is drawn
+    with pytest.raises(ValueError, match="at most 1048576"):
+        random_complex(0, n_facets=10**12)
 
 
 def test_random_complexes_are_valid_complexes():

@@ -235,11 +235,14 @@ def test_search_matches_the_frozen_frame_loop(K):
 
 
 def test_collapsible_full_simplices():
-    for n in range(1, 5):
+    for n in range(0, 5):
         result = is_collapsible(full_simplex(n))
         assert result.collapsible is True
         assert not result.indeterminate
         assert bool(result)
+    # a single vertex is collapsed already, without a search
+    point = is_collapsible(full_simplex(0))
+    assert point.nodes == 0 and point.sequence == ()
 
 
 def test_collapse_witness_replays():
@@ -264,6 +267,12 @@ def test_circle_and_sphere_are_not_collapsible():
     assert is_collapsible(circle).collapsible is False
     sphere, _ = simplex_boundary(3)
     assert is_collapsible(sphere).collapsible is False
+    # RP2 with a pendant edge has an odd count and a free face, so only its
+    # homology (1, 1, 1) refutes it, before any node is searched
+    pendant = from_maximal_simplices(rp2().facets() + ((0, 6),))
+    assert pendant.n == 33 and betti_gf2(pendant) == (1, 1, 1)
+    result = is_collapsible(pendant)
+    assert result.collapsible is False and result.nodes == 0
 
 
 def test_even_simplex_count_refutes_collapsibility_immediately():
