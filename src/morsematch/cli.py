@@ -11,12 +11,16 @@ precedence over 4), 3 parse error (including input that is not UTF-8)
 or a file that cannot be read or written, 4 oracle budget exhausted;
 _exit_code is the one rule match and bench share.  The oracle budget
 comes from --budget alone and must be a non-negative integer.
-GENERATORS is the catalogue of gen.
+GENERATORS is the catalogue of gen.  run, the process entry of `morse`
+and `python -m morsematch.cli`, calls gc.freeze before main, so no full
+collection, at exit either, re-scans the start-up heap a one-shot process
+keeps to its end; main(argv) called in-process leaves the collector alone.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -391,5 +395,11 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def run() -> int:
+    """The process entry: freeze the start-up heap, then run main."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, file outputs."""
 
+import gc
 import json
 import shutil
 import subprocess
@@ -341,8 +342,15 @@ def test_bench_over_corpus(tmp_path, capsys):
     write_complex(simplex_boundary(2)[0], corpus / "a.txt")
     write_complex(simplex_boundary(3)[0], corpus / "b.txt")
     write_complex(rp2(), corpus / "c.txt")
-    code, payload = run_json(capsys, ["bench", str(corpus)])
+    argv = ["bench", str(corpus), "--json", "--no-timing"]
+    code = main(argv)
+    out = capsys.readouterr().out
     assert code == 0
+    # a child through the process entry, which freezes its start-up heap,
+    # prints the same bytes as main called in-process
+    child = subprocess.run([sys.executable, "-m", "morsematch.cli", *argv], capture_output=True)
+    assert (child.returncode, child.stdout) == (code, out.encode())
+    payload = json.loads(out)
     rows = payload["rows"]
     assert len(rows) == 9
     for row in rows:
@@ -573,6 +581,7 @@ def test_empty_corpus_exit_code(tmp_path, capsys):
 
 
 def test_console_script_is_installed():
+    # The child enters through cli.run, as the installed script does.
     proc = subprocess.run(
         [sys.executable, "-m", "morsematch.cli", "--help"],
         capture_output=True,
@@ -580,6 +589,54 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "morse" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "morsematch.cli", "match", "x.txt", "--algo", "annealing"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stats", "{sphere}"], 0),
+    (["stats", "missing.txt"], 3),
+    (["match", "{sphere}", "--algo", "annealing"], 2),
+    (["--help"], 0),
+])
+def test_run_freezes_once_before_main_and_returns_its_code(
+    capsys, monkeypatch, sphere_file, argv, code
+):
+    # gc.freeze is stubbed, so the test process itself is never frozen.
+    # A usage error or --help leaves main by SystemExit, as from the shell.
+    calls = []
+    real_main = cli.main
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or real_main())
+    monkeypatch.setattr(sys, "argv", ["morse", *(a.format(sphere=sphere_file) for a in argv)])
+    try:
+        got = cli.run()
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert calls == ["freeze", "main"]
+
+
+@pytest.mark.parametrize("command", ["stats", "match", "validate", "gen", "bench"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, sphere_file, command):
+    before = gc.get_freeze_count(), gc.isenabled()
+    matching = tmp_path / "out" / "m.txt"
+    matching.parent.mkdir()
+    assert main(["match", sphere_file, "--out", str(matching)]) == 0
+    argv = {
+        "stats": ["stats", sphere_file],
+        "match": ["match", sphere_file, "--algo", "oracle"],
+        "validate": ["validate", sphere_file, str(matching)],
+        "gen": ["gen", "dunce"],
+        "bench": ["bench", str(tmp_path), "--algos", "frontier,oracle"],
+    }[command]
+    assert main(argv) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
