@@ -9,7 +9,11 @@ deterministic.
 Each simplex also has an integer id, its position in the canonical
 order, and the complex stores its incidence once as tuples of facet ids
 and cofacet ids.  Algorithms keep their state in lists indexed by id and
-speak simplex tuples only at the API edge.
+speak simplex tuples only at the API edge.  The map from simplex to id
+(index) is built on first read and kept: only the few routines that take
+simplices from outside (membership, orienting given pairs, collapse
+sequences, canonicalization, wedges) read it, so a complex that is read,
+matched and reported never builds it.
 
 The collapse routines need no incidence beyond cofacet_ids: in a
 downward-closed set a simplex has one proper coface exactly when it has
@@ -19,15 +23,17 @@ keep the set downward closed, so live cofacet counts find every free face.
 
 One builder fills a complex, from one set of canonical simplices per
 dimension, in a single sweep up the dimensions: it sorts each level into
-ids and looks up the facet ids of its simplices among the level below,
-which also fills the cofacet ids and finds the first missing face.  It
-keeps few containers alive at once: each level's set is cleared once
-sorted, the cofacet lists of level d-1 become tuples as soon as level d
-has been swept, and every id is the one int object the index holds.  The
-constructor validates every simplex it is given before grouping them;
-from_maximal_simplices validates only the maximal ones and closes them
-downward one level at a time, since every face of a valid simplex is
-valid.  The file parser, which checks its simplices as it reads them,
+ids and looks up the facet ids of its simplices in a map of the level
+below alone, which also fills the cofacet ids and finds the first
+missing face.  It keeps few containers alive at once: each level's set
+is cleared once sorted, a level's map goes once the level above has been
+swept, the cofacet lists of level d-1 become tuples one at a time as
+soon as level d has been swept, and every id is one int object shared by
+the facet and cofacet tuples.  The constructor validates every simplex
+it is given and groups them, dropping its own set of them before the
+build; from_maximal_simplices validates only the maximal ones and closes
+them downward one level at a time, since every face of a valid simplex
+is valid.  The file parser, which checks its simplices as it reads them,
 and every generator share that closure step, and with it one bound,
 CLOSURE_CAP simplices, checked before a too-large simplex makes any
 face and then as the faces are made.
@@ -89,10 +95,10 @@ class SimplicialComplex:
     The complex is the package's one incidence store.  Every simplex has
     an id, its position in simplices, so ids sort in canonical order and
     the ids of one dimension are contiguous.  The read-only index maps a
-    simplex to its id; facet_ids[i] and cofacet_ids[i] hold the ids of
-    the codimension-1 faces and cofaces of simplex i, ascending, so in
-    canonical order.  Hot loops run on ids and turn them back into
-    simplices at the edge.
+    simplex to its id; it is built on first read and kept.  facet_ids[i]
+    and cofacet_ids[i] hold the ids of the codimension-1 faces and
+    cofaces of simplex i, ascending, so in canonical order.  Hot loops
+    run on ids and turn them back into simplices at the edge.
     Coreduction's up array, the maximum matching grown from it (as a mate
     array) and the Betti numbers of its Morse complex are filled in on
     first request and kept, since the complex never changes; connectivity
@@ -100,33 +106,34 @@ class SimplicialComplex:
     """
 
     __slots__ = (
-        "simplices", "by_dim", "dim", "n", "index", "facet_ids", "cofacet_ids",
-        "_coreduction", "_mates", "_betti",
+        "simplices", "by_dim", "dim", "n", "facet_ids", "cofacet_ids",
+        "_index", "_coreduction", "_mates", "_betti",
     )
 
     def __init__(self, simplices):
         members = {simplex(s) for s in simplices}
         if not members:
             raise ValueError("empty complex")
-        self._build(_levels(members))
+        levels = _levels(members)
+        del members  # the levels hold every simplex; the build needs no second set
+        self._build(levels)
 
     def _build(self, levels: list[set[Simplex]]) -> None:
         """Fill every field from one set of canonical d-simplices per dimension d.
 
         One sweep, level by level: sort the level into ids, clearing its
-        set, look up the facet ids of each of its simplices among the ids
-        of the level below, and append each simplex's id to the cofacet
-        lists of its facets.  Those lists of level d-1 are then complete
-        and become tuples in place.  Every id is the one int object the
-        index holds, in facet and cofacet tuples alike.  The first face
-        missing in canonical order raises.
+        set, look up the facet ids of each of its simplices in the map of
+        the level below only, then drop that map for the level's own, whose
+        ids go onto the cofacet lists of the level below.  Those lists are
+        then complete and become tuples one at a time, so a level's lists
+        and tuples are never all alive together; the top level has none.
+        Every id is one int object, shared by facet and cofacet tuples.
+        The first face missing in canonical order raises.
         """
         simplices: list[Simplex] = []
         by_dim: list[tuple[Simplex, ...]] = []
-        index: dict[Simplex, int] = {}
         facet_ids: list[tuple[int, ...]] = []
         cofacets: list[list[int] | tuple[int, ...]] = []
-        get = index.__getitem__
         below = 0
         for d, level in enumerate(levels):
             lo = len(simplices)
@@ -134,30 +141,39 @@ class SimplicialComplex:
             level.clear()
             simplices += members
             by_dim.append(tuple(members))
-            index.update(zip(members, range(lo, len(simplices))))
-            cofacets += [[] for _ in members]
-            if not d:
-                facet_ids += [()] * len(members)
-                continue
-            try:
-                fids = [tuple(map(get, combinations(s, d))) for s in members]
-            except KeyError as exc:
-                raise ValueError(f"not downward closed: missing face {exc.args[0]}") from None
-            for i, fs in zip(map(get, members), fids):
+            if d:
+                get = ids.__getitem__
+                try:
+                    fids = [tuple(map(get, combinations(s, d))) for s in members]
+                except KeyError as exc:
+                    raise ValueError(f"not downward closed: missing face {exc.args[0]}") from None
+                del get, ids  # the level below is swept: free its map before this one's
+            else:
+                fids = [()] * len(members)
+            ids = dict(zip(members, range(lo, len(simplices))))
+            cofacets += [[] for _ in range(below, lo)]
+            for i, fs in zip(ids.values(), fids):
                 for f in fs:
                     cofacets[f].append(i)
+            for f in range(below, lo):
+                cofacets[f] = tuple(cofacets[f])
             facet_ids += fids
-            cofacets[below:lo] = map(tuple, cofacets[below:lo])
             below = lo
-        cofacets[below:] = map(tuple, cofacets[below:])
+        cofacets += [()] * (len(simplices) - below)
         self.simplices: tuple[Simplex, ...] = tuple(simplices)
-        self.index: MappingProxyType[Simplex, int] = MappingProxyType(index)
         self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
         self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(cofacets)
         self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
         self.dim: int = len(levels) - 1
         self.n: int = len(simplices)
-        self._coreduction = self._mates = self._betti = None
+        self._index = self._coreduction = self._mates = self._betti = None
+
+    @property
+    def index(self) -> MappingProxyType[Simplex, int]:
+        """The read-only map of each simplex to its id, built on first read and kept."""
+        if self._index is None:
+            self._index = MappingProxyType(dict(zip(self.simplices, range(self.n))))
+        return self._index
 
     def __contains__(self, s) -> bool:
         return s in self.index
@@ -180,8 +196,9 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n}, dim={self.dim})"
 
     def __reduce__(self):
-        # index is a mappingproxy, which cannot be pickled; the kept
-        # matchings and Betti numbers are recomputed on demand instead.
+        # Only the simplices are pickled: the kept index (a mappingproxy,
+        # which cannot be pickled), matchings and Betti numbers are rebuilt
+        # on demand, and unpickling revalidates through the constructor.
         return SimplicialComplex, (self.simplices,)
 
     @property
@@ -208,9 +225,10 @@ def from_maximal_simplices(facets) -> SimplicialComplex:
     return _close(tops)
 
 
-# Most simplices a closure makes, at some 0.43 KB each once built, so
-# about 450 MB.  It admits the 478 264-simplex sparse 2-D complex
-# random_complex(7, dim=2, n_vertices=80000, n_facets=160000, connected=True).
+# Most simplices a closure makes.  Building the 478 264-simplex sparse 2-D
+# complex random_complex(7, dim=2, n_vertices=80000, n_facets=160000,
+# connected=True), which it admits, peaks at 185 MB resident, some 0.39 KB
+# a simplex, so about 400 MB at the cap.
 CLOSURE_CAP = 1 << 20
 
 

@@ -34,6 +34,9 @@ per-step count of kept, reversed and frontier edges, kept so that the
 search on its forward list and absorbed flags can be held to the same
 components and state, and so that the count behind the ratio bound is
 still checked.
+sparse_complexes is the one hypothesis strategy of few-facet random
+complexes on spare vertices, so that the suite draws disconnected input
+from one place.
 dunce_hat_with_tetrahedron is a dunce hat with a solid tetrahedron on
 one of its triangles: the oracle's bound stays one pair above the
 optimum on it and its wedges, so budgeted searches there still run out.
@@ -58,6 +61,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 import numpy as np
+from hypothesis import strategies as st
 
 from morsematch import (
     MorseMatching,
@@ -71,6 +75,7 @@ from morsematch import (
     from_maximal_simplices,
     frontier_edges_matching,
     max_cardinality_matching,
+    random_complex,
     reduction_matching,
     rp2,
     simplex,
@@ -744,6 +749,18 @@ def named_complexes() -> dict[str, SimplicialComplex]:
     }
 
 
+def sparse_complexes():
+    """Random complexes in dims 1-4 of a few facets on spare vertices.
+
+    Two to eight facets over 4d + 12 vertices leave most of them with
+    several components.
+    """
+    return st.builds(
+        lambda s, d, k: random_complex(s, dim=d, n_vertices=4 * d + 12, n_facets=k),
+        st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 8),
+    )
+
+
 def dunce_hat_with_tetrahedron() -> SimplicialComplex:
     """The dunce hat with the solid tetrahedron (1, 2, 4, 9) on its triangle (1, 2, 4).
 
@@ -844,12 +861,13 @@ def _reference_build(self, levels: list[set[Simplex]]) -> None:
                 cofacets[f].append(i)
         facet_ids += fids
     self.simplices: tuple[Simplex, ...] = tuple(simplices)
-    self.index: MappingProxyType[Simplex, int] = MappingProxyType(index)
     self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
     self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, cofacets))
     self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
     self.dim: int = len(levels) - 1
     self.n: int = len(simplices)
+    # the reference keeps the index it built, so K.index is compared with it
+    self._index: MappingProxyType[Simplex, int] = MappingProxyType(index)
     self._coreduction = self._mates = self._betti = None
 
 

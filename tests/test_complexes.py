@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -27,13 +28,15 @@ from morsematch import (
     optimal_morse_matching,
     parse_complex,
     random_complex,
+    read_complex,
     reduction_matching,
     rp2,
     simplex,
     simplex_boundary,
     wedge,
+    write_complex,
 )
-from morsematch import complexes
+from morsematch import cli, complexes
 from morsematch.complexes import _coreduction, _gf2_rank, _morse_boundary
 from morsematch.hasse import max_matching_mates
 from morsematch.oracle import SIZE_LIMIT
@@ -51,6 +54,7 @@ from helpers import (
     reference_complex,
     reference_gf2_rank,
     reference_max_matching_mates,
+    sparse_complexes,
 )
 
 
@@ -199,10 +203,6 @@ def complexes_for_homology():
     boundaries to rank.
     """
     seeds, dims = st.integers(0, 2**32 - 1), st.integers(1, 4)
-    sparse = st.builds(
-        lambda s, d, k: random_complex(s, dim=d, n_vertices=4 * d + 12, n_facets=k),
-        seeds, dims, st.integers(2, 8),
-    )
     denser = st.builds(
         lambda s, d: random_complex(s, dim=d, n_vertices=d + 7, n_facets=40, connected=True),
         seeds, dims,
@@ -211,7 +211,7 @@ def complexes_for_homology():
         lambda base, copies: wedge(base(), 1, copies),
         st.sampled_from([dunce_hat, rp2]), st.integers(1, 12),
     )
-    return st.one_of(sparse, denser, wedges)
+    return st.one_of(sparse_complexes(), denser, wedges)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -562,8 +562,82 @@ def test_construction_matches_the_reference_builder(facets, rng):
 
 @pytest.mark.parametrize("K", [rp2(), wedge(dunce_hat(), 1, 40)], ids=["rp2", "dunce_wedge"])
 def test_incidence_holds_the_index_ints_in_finished_tuples(K):
-    # one int object per id, shared by the index and both incidence tuples
-    ids = {i: i for i in K.index.values()}
+    # one int object per id, shared by the facet and cofacet tuples: an id
+    # meets its facets' cofacet tuples before its cofacets' facet tuples
+    ids = {}
     for fs, cs in zip(K.facet_ids, K.cofacet_ids):
         assert type(fs) is tuple and type(cs) is tuple
-        assert all(ids[j] is j for j in fs + cs)
+        assert all(ids.setdefault(j, j) is j for j in fs + cs)
+    assert len(ids) == K.n
+    assert K._index is None
+
+
+def test_the_index_is_built_on_first_read_and_kept(tmp_path):
+    path = str(tmp_path / "k.txt")
+    write_complex(wedge(dunce_hat_with_tetrahedron(), 1, 3), path)
+    K = read_complex(path)
+    # a bench row: the shared facts, then every algorithm's matching and report
+    facts = cli._complex_facts(K)
+    for algo in cli.ALGOS:
+        mm, extras = cli._run_algo(K, algo, 50)
+        cli._match_report(K, algo, mm, extras, facts)
+    assert K._index is None
+    index = K.index
+    assert dict(index) == {s: i for i, s in enumerate(K.simplices)}
+    assert K.index is index
+    with pytest.raises(TypeError):
+        index[(0,)] = 0
+    with pytest.raises(AttributeError):
+        K.index = {}
+    L = SimplicialComplex(K.simplices)
+    assert L._index is None
+    assert (0, 1) not in L and (1,) in L
+    assert dict(L.index) == dict(index)
+
+
+MEMORY_INPUTS = {
+    "random-3d": dict(seed=0, dim=3, n_vertices=300, n_facets=3000),
+    "sparse-2d": dict(seed=7, dim=2, n_vertices=4000, n_facets=8000),
+}
+
+
+@pytest.fixture(scope="module")
+def memory_files(tmp_path_factory):
+    """Fixed random complexes, written by write_complex: 15 226 and 23 811 simplices."""
+    root = tmp_path_factory.mktemp("memory")
+    paths = {}
+    for name, args in MEMORY_INPUTS.items():
+        paths[name] = str(root / f"{name}.txt")
+        write_complex(random_complex(**args, connected=True), paths[name])
+    return paths
+
+
+def traced_peak_per_simplex(build) -> float:
+    """The tracemalloc peak of build() over its simplex count.
+
+    An untraced call first fills CPython's free lists, as earlier tests
+    may have, so the reading does not depend on what ran before.
+    """
+    build()
+    tracemalloc.start()
+    try:
+        K = build()
+        return tracemalloc.get_traced_memory()[1] / K.n
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, bound", [("random-3d", 280), ("sparse-2d", 272)])
+def test_read_complex_peak_per_simplex(memory_files, name, bound):
+    # Python 3.10-3.12, in B a simplex: random-3d 237-254, sparse-2d 255-263.
+    # A whole-complex index with a level's cofacet lists and tuples alive
+    # together read 310-314 and 341-355; the index alone, without the lists
+    # becoming tuples one at a time, read 257-261 and 280-300.
+    assert traced_peak_per_simplex(lambda: read_complex(memory_files[name])) < bound
+
+
+def test_the_validating_constructor_drops_its_member_set_before_the_build(memory_files):
+    # Python 3.10-3.12: 239-248 B a simplex, where keeping the set of every
+    # simplex through the build read 274-282 (and 339-350 with the index).
+    simplices = list(read_complex(memory_files["random-3d"]).simplices)
+    assert traced_peak_per_simplex(lambda: SimplicialComplex(simplices)) < 260

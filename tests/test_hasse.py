@@ -26,6 +26,7 @@ from helpers import (
     max_matching_pairs,
     named_complexes,
     reference_max_matching_mates,
+    sparse_complexes,
 )
 
 TRIANGLE = from_maximal_simplices([(0, 1, 2)])
@@ -106,15 +107,12 @@ def test_maximality_check_refuses_a_short_matching():
 def complexes_to_match():
     """Sparse and dense random complexes in dims 1-4, dunce and RP2 wedges.
 
-    The dense ones have hundreds of free simplices whose search for an
-    augmenting path fails; on the wedges the searches that succeed run
-    through the wedge vertex.
+    The sparse ones draw a few facets on spare vertices, so most have
+    several components.  The dense ones have hundreds of free simplices
+    whose search for an augmenting path fails; on the wedges the searches
+    that succeed run through the wedge vertex.
     """
     seeds, dims = st.integers(0, 2**32 - 1), st.integers(1, 4)
-    sparse = st.builds(
-        lambda s, d: random_complex(s, dim=d, n_vertices=d + 6, n_facets=10, connected=s % 2 == 0),
-        seeds, dims,
-    )
     dense = st.builds(
         lambda s, d: random_complex(s, dim=d, n_vertices=20, n_facets=200, connected=True),
         seeds, dims,
@@ -123,7 +121,7 @@ def complexes_to_match():
         lambda base, copies: wedge(base(), 1, copies),
         st.sampled_from([dunce_hat, rp2]), st.integers(1, 28),
     )
-    return st.one_of(sparse, dense, wedges)
+    return st.one_of(sparse_complexes(), dense, wedges)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
