@@ -153,7 +153,7 @@ def cmd_stats(args) -> int:
         "input": args.input,
         "n": K.n,
         "dim": K.dim,
-        "counts": [len(level) for level in K.by_dim],
+        "counts": [K.offset(d + 1) - K.offset(d) for d in range(K.dim + 1)],
         "maximal": len(K.facets()),
         "euler": euler_characteristic(K),
         "betti": list(betti_gf2(K)),

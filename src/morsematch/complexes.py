@@ -9,11 +9,12 @@ deterministic.
 Each simplex also has an integer id, its position in the canonical
 order, and the complex stores its incidence once as tuples of facet ids
 and cofacet ids.  Algorithms keep their state in lists indexed by id and
-speak simplex tuples only at the API edge.  The map from simplex to id
-(index) is built on first read and kept: only the few routines that take
-simplices from outside (membership, orienting given pairs, collapse
-sequences, canonicalization, wedges) read it, so a complex that is read,
-matched and reported never builds it.
+speak simplex tuples only at the API edge.  The canonical order is kept
+once, in simplices, with the first id of each dimension (offset): a
+level is a slice of simplices, and a simplex's id is found by bisecting
+its level, so no routine that takes simplices from outside (membership,
+orienting given pairs, collapse sequences, canonicalization) needs a
+second copy of the order or a map from simplex to id.
 
 The collapse routines need no incidence beyond cofacet_ids: in a
 downward-closed set a simplex has one proper coface exactly when it has
@@ -56,9 +57,9 @@ for dataclasses, whose import would take most of the CLI's start-up.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import combinations, compress
-from types import MappingProxyType
+from itertools import accumulate, combinations, compress
 
 Simplex = tuple[int, ...]
 
@@ -94,8 +95,8 @@ class SimplicialComplex:
 
     The complex is the package's one incidence store.  Every simplex has
     an id, its position in simplices, so ids sort in canonical order and
-    the ids of one dimension are contiguous.  The read-only index maps a
-    simplex to its id; it is built on first read and kept.  facet_ids[i]
+    the ids of one dimension are contiguous, from offset(d) on; _id
+    finds a simplex's id by bisection within its dimension.  facet_ids[i]
     and cofacet_ids[i] hold the ids of the codimension-1 faces and
     cofaces of simplex i, ascending, so in canonical order.  Hot loops
     run on ids and turn them back into simplices at the edge.
@@ -106,8 +107,8 @@ class SimplicialComplex:
     """
 
     __slots__ = (
-        "simplices", "by_dim", "dim", "n", "facet_ids", "cofacet_ids",
-        "_index", "_coreduction", "_mates", "_betti",
+        "simplices", "dim", "n", "facet_ids", "cofacet_ids",
+        "_offsets", "_coreduction", "_mates", "_betti",
     )
 
     def __init__(self, simplices):
@@ -121,17 +122,18 @@ class SimplicialComplex:
     def _build(self, levels: list[set[Simplex]]) -> None:
         """Fill every field from one set of canonical d-simplices per dimension d.
 
-        One sweep, level by level: sort the level into ids, clearing its
-        set, look up the facet ids of each of its simplices in the map of
-        the level below only, then drop that map for the level's own, whose
-        ids go onto the cofacet lists of the level below.  Those lists are
+        The offsets are the running sums of the level sizes.  One sweep,
+        level by level: sort the level into ids, clearing its set, look up
+        the facet ids of each of its simplices in the map of the level
+        below only, then drop that map for the level's own, whose ids go
+        onto the cofacet lists of the level below.  Those lists are
         then complete and become tuples one at a time, so a level's lists
         and tuples are never all alive together; the top level has none.
         Every id is one int object, shared by facet and cofacet tuples.
         The first face missing in canonical order raises.
         """
+        offsets = (0, *accumulate(map(len, levels)))
         simplices: list[Simplex] = []
-        by_dim: list[tuple[Simplex, ...]] = []
         facet_ids: list[tuple[int, ...]] = []
         cofacets: list[list[int] | tuple[int, ...]] = []
         below = 0
@@ -140,7 +142,6 @@ class SimplicialComplex:
             members = sorted(level)
             level.clear()
             simplices += members
-            by_dim.append(tuple(members))
             if d:
                 get = ids.__getitem__
                 try:
@@ -163,20 +164,27 @@ class SimplicialComplex:
         self.simplices: tuple[Simplex, ...] = tuple(simplices)
         self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
         self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(cofacets)
-        self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
+        self._offsets: tuple[int, ...] = offsets
         self.dim: int = len(levels) - 1
         self.n: int = len(simplices)
-        self._index = self._coreduction = self._mates = self._betti = None
+        self._coreduction = self._mates = self._betti = None
 
-    @property
-    def index(self) -> MappingProxyType[Simplex, int]:
-        """The read-only map of each simplex to its id, built on first read and kept."""
-        if self._index is None:
-            self._index = MappingProxyType(dict(zip(self.simplices, range(self.n))))
-        return self._index
+    def _id(self, s) -> int:
+        """The id of s, bisected within its dimension, or -1 when K lacks s.
+
+        A probe without a length of one to dim + 1 finds no two offsets
+        (ValueError), and one that is no tuple, or whose entries do not
+        compare with ints, fails the comparison (TypeError): both are absent.
+        """
+        try:
+            lo, hi = self._offsets[len(s) - 1 : len(s) + 1]
+            i = bisect_left(self.simplices, s, lo, hi)
+        except (TypeError, ValueError):
+            return -1
+        return i if i < hi and self.simplices[i] == s else -1
 
     def __contains__(self, s) -> bool:
-        return s in self.index
+        return self._id(s) >= 0
 
     def __iter__(self):
         return iter(self.simplices)
@@ -196,18 +204,21 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n}, dim={self.dim})"
 
     def __reduce__(self):
-        # Only the simplices are pickled: the kept index (a mappingproxy,
-        # which cannot be pickled), matchings and Betti numbers are rebuilt
-        # on demand, and unpickling revalidates through the constructor.
+        # Only the simplices are pickled: the incidence and offsets are
+        # rebuilt by the constructor, which revalidates them, and the kept
+        # matchings and Betti numbers on demand.
         return SimplicialComplex, (self.simplices,)
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.by_dim[0])
+        return tuple(s[0] for s in self.simplices[: self.offset(1)])
 
     def offset(self, d: int) -> int:
-        """Id of the first d-simplex; the d-simplices hold ids offset(d) .. offset(d+1)-1."""
-        return sum(len(level) for level in self.by_dim[:d])
+        """Id of the first d-simplex, n past the top dimension.
+
+        The d-simplices hold ids offset(d) .. offset(d+1)-1.
+        """
+        return self._offsets[min(d, self.dim + 1)]
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
@@ -261,7 +272,7 @@ def _close(tops: list[Simplex]) -> SimplicialComplex:
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    return sum((-1) ** d * len(level) for d, level in enumerate(K.by_dim))
+    return sum((-1) ** d * (K.offset(d + 1) - K.offset(d)) for d in range(K.dim + 1))
 
 
 def _gf2_rank(rows) -> int:

@@ -172,11 +172,9 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
                     raise ValueError(f"face id {a} has up entry {b}, not -1 or a simplex id")
                 ids.append((a, b))
     else:
-        index = K.index
-
         def id_of(s):
-            i = index.get(s)
-            return unknown.setdefault(s, n + len(unknown)) if i is None else i
+            i = K._id(s)
+            return unknown.setdefault(s, n + len(unknown)) if i < 0 else i
 
         ids = [(id_of(sigma), id_of(tau)) for sigma, tau in pairs]
     up = [-1] * n

@@ -181,12 +181,12 @@ def critical_profile(K: SimplicialComplex, matching) -> CriticalProfile:
     """
     up = _accept(K, matching)._ids[1]
     counts = []
-    below = lo = 0
-    for level in K.by_dim:
-        hi = lo + len(level)
+    below = 0
+    for d in range(K.dim + 1):
+        lo, hi = K.offset(d), K.offset(d + 1)
         matched_up = hi - lo - up[lo:hi].count(-1)
         counts.append(hi - lo - matched_up - below)
-        below, lo = matched_up, hi
+        below = matched_up
     return CriticalProfile(tuple(counts))
 
 
@@ -238,15 +238,15 @@ def canonicalize_single_critical_vertex(K: SimplicialComplex, matching, p: int) 
     in the rebuilt 1-interface then descends toward p, so no cycle appears
     and the critical counts above dimension 1 are untouched.
     """
-    if (p,) not in K:
+    root = K._id((p,))
+    if root < 0:
         raise ValueError(f"unknown simplex {(p,)}")
     mm = _accept(K, matching)
     if not mm.acyclic:
         raise ValueError("matching is not acyclic")
     F, C = K.facet_ids, K.cofacet_ids
-    nv = len(K.by_dim[0])
+    nv = K.offset(1)
     up = [-1] * nv + list(mm._ids[1][nv:])
-    root = K.index[(p,)]
     reached = bytearray(nv)
     reached[root] = 1
     stack = [(root, iter(C[root]))]
@@ -294,7 +294,7 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     # it; the faces of those pairs are the ones to collapse.  Facets have
     # smaller ids, so ascending ids meet each one before its cofacets.
     covered = bytearray(K.n)
-    for s in sorted(map(K.index.__getitem__, lower)):
+    for s in sorted(map(K._id, lower)):
         for f in F[s]:
             if not covered[f]:
                 raise ValueError(f"subcomplex not downward closed: missing {S[f]}")

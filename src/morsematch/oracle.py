@@ -94,8 +94,8 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
 
     n = K.n
     C, F = K.cofacet_ids, K.facet_ids
-    dim = [d for d, level in enumerate(K.by_dim) for _ in level]
-    remaining = [len(level) for level in K.by_dim]
+    remaining = [K.offset(d + 1) - K.offset(d) for d in range(K.dim + 1)]
+    dim = [d for d, k in enumerate(remaining) for _ in range(k)]
     chain = range(1, len(remaining))
     matched = bytearray(n)
     up = [-1] * n

@@ -27,7 +27,8 @@ certified up array, kept so that the id version can be held to the same
 results; reference_gamma_graph, the graph it spans, is the only gamma
 graph left, since the package builds its spanning tree on ids without
 one.  facets_of and cofacets_of list the incidence of one simplex by
-slicing and by subset tests, apart from the complex's id tuples.
+slicing and by subset tests, apart from the complex's id tuples; level
+is the slice of a complex's simplices of one dimension, by its offsets.
 reference_bfs_component is a frozen copy of frontier's component search
 as it stood with a deque for its queue, a set of classified faces and a
 per-step count of kept, reversed and frontier edges, kept so that the
@@ -58,7 +59,6 @@ import random
 from collections import defaultdict, deque
 from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
 
 import numpy as np
 from hypothesis import strategies as st
@@ -109,10 +109,14 @@ def facets_of(s: Simplex) -> list[Simplex]:
     return list(combinations(s, len(s) - 1)) if len(s) > 1 else []
 
 
+def level(K: SimplicialComplex, d: int) -> tuple[Simplex, ...]:
+    """The d-simplices of K in canonical order; none past the top dimension."""
+    return K.simplices[K.offset(d):K.offset(d + 1)]
+
+
 def cofacets_of(K: SimplicialComplex, s: Simplex) -> tuple[Simplex, ...]:
     """Codimension-1 cofaces of s in K, in canonical order, by subset tests."""
-    above = K.by_dim[len(s)] if len(s) <= K.dim else ()
-    return tuple(t for t in above if set(s) < set(t))
+    return tuple(t for t in level(K, len(s)) if set(s) < set(t))
 
 
 def brute_max_matching_size(simplices) -> int:
@@ -253,9 +257,10 @@ def reference_max_matching_mates(K: SimplicialComplex) -> tuple[int, ...]:
     this exact mate array; it is not cached on K.
     """
     F, C = K.facet_ids, K.cofacet_ids
+    index = {s: i for i, s in enumerate(K.simplices)}
     mate = [-1] * K.n
     for sigma, tau in reference_coreduction_matching(K).pairs:
-        a, b = K.index[sigma], K.index[tau]
+        a, b = index[sigma], index[tau]
         mate[a], mate[b] = b, a
     prev = [-1] * K.n
     stamp = [-1] * K.n
@@ -295,7 +300,7 @@ def reference_component_roots(K: SimplicialComplex) -> list[int]:
     """The least vertex of each connected component of the 1-skeleton, ascending."""
     adj: dict[int, list[int]] = {v: [] for v in K.vertices}
     if K.dim >= 1:
-        for a, b in K.by_dim[1]:
+        for a, b in level(K, 1):
             adj[a].append(b)
             adj[b].append(a)
     roots = []
@@ -386,10 +391,10 @@ def reference_betti_gf2(K: SimplicialComplex) -> tuple[int, ...]:
     """
     ranks = [0] * (K.dim + 2)
     if K.dim:
-        ranks[1] = len(K.by_dim[0]) - len(reference_component_roots(K))
+        ranks[1] = len(level(K, 0)) - len(reference_component_roots(K))
     for d in range(2, K.dim + 1):
         ranks[d] = reference_gf2_rank(boundary_matrix_gf2(K, d))
-    return tuple(len(K.by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
+    return tuple(len(level(K, d)) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
 
 
 def max_matching_pairs(K: SimplicialComplex) -> frozenset[Pair]:
@@ -419,7 +424,7 @@ def reference_gamma_graph(K: SimplicialComplex, matching) -> dict[int, tuple[int
     }
     adj: dict[int, list[int]] = {v: [] for v in K.vertices}
     if K.dim >= 1:
-        for a, b in K.by_dim[1]:
+        for a, b in level(K, 1):
             if (a, b) in removed:
                 continue
             adj[a].append(b)
@@ -786,8 +791,8 @@ def brute_closure(facets) -> dict:
     Every non-empty vertex subset of each facet, sorted by (length,
     tuple); the facets of a simplex are found by deleting one vertex and
     its cofacets by adding one.  Returns simplices, facet_ids,
-    cofacet_ids, by_dim and offsets (the first id of each dimension, and
-    n after the last) as plain tuples.
+    cofacet_ids and offsets (the first id of each dimension, and n after
+    the last) as plain tuples.
     """
     faces = set()
     for f in facets:
@@ -815,7 +820,6 @@ def brute_closure(facets) -> dict:
         "simplices": simplices,
         "facet_ids": facet_ids,
         "cofacet_ids": cofacet_ids,
-        "by_dim": by_dim,
         "offsets": offsets,
     }
 
@@ -837,7 +841,7 @@ def _reference_build(self, levels: list[set[Simplex]]) -> None:
     facets.  The first face missing in canonical order raises.
     """
     simplices: list[Simplex] = []
-    by_dim: list[tuple[Simplex, ...]] = []
+    offsets: list[int] = []
     index: dict[Simplex, int] = {}
     facet_ids: list[tuple[int, ...]] = []
     cofacets: list[list[int]] = []
@@ -846,7 +850,7 @@ def _reference_build(self, levels: list[set[Simplex]]) -> None:
         lo = len(simplices)
         members = sorted(level)
         simplices += members
-        by_dim.append(tuple(members))
+        offsets.append(lo)
         index.update(zip(members, range(lo, len(simplices))))
         cofacets += [[] for _ in members]
         if not d:
@@ -863,11 +867,9 @@ def _reference_build(self, levels: list[set[Simplex]]) -> None:
     self.simplices: tuple[Simplex, ...] = tuple(simplices)
     self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
     self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, cofacets))
-    self.by_dim: tuple[tuple[Simplex, ...], ...] = tuple(by_dim)
+    self._offsets: tuple[int, ...] = (*offsets, len(simplices))
     self.dim: int = len(levels) - 1
     self.n: int = len(simplices)
-    # the reference keeps the index it built, so K.index is compared with it
-    self._index: MappingProxyType[Simplex, int] = MappingProxyType(index)
     self._coreduction = self._mates = self._betti = None
 
 
@@ -924,8 +926,8 @@ def reference_optimal_morse_matching(K: SimplicialComplex, budget: int | None = 
 
     n = K.n
     C, F = K.cofacet_ids, K.facet_ids
-    dim = [d for d, level in enumerate(K.by_dim) for _ in level]
-    remaining = [len(level) for level in K.by_dim]
+    dim = [d for d in range(K.dim + 1) for _ in level(K, d)]
+    remaining = [len(level(K, d)) for d in range(K.dim + 1)]
     chain = range(1, len(remaining))
     matched = bytearray(n)
     up = [-1] * n

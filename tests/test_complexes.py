@@ -97,7 +97,7 @@ def test_membership_and_vertices():
 
 def incident(K, ids_of, s):
     """The simplices ids_of (K.facet_ids or K.cofacet_ids) lists for s."""
-    return [K.simplices[j] for j in ids_of[K.index[s]]]
+    return [K.simplices[j] for j in ids_of[K.simplices.index(s)]]
 
 
 def test_facets_of_is_lexicographic():
@@ -127,13 +127,12 @@ def test_id_arrays_map_back_to_the_incidence(K):
     S = K.simplices
     assert len(K.facet_ids) == len(K.cofacet_ids) == K.n
     for i, s in enumerate(S):
-        assert K.index[s] == i
+        assert K._id(s) == i
         assert [S[j] for j in K.facet_ids[i]] == facets_of(s)
         assert tuple(S[j] for j in K.cofacet_ids[i]) == cofacets_of(K, s)
         assert list(K.facet_ids[i]) == sorted(K.facet_ids[i])
         assert list(K.cofacet_ids[i]) == sorted(K.cofacet_ids[i])
     assert sorted(S, key=canonical_key) == list(S)
-    assert len(K.index) == K.n
 
 
 @pytest.mark.parametrize("K", ID_CORPUS, ids=lambda K: f"n{K.n}-d{K.dim}")
@@ -298,7 +297,7 @@ def test_morse_boundary_raises_on_a_gradient_cycle():
     K = from_maximal_simplices([(0, 1), (1, 2), (0, 2), (0, 3)])
     up = [-1] * K.n
     for v, e in ((0, (0, 1)), (1, (1, 2)), (2, (0, 2))):
-        up[K.index[(v,)]] = K.index[e]
+        up[K.simplices.index((v,))] = K.simplices.index(e)
     assert not certify(K, OrientedHasse(K, up)).acyclic
     with pytest.raises(RuntimeError, match="gradient cycle"):
         _morse_boundary(K, up)
@@ -335,7 +334,7 @@ def test_pickle_and_deepcopy_rebuild_the_complex():
         assert twin == K and twin is not K
         assert twin.facet_ids == K.facet_ids
         assert twin.cofacet_ids == K.cofacet_ids
-        assert dict(twin.index) == dict(K.index)
+        assert twin._offsets == K._offsets
         assert twin._betti is None and twin._mates is None
 
 
@@ -461,9 +460,7 @@ def assert_matches_brute_closure(K, facets):
     assert K.simplices == ref["simplices"]
     assert K.facet_ids == ref["facet_ids"]
     assert K.cofacet_ids == ref["cofacet_ids"]
-    assert K.by_dim == ref["by_dim"]
     assert tuple(K.offset(d) for d in range(K.dim + 2)) == ref["offsets"]
-    assert dict(K.index) == {s: i for i, s in enumerate(ref["simplices"])}
 
 
 @st.composite
@@ -524,8 +521,7 @@ def test_one_live_cofacet_means_one_live_proper_coface(seed, dim):
 def assert_same_construction(K, R):
     """Every field of the builder equals the reference's."""
     assert K.simplices == R.simplices
-    assert K.by_dim == R.by_dim
-    assert dict(K.index) == dict(R.index)
+    assert K._offsets == R._offsets
     assert K.facet_ids == R.facet_ids
     assert K.cofacet_ids == R.cofacet_ids
     assert (K.dim, K.n) == (R.dim, R.n)
@@ -569,30 +565,49 @@ def test_incidence_holds_the_index_ints_in_finished_tuples(K):
         assert type(fs) is tuple and type(cs) is tuple
         assert all(ids.setdefault(j, j) is j for j in fs + cs)
     assert len(ids) == K.n
-    assert K._index is None
 
 
-def test_the_index_is_built_on_first_read_and_kept(tmp_path):
-    path = str(tmp_path / "k.txt")
-    write_complex(wedge(dunce_hat_with_tetrahedron(), 1, 3), path)
-    K = read_complex(path)
-    # a bench row: the shared facts, then every algorithm's matching and report
-    facts = cli._complex_facts(K)
-    for algo in cli.ALGOS:
-        mm, extras = cli._run_algo(K, algo, 50)
-        cli._match_report(K, algo, mm, extras, facts)
-    assert K._index is None
-    index = K.index
-    assert dict(index) == {s: i for i, s in enumerate(K.simplices)}
-    assert K.index is index
-    with pytest.raises(TypeError):
-        index[(0,)] = 0
-    with pytest.raises(AttributeError):
-        K.index = {}
-    L = SimplicialComplex(K.simplices)
-    assert L._index is None
-    assert (0, 1) not in L and (1,) in L
-    assert dict(L.index) == dict(index)
+@st.composite
+def lookup_complexes(draw):
+    """A random complex in dims 1-4 or one of the named complexes."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(sorted(named_complexes().items())))[1]
+    dim = draw(st.integers(1, 4))
+    return random_complex(
+        draw(st.integers(0, 2**32 - 1)), dim=dim,
+        n_vertices=dim + 1 + draw(st.integers(0, 6)),
+        n_facets=draw(st.integers(1, 12)), connected=draw(st.booleans()),
+    )
+
+
+PROBE_ENTRIES = st.one_of(st.integers(-1, 12), st.floats(), st.text(max_size=2))
+PROBES = st.one_of(
+    st.lists(st.integers(-1, 12), max_size=7).map(tuple),
+    st.lists(PROBE_ENTRIES, max_size=7).map(tuple),
+    PROBE_ENTRIES,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(lookup_complexes(), st.lists(PROBES, max_size=20))
+def test_ids_membership_and_offsets_come_from_the_one_order(K, probes):
+    # ids and membership are bisected within one level of K.simplices,
+    # which must agree with a search of the whole order and with a set,
+    # and never raise, whatever the probe: unsorted, repeated, empty or
+    # over-long tuples, negative, float or string entries, or no tuple
+    S = K.simplices
+    members = set(S)
+    for s in S:
+        assert K._id(s) == S.index(s)
+        probes += [s[::-1], s + s[-1:], s + (s[-1] + 1,), tuple(map(float, s)), tuple(map(str, s))]
+    probes += [(), (-1,), ("a",), (0.5,), tuple(range(K.dim + 2)), 0, "0"]
+    for p in probes:
+        assert (p in K) == (p in members), p
+    # offset(d) counts the simplices below dimension d, so n past the top
+    assert [K.offset(d) for d in range(K.dim + 3)] == [
+        sum(len(s) <= d for s in S) for d in range(K.dim + 3)
+    ]
+    assert not hasattr(K, "by_dim") and not hasattr(K, "index")
 
 
 MEMORY_INPUTS = {
@@ -641,3 +656,50 @@ def test_the_validating_constructor_drops_its_member_set_before_the_build(memory
     # simplex through the build read 274-282 (and 339-350 with the index).
     simplices = list(read_complex(memory_files["random-3d"]).simplices)
     assert traced_peak_per_simplex(lambda: SimplicialComplex(simplices)) < 260
+
+
+def membership_after_a_bench_row(K):
+    # a bench row: the shared facts, then every algorithm's matching and report
+    facts = cli._complex_facts(K)
+    for algo in cli.ALGOS:
+        mm, extras = cli._run_algo(K, algo, 50)
+        cli._match_report(K, algo, mm, extras, facts)
+    return lambda: (0,) in K
+
+
+def canonicalization(K):
+    mm = coreduction_matching(K)
+    return lambda: canonicalize_single_critical_vertex(K, mm, K.vertices[0])
+
+
+def certification_of_pairs(K):
+    pairs = coreduction_matching(K).pairs
+    return lambda: certify(K, pairs)
+
+
+@pytest.mark.parametrize("setup, bound", [
+    (membership_after_a_bench_row, 40),
+    (canonicalization, 50),
+    (certification_of_pairs, 70),
+])
+def test_lookups_build_no_map_of_the_complex(memory_files, setup, bound):
+    """The tracemalloc peak of one lookup call, in B a simplex.
+
+    setup(K) runs untraced and returns the call; it runs once first, also
+    untraced, on another complex read from the same file, so the reading
+    does not depend on what ran before.
+    """
+    # Python 3.11: membership 0, canonicalization 16-17, certification
+    # 43-44; a simplex-to-id map built on first use read 80-81, 86-88
+    # and 94-102.
+    path = memory_files["random-3d"]
+    setup(read_complex(path))()
+    K = read_complex(path)
+    call = setup(K)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1] / K.n
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

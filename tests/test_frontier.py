@@ -51,8 +51,8 @@ def assert_component_bound(result):
 def leading(oh, chi):
     """Leading up-edges of the up-edge chi, read through face ids."""
     K = oh.complex
-    index, S = K.index, K.simplices
-    faces = _leading(K.facet_ids, oh.up, bytearray(K.n), index[chi[0]], index[chi[1]])
+    index, S = K.simplices.index, K.simplices
+    faces = _leading(K.facet_ids, oh.up, bytearray(K.n), index(chi[0]), index(chi[1]))
     return [(S[a], S[oh.up[a]]) for a in faces]
 
 
@@ -62,7 +62,7 @@ def component(oh, face, absorbed=None):
     if absorbed is None:
         absorbed = bytearray(K.n)
     kept = [-1] * K.n
-    comp = bfs_component(oh, K.index[face], absorbed, kept)
+    comp = bfs_component(oh, K.simplices.index(face), absorbed, kept)
     assert kept == [-1] * K.n
     return comp
 
@@ -84,7 +84,7 @@ def test_leading_up_edges_on_partial_matching():
 def test_leading_up_edges_rejects_down_edges():
     # Once the pair of (1,) is reversed, its edge points down.
     oh = hexagon_orientation()
-    oh.up[CIRCLE.index[(1,)]] = -1
+    oh.up[CIRCLE.simplices.index((1,))] = -1
     assert leading(oh, ((0,), (0, 1))) == []
 
 
@@ -98,11 +98,11 @@ def test_bfs_component_on_hexagon():
     assert len(component_edges(comp)) == 6
     # the reference counts (forward, backward, frontier) after each queue step
     ref = reference_bfs_component(
-        hexagon_orientation(), CIRCLE.index[(0,)], bytearray(CIRCLE.n), [-1] * CIRCLE.n
+        hexagon_orientation(), CIRCLE.simplices.index((0,)), bytearray(CIRCLE.n), [-1] * CIRCLE.n
     )
     assert ref == (comp, ((2, 0, 1), (2, 1, 0)))
     # the reversed pair is unmatched, and every classified coface absorbed
-    assert oh.up[CIRCLE.index[(2,)]] == -1
+    assert oh.up[CIRCLE.simplices.index((2,))] == -1
     assert [s for s, flag in zip(CIRCLE.simplices, absorbed) if flag] == [
         (0, 1), (0, 2), (1, 2)
     ]
@@ -114,12 +114,12 @@ def test_bfs_component_isolated_up_edge():
     assert comp.forward == (((0,), (0, 1)),)
     assert comp.backward == ()
     assert component_edges(comp) == {((0, 1), (0,)), ((0, 1), (1,))}
-    assert oh.up[CIRCLE.index[(0,)]] == CIRCLE.index[(0, 1)]
+    assert oh.up[CIRCLE.simplices.index((0,))] == CIRCLE.simplices.index((0, 1))
 
 
 def test_bfs_component_stops_at_absorbed_cofaces():
     absorbed = bytearray(CIRCLE.n)
-    absorbed[CIRCLE.index[(1, 2)]] = 1
+    absorbed[CIRCLE.simplices.index((1, 2))] = 1
     comp = component(hexagon_orientation(), (0,), absorbed)
     assert comp.forward == (((0,), (0, 1)),)
     assert comp.backward == ()

@@ -23,6 +23,7 @@ from morsematch import (
 )
 from helpers import (
     facets_of,
+    level,
     reference_component_roots,
     reference_random_complex,
     reference_simplex_boundary,
@@ -57,7 +58,7 @@ def test_simplex_boundary_matching_is_acyclic(n):
 def test_simplex_boundary_builds_the_complex_of_all_proper_faces(n):
     K, matching = simplex_boundary(n)
     R = reference_simplex_boundary(n)
-    assert (K.simplices, K.by_dim, dict(K.index)) == (R.simplices, R.by_dim, dict(R.index))
+    assert (K.simplices, K._offsets) == (R.simplices, R._offsets)
     assert (K.facet_ids, K.cofacet_ids, K.dim, K.n) == (R.facet_ids, R.cofacet_ids, R.dim, R.n)
     assert matching.acyclic
     assert critical_profile(K, matching).total == 2
@@ -103,7 +104,7 @@ def test_full_simplex_counts():
 
 def test_rp2_triangulation():
     K = rp2()
-    assert tuple(len(K.by_dim[d]) for d in range(3)) == (6, 15, 10)
+    assert tuple(len(level(K, d)) for d in range(3)) == (6, 15, 10)
     assert euler_characteristic(K) == 1
     assert betti_gf2(K) == (1, 1, 1)
     assert is_connected(K)
@@ -111,15 +112,15 @@ def test_rp2_triangulation():
 
 def test_dunce_hat_triangulation():
     K = dunce_hat()
-    assert tuple(len(K.by_dim[d]) for d in range(3)) == (8, 24, 17)
+    assert tuple(len(level(K, d)) for d in range(3)) == (8, 24, 17)
     assert euler_characteristic(K) == 1
     assert betti_gf2(K) == (1, 0, 0)
 
 
 def test_dunce_hat_has_no_free_edge():
     K = dunce_hat()
-    for edge in K.by_dim[1]:
-        assert len(K.cofacet_ids[K.index[edge]]) != 1
+    for e in range(K.offset(1), K.offset(2)):
+        assert len(K.cofacet_ids[e]) != 1
 
 
 def test_wedge_size_and_homology():

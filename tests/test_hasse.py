@@ -59,7 +59,7 @@ def test_hasse_circle_is_hexagon():
 
 def interface_counts(K, d):
     """Nodes and Hasse edges of the d-interface: dimensions d-1 and d."""
-    nodes = len(K.by_dim[d - 1]) + len(K.by_dim[d])
+    nodes = K.offset(d + 1) - K.offset(d - 1)
     edges = sum(1 for tau, _ in hasse(K) if len(tau) == d + 1)
     return nodes, edges
 
@@ -95,7 +95,7 @@ def test_max_matching_equals_brute_force_on_small_corpus():
 def test_maximality_check_refuses_a_short_matching():
     K = from_maximal_simplices([(0, 1), (1, 2)])
     one_pair = [-1] * K.n
-    a, b = K.index[(0,)], K.index[(0, 1)]
+    a, b = K.simplices.index((0,)), K.simplices.index((0, 1))
     one_pair[a], one_pair[b] = b, a
     assert not is_maximum_matching(K.simplices, one_pair)
     one_sided = list(one_pair)
@@ -150,9 +150,9 @@ def test_orient_empty_matching_points_all_down():
 def test_orient_single_pair():
     M = frozenset({((0, 1), (0, 1, 2))})
     oh = orient(TRIANGLE, M)
-    index = TRIANGLE.index
+    index = TRIANGLE.simplices.index
     ups = [(a, b) for a, b in enumerate(oh.up) if b >= 0]
-    assert ups == [(index[(0, 1)], index[(0, 1, 2)])]
+    assert ups == [(index((0, 1)), index((0, 1, 2)))]
     assert len(hasse(TRIANGLE)) - len(ups) == 8
 
 
@@ -165,20 +165,20 @@ def test_orient_perfect_matching_reproduces_pairs():
 def test_oriented_edge_direction():
     M = frozenset({((0,), (0, 1))})
     oh = orient(CIRCLE, M)
-    index = CIRCLE.index
-    assert oh.up[index[(0,)]] == index[(0, 1)]
-    assert oh.up[index[(1,)]] == -1
+    index = CIRCLE.simplices.index
+    assert oh.up[index((0,))] == index((0, 1))
+    assert oh.up[index((1,))] == -1
 
 
 def test_partner_and_unmatch():
     # The up array names each face's partner; writing -1 unmatches it.
     M = frozenset({((0,), (0, 1))})
     oh = orient(CIRCLE, M)
-    index, S = CIRCLE.index, CIRCLE.simplices
-    a = index[(0,)]
+    index, S = CIRCLE.simplices.index, CIRCLE.simplices
+    a = index((0,))
     assert S[oh.up[a]] == (0, 1)
-    assert oh.up[index[(0, 1)]] == -1
-    assert oh.up[index[(2,)]] == -1
+    assert oh.up[index((0, 1))] == -1
+    assert oh.up[index((2,))] == -1
     oh.up[a] = -1
     assert oh.up == [-1] * CIRCLE.n
     assert oh.up_pairs() == []
@@ -189,7 +189,7 @@ def test_reversed_matched_edge_is_not_up():
     # the coface has no up entry, and the validator refuses the pair.
     M = frozenset({((0,), (0, 1))})
     oh = orient(CIRCLE, M)
-    assert oh.up[CIRCLE.index[(0, 1)]] == -1
+    assert oh.up[CIRCLE.simplices.index((0, 1))] == -1
     with pytest.raises(InvalidMatching, match="not a covering pair"):
         orient(CIRCLE, {((0, 1), (0,))})
     assert frozenset(oh.up_pairs()) == M

@@ -162,7 +162,7 @@ def test_is_acyclic_matches_whole_graph_search():
 def test_id_entry_still_validates():
     # The package's own algorithms hand certify an up array of ids; it
     # must still reject a non-covering pair and a simplex used twice.
-    i = CIRCLE.index
+    i = {s: x for x, s in enumerate(CIRCLE.simplices)}
     bad = {
         "not a covering pair": {i[(0,)]: i[(1, 2)]},
         "simplex (0, 1) matched twice": {i[(0,)]: i[(0, 1)], i[(1,)]: i[(0, 1)]},
@@ -174,8 +174,8 @@ def test_id_entry_still_validates():
     # a simplex matched both as a face and as a coface
     K = TRIANGLE
     up = [-1] * K.n
-    up[K.index[(0,)]] = K.index[(0, 1)]
-    up[K.index[(0, 1)]] = K.index[(0, 1, 2)]
+    up[K.simplices.index((0,))] = K.simplices.index((0, 1))
+    up[K.simplices.index((0, 1))] = K.simplices.index((0, 1, 2))
     with pytest.raises(InvalidMatching, match="matched twice"):
         certify(K, OrientedHasse(K, up))
     with pytest.raises(ValueError, match="another complex"):
@@ -200,7 +200,7 @@ def test_closes_cycle_matches_whole_graph_search():
                 naive = has_directed_cycle(
                     oriented_adjacency(K.simplices, pairs + [(a, b)])
                 )
-                i, j = K.index[a], K.index[b]
+                i, j = K.simplices.index(a), K.simplices.index(b)
                 assert closes_cycle(up, K.facet_ids, i, j) == naive, (seed, a, b)
                 checks += 1
                 positives += naive
