@@ -21,6 +21,11 @@ downward-closed set a simplex has one proper coface exactly when it has
 one cofacet, since a second coface c above the cofacet b brings in a
 second cofacet, the other face of c between them.  Elementary collapses
 keep the set downward closed, so live cofacet counts find every free face.
+Every greedy collapse runs one kernel, _eliminate, below: the collapse
+sequence of a matching (morse.collapse_sequence) and the oracle's
+top-dimensional core (oracle._top_core) as well as the two heuristics.
+Only oracle.is_collapsible keeps its own state, since it backtracks and
+undoes its collapses.
 
 One builder fills a complex, from one set of canonical simplices per
 dimension, in a single sweep up the dimensions: it sorts each level into
@@ -39,12 +44,12 @@ and every generator share that closure step, and with it one bound,
 CLOSURE_CAP simplices, checked before a too-large simplex makes any
 face and then as the faces are made.
 
-Homology comes from discrete Morse theory.  The elimination kernel of
-the greedy heuristics lives here, on the incidence it reads, so that
-coreduction's up array can be computed once per complex and kept on it
-(_coreduction) for the three modules that start from it: hasse grows the
-maximum matching from it, heuristics certifies it as coreduction's
-result, and betti_gf2 ranks the boundary of its Morse complex, which
+Homology comes from discrete Morse theory.  The elimination kernel
+lives here, on the incidence it reads, and yields its pairs in order,
+so that coreduction's up array can be filled from it once per complex
+and kept on it (_coreduction) for the three modules that start from
+it: hasse grows the maximum matching from it, heuristics certifies it
+as coreduction's result, and betti_gf2 ranks the boundary of its Morse complex, which
 has only the critical simplices as cells.  That Morse complex comes
 from one kernel, _morse_boundary, which takes the up array of any
 acyclic matching; betti_gf2 is its rank step on coreduction's.
@@ -214,11 +219,11 @@ class SimplicialComplex:
         return tuple(s[0] for s in self.simplices[: self.offset(1)])
 
     def offset(self, d: int) -> int:
-        """Id of the first d-simplex, n past the top dimension.
+        """Id of the first d-simplex: 0 below dimension 0, n past the top dimension.
 
         The d-simplices hold ids offset(d) .. offset(d+1)-1.
         """
-        return self._offsets[min(d, self.dim + 1)]
+        return self._offsets[min(max(d, 0), self.dim + 1)]
 
     def facets(self) -> tuple[Simplex, ...]:
         """Maximal simplices, in canonical order."""
@@ -362,20 +367,23 @@ def is_connected(K: SimplicialComplex) -> bool:
     return betti_gf2(K)[0] == 1
 
 
-def _eliminate(K: SimplicialComplex, counted, notified, order) -> list[int]:
-    """The up array of greedy elimination over one side of the incidence.
+def _eliminate(K: SimplicialComplex, counted, notified, order):
+    """Greedy elimination over one side of the incidence, yielding its pairs in order.
 
     counted[s] holds the neighbours of s that its count covers, and
     notified, the inverse relation, the simplices whose counts drop when
     s goes.  A simplex with one counted neighbour left pairs with it,
     smallest id first, through a heap whose stale entries are skipped on
-    pop; when none is left, the next alive id of order is critical.  The
-    coface of a pair is the larger id of the two.
+    pop; when none is left, the next alive id of order is critical, and
+    once order runs out the elimination stops.  Each pair is yielded as
+    (face id, coface id), the coface the larger id of the two.  The
+    heuristics count facets or cofacets of every simplex and run order to
+    its end; collapse_sequence and the oracle's top core count only the
+    faces they may collapse, with order empty.
     """
     alive = bytearray(b"\x01") * K.n
     count = [len(xs) for xs in counted]
     heap = [s for s, k in enumerate(count) if k == 1]
-    up = [-1] * K.n
     crits = iter(order)
     while True:
         while heap:
@@ -384,9 +392,8 @@ def _eliminate(K: SimplicialComplex, counted, notified, order) -> list[int]:
                 for y in counted[x]:
                     if alive[y]:
                         break
-                a, b = (x, y) if x < y else (y, x)
-                up[a] = b
                 alive[x] = alive[y] = 0
+                yield (x, y) if x < y else (y, x)
                 gone = notified[x] + notified[y]
                 break
         else:
@@ -394,7 +401,7 @@ def _eliminate(K: SimplicialComplex, counted, notified, order) -> list[int]:
                 if alive[x]:
                     break
             else:
-                return up
+                return
             alive[x] = 0
             gone = notified[x]
         for c in gone:
@@ -414,7 +421,10 @@ def _coreduction(K: SimplicialComplex) -> tuple[int, ...]:
     this array, and heuristics.coreduction_matching certifies it.
     """
     if K._coreduction is None:
-        K._coreduction = tuple(_eliminate(K, K.facet_ids, K.cofacet_ids, range(K.n)))
+        up = [-1] * K.n
+        for a, b in _eliminate(K, K.facet_ids, K.cofacet_ids, range(K.n)):
+            up[a] = b
+        K._coreduction = tuple(up)
     return K._coreduction
 
 

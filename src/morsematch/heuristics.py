@@ -8,14 +8,15 @@ otherwise declares the largest remaining simplex critical, peeling from
 the top.  Both remove the involved simplices immediately, so the pairing
 order itself witnesses acyclicity; the result is still certified.
 
-Both run one kernel, complexes._eliminate, on simplex ids: it counts
-remaining facets (coreduction) or cofacets (reduction), and only the
-order of criticals differs.  The pairs go into an up array (face id to
-coface id), which goes to certify.  Coreduction's is computed once per
-complex and kept on it, since the maximum matching and the Betti
-numbers start from it too (see complexes._coreduction); the certified
-matching is not kept.  Ties break on (dimension, vertex tuple) so runs
-are reproducible.
+Both run one kernel, complexes._eliminate, on simplex ids, the one that
+every greedy collapse in the package runs (collapse sequences and the
+oracle's top core too): it counts remaining facets (coreduction) or
+cofacets (reduction), and only the order of criticals differs.  The
+pairs it yields go into an up array (face id to coface id), which goes
+to certify.  Coreduction's is computed once per complex and kept on it,
+since the maximum matching and the Betti numbers start from it too (see
+complexes._coreduction); the certified matching is not kept.  Ties
+break on (dimension, vertex tuple) so runs are reproducible.
 """
 from __future__ import annotations
 
@@ -43,5 +44,7 @@ def reduction_matching(K: SimplicialComplex) -> MorseMatching:
     (-dim, id), largest dimension first, from a lazy chain of id ranges.
     """
     order = chain.from_iterable(range(K.offset(d), K.offset(d + 1)) for d in range(K.dim, -1, -1))
-    up = _eliminate(K, K.cofacet_ids, K.facet_ids, order)
+    up = [-1] * K.n
+    for a, b in _eliminate(K, K.cofacet_ids, K.facet_ids, order):
+        up[a] = b
     return certify(K, OrientedHasse(K, up))

@@ -15,12 +15,11 @@ on its up array.
 """
 from __future__ import annotations
 
-from heapq import heappush, heappop
-
 from .complexes import (
     Record,
     Simplex,
     SimplicialComplex,
+    _eliminate,
     canonical_key,
     is_connected,
 )
@@ -202,9 +201,10 @@ def check_morse_inequalities(counts, betti) -> MorseInequalityReport:
     """Check critical counts per dimension against the Betti numbers.
 
     For each d, the alternating sum c_d - c_{d-1} + ... must be at least
-    the same sum of Betti numbers; summing consecutive inequalities gives
-    the per-dimension bound c_i >= beta_i.  Checking one index past the
-    top dimension pins the Euler equality from both sides.
+    the same sum of Betti numbers, both kept running in one pass; summing
+    consecutive inequalities gives the per-dimension bound c_i >= beta_i.
+    Checking one index past the top dimension pins the Euler equality
+    from both sides.
     """
     c = tuple(counts)
     b = tuple(betti)
@@ -212,9 +212,9 @@ def check_morse_inequalities(counts, betti) -> MorseInequalityReport:
     cc = c + (0,) * (top + 1 - len(c))
     bb = b + (0,) * (top + 1 - len(b))
     alt = []
+    sc = sb = 0  # the alternating sums, S_d = x_d - S_{d-1}
     for d in range(top + 1):
-        sc = sum((-1) ** (d - i) * cc[i] for i in range(d + 1))
-        sb = sum((-1) ** (d - i) * bb[i] for i in range(d + 1))
+        sc, sb = cc[d] - sc, bb[d] - sb
         if sc < sb:
             alt.append(d)
     point = [i for i in range(top + 1) if cc[i] < bb[i]]
@@ -281,7 +281,9 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     face of its partner in what remains (smallest simplex first on ties),
     otherwise the matching was not acyclic and a RuntimeError reports it.
     What remains stays downward closed, so a simplex is free when it has
-    one live cofacet (see complexes).
+    one live cofacet (see complexes).  The collapse is complexes._eliminate
+    with only the faces to collapse counting their cofacets: a face's one
+    live cofacet is then its mate, which goes only with it.
     """
     mm = _accept(K, matching)
     if not mm.acyclic:
@@ -300,37 +302,16 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
                 raise ValueError(f"subcomplex not downward closed: missing {S[f]}")
         covered[s] = 1
     up = mm._ids[1]
-    work: set[int] = set()
+    counted = [()] * K.n
+    faces = 0
     for s, t in enumerate(up):
         if t >= 0 and not covered[s] and not covered[t]:
             covered[s] = covered[t] = 1
-            work.add(s)
+            counted[s] = C[s]
+            faces += 1
     if (s := covered.find(0)) >= 0:
         raise ValueError(f"not matched away: {S[s]}")
-    alive = bytearray(b"\x01") * K.n
-    count = [len(cs) for cs in C]
-    heap = sorted(s for s in work if count[s] == 1)
-
-    def delete(x: int) -> None:
-        alive[x] = 0
-        for f in F[x]:
-            if alive[f]:
-                count[f] -= 1
-                if count[f] == 1 and f in work:
-                    heappush(heap, f)
-
-    out = []
-    while work:
-        s = -1
-        while heap:
-            s = heappop(heap)
-            if s in work and count[s] == 1:
-                break
-            s = -1
-        if s < 0:
-            raise RuntimeError("acyclicity violated: no free pair remains")
-        work.discard(s)
-        delete(s)
-        delete(up[s])
-        out.append((S[s], S[up[s]]))
-    return tuple(out)
+    out = tuple((S[a], S[b]) for a, b in _eliminate(K, counted, F, ()))
+    if len(out) < faces:
+        raise RuntimeError("acyclicity violated: no free pair remains")
+    return out

@@ -7,11 +7,14 @@ subset search for the least number of interior 2-faces whose removal
 makes a 2-complex collapse down to a graph.  The collapse searches run
 on simplex ids and count live cofacets from K.cofacet_ids, which finds
 exactly the free faces of a downward-closed set (see complexes).  One
-collapse of the top-dimensional simplices through their free faces,
-_top_core, serves the erasability test and the branch-and-bound's
-bound, which it lifts by one pair per dunce hat: a complex whose greedy
-incumbent leaves just one extra critical pair per hat, such as a wedge
-of hats, is proven optimal at the root, with no node searched.
+greedy collapse of the top-dimensional simplices through their free
+faces, _top_core, runs the package's elimination kernel,
+complexes._eliminate; is_collapsible keeps its own state, since it
+undoes its collapses as it backtracks.  The core serves the erasability
+test and the branch-and-bound's bound, which it lifts by one pair per
+dunce hat: a complex whose greedy incumbent leaves just one extra
+critical pair per hat, such as a wedge of hats, is proven optimal at the
+root, with no node searched.
 
 All budgets count search-node expansions, so runs are deterministic and
 machine independent.  Each search reports in an immutable Record
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import Record, SimplicialComplex, Simplex, betti_gf2
+from .complexes import Record, SimplicialComplex, Simplex, _eliminate, betti_gf2
 from .hasse import OrientedHasse, Pair, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import MorseMatching, certify, closes_cycle
@@ -191,11 +194,12 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
     at all.  budget=None searches without limit.
     The search is depth first over an explicit stack of untried free
     pairs, one list per level in canonical order, so a long collapse
-    sequence needs no recursion.  It keeps one state and changes it in
-    place, as collapse_sequence does: alive flags, the number of live
-    cofacets of every simplex and the set of free ones, updated when a
-    pair is removed and undone when the search backs out of it, so a
-    node costs its own free pairs rather than a scan of the complex.
+    sequence needs no recursion.  Unlike the greedy collapses, which run
+    complexes._eliminate, it keeps its own state and changes it in place,
+    undoably: alive flags, the number of live cofacets of every simplex
+    and the set of free ones, updated when a pair is removed and undone
+    when the search backs out of it, so a node costs its own free pairs
+    rather than a scan of the complex.
     Live cofacets are enough because every state is downward closed, in
     which one live cofacet means one live proper coface (see complexes).
     """
@@ -272,27 +276,22 @@ def _top_core(K: SimplicialComplex, dead=()) -> bytearray:
     with exactly one remaining D-coface; the D-simplices left are
     flagged 1, every other id 0.  Order of deletions cannot matter: a
     face that is free stays free until its one coface goes, and two free
-    faces of one D-simplex leave the same set either way.
+    faces of one D-simplex leave the same set either way.  The deletions
+    are complexes._eliminate with only the (D-1)-faces counting, each
+    over its D-cofaces not in dead: the D-simplices it never yields as
+    cofaces are the core.
     """
-    F, C = K.facet_ids, K.cofacet_ids
-    alive = bytearray(K.n)
-    count = [0] * K.n
-    for t in range(K.offset(K.dim), K.n):
-        if t not in dead:
-            alive[t] = 1
-            for e in F[t]:
-                count[e] += 1
-    queue = [e for e, k in enumerate(count) if k == 1]
-    while queue:
-        e = queue.pop()
-        if count[e] != 1:
-            continue
-        t = next(x for x in C[e] if alive[x])
+    F = K.facet_ids
+    lo, hi = K.offset(K.dim - 1), K.offset(K.dim)
+    counted = [()] * K.n
+    counted[lo:hi] = K.cofacet_ids[lo:hi]
+    alive = bytearray(hi) + b"\x01" * (K.n - hi)
+    for t in dead:
         alive[t] = 0
-        for f in F[t]:
-            count[f] -= 1
-            if count[f] == 1:
-                queue.append(f)
+        for e in F[t]:
+            counted[e] = [x for x in counted[e] if x != t]
+    for _, t in _eliminate(K, counted, F, ()):
+        alive[t] = 0
     return alive
 
 

@@ -49,7 +49,17 @@ built then, from every proper face through the validating constructor.
 reference_optimal_morse_matching is a frozen copy of the oracle's
 branch-and-bound as it stood with hand-encoded [s, k, t] frames, kept so
 that the search on a stack of choice generators can be held to the same
-nodes, verdict, bound and matching.
+nodes, verdict, bound and matching; its floor comes from
+reference_core_components over reference_top_core, frozen copies of the
+oracle's top-dimensional core as it stood with its own queue of free
+faces, so the reference shares no collapse code with the search it
+checks, and the core on the elimination kernel is held to them.
+reference_collapse_sequence is a frozen copy of collapse_sequence as it
+stood with its own heap of free faces, kept so that the sequence on the
+elimination kernel can be held to the same pairs and errors.
+reference_morse_inequalities is check_morse_inequalities as it stood
+with a double sum per alternating inequality, kept so that the one-pass
+running sums can be held to the same report.
 """
 
 from __future__ import annotations
@@ -82,8 +92,8 @@ from morsematch import (
 )
 from morsematch.frontier import EdgeComponent, _leading
 from morsematch.hasse import max_matching_mates
-from morsematch.morse import closes_cycle
-from morsematch.oracle import SIZE_LIMIT, _core_components
+from morsematch.morse import MorseInequalityReport, closes_cycle
+from morsematch.oracle import SIZE_LIMIT
 
 Simplex = tuple[int, ...]
 Pair = tuple[Simplex, Simplex]
@@ -916,7 +926,7 @@ def reference_optimal_morse_matching(K: SimplicialComplex, budget: int | None = 
 
     seed = max((coreduction_matching(K), reduction_matching(K)), key=len)
     beta = betti_gf2(K)
-    floor = sum(beta) + 2 * max(0, _core_components(K) - beta[K.dim])
+    floor = sum(beta) + 2 * max(0, reference_core_components(K) - beta[K.dim])
     ub = min((K.n - floor) // 2, max_cardinality_matching(K))
 
     best: list[int] | None = None
@@ -1009,4 +1019,127 @@ def reference_optimal_morse_matching(K: SimplicialComplex, budget: int | None = 
         optimal=optimal,
         nodes=nodes,
         pair_upper_bound=ub,
+    )
+
+
+def reference_top_core(K: SimplicialComplex, dead=()) -> bytearray:
+    """Alive flags, by id, of the top-dimensional core of the D-simplices not in dead.
+
+    D is K.dim.  Repeatedly deletes a D-simplex that has a (D-1)-face
+    with exactly one remaining D-coface, popping such faces off a stack;
+    the D-simplices left are flagged 1, every other id 0.
+    """
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = bytearray(K.n)
+    count = [0] * K.n
+    for t in range(K.offset(K.dim), K.n):
+        if t not in dead:
+            alive[t] = 1
+            for e in F[t]:
+                count[e] += 1
+    queue = [e for e, k in enumerate(count) if k == 1]
+    while queue:
+        e = queue.pop()
+        if count[e] != 1:
+            continue
+        t = next(x for x in C[e] if alive[x])
+        alive[t] = 0
+        for f in F[t]:
+            count[f] -= 1
+            if count[f] == 1:
+                queue.append(f)
+    return alive
+
+
+def reference_core_components(K: SimplicialComplex) -> int:
+    """Components of reference_top_core(K), D-simplices adjacent when they share a (D-1)-face."""
+    F, C = K.facet_ids, K.cofacet_ids
+    alive = reference_top_core(K)
+    k = 0
+    for s in range(K.offset(K.dim), K.n):
+        if alive[s]:
+            k += 1
+            alive[s] = 0
+            stack = [s]
+            while stack:
+                for f in F[stack.pop()]:
+                    for t in C[f]:
+                        if alive[t]:
+                            alive[t] = 0
+                            stack.append(t)
+    return k
+
+
+def reference_collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
+    """collapse_sequence as it stood with its own heap of free faces and a delete closure."""
+    mm = matching
+    if not (isinstance(mm, MorseMatching) and mm._ids is not None and mm._ids[0] is K):
+        mm = certify(K, getattr(matching, "pairs", matching))
+    if not mm.acyclic:
+        raise ValueError("matching is not acyclic")
+    lower = {tuple(sorted(s)) for s in sub}
+    if unknown := [s for s in lower if s not in K]:
+        raise ValueError(f"unknown simplex {min(unknown, key=lambda s: (len(s), s))}")
+    S, F, C = K.simplices, K.facet_ids, K.cofacet_ids
+    covered = bytearray(K.n)
+    for s in sorted(map(K._id, lower)):
+        for f in F[s]:
+            if not covered[f]:
+                raise ValueError(f"subcomplex not downward closed: missing {S[f]}")
+        covered[s] = 1
+    up = mm._ids[1]
+    work: set[int] = set()
+    for s, t in enumerate(up):
+        if t >= 0 and not covered[s] and not covered[t]:
+            covered[s] = covered[t] = 1
+            work.add(s)
+    if (s := covered.find(0)) >= 0:
+        raise ValueError(f"not matched away: {S[s]}")
+    alive = bytearray(b"\x01") * K.n
+    count = [len(cs) for cs in C]
+    heap = sorted(s for s in work if count[s] == 1)
+
+    def delete(x: int) -> None:
+        alive[x] = 0
+        for f in F[x]:
+            if alive[f]:
+                count[f] -= 1
+                if count[f] == 1 and f in work:
+                    heapq.heappush(heap, f)
+
+    out = []
+    while work:
+        s = -1
+        while heap:
+            s = heapq.heappop(heap)
+            if s in work and count[s] == 1:
+                break
+            s = -1
+        if s < 0:
+            raise RuntimeError("acyclicity violated: no free pair remains")
+        work.discard(s)
+        delete(s)
+        delete(up[s])
+        out.append((S[s], S[up[s]]))
+    return tuple(out)
+
+
+def reference_morse_inequalities(counts, betti) -> MorseInequalityReport:
+    """check_morse_inequalities with a double sum of signed terms per index."""
+    c = tuple(counts)
+    b = tuple(betti)
+    top = max(len(c), len(b))
+    cc = c + (0,) * (top + 1 - len(c))
+    bb = b + (0,) * (top + 1 - len(b))
+    alt = []
+    for d in range(top + 1):
+        sc = sum((-1) ** (d - i) * cc[i] for i in range(d + 1))
+        sb = sum((-1) ** (d - i) * bb[i] for i in range(d + 1))
+        if sc < sb:
+            alt.append(d)
+    point = [i for i in range(top + 1) if cc[i] < bb[i]]
+    return MorseInequalityReport(
+        ok=not alt and not point,
+        alternating_failures=tuple(alt),
+        pointwise_failures=tuple(point),
     )

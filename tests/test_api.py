@@ -1,4 +1,8 @@
-"""The public surface: every exported name has a caller in the package or a reason."""
+"""The public surface: every exported name has a caller in the package or a reason.
+
+Also the package's shape where it is cheap to pin: one module holds the
+greedy collapse kernel and its heap.
+"""
 
 import ast
 from pathlib import Path
@@ -46,3 +50,16 @@ def test_every_public_name_has_a_caller_in_the_package_or_a_reason():
 
 def test_every_entry_point_is_public():
     assert sorted(ENTRY_POINTS.keys() - set(morsematch.__all__)) == []
+
+
+def test_only_complexes_imports_heapq():
+    # Every greedy free-face collapse (coreduction, reduction, collapse
+    # sequences, the oracle's top core) runs complexes._eliminate.
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "heapq":
+                importers.add(path.name)
+            elif isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names):
+                importers.add(path.name)
+    assert importers == {"complexes.py"}

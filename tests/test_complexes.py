@@ -603,9 +603,10 @@ def test_ids_membership_and_offsets_come_from_the_one_order(K, probes):
     probes += [(), (-1,), ("a",), (0.5,), tuple(range(K.dim + 2)), 0, "0"]
     for p in probes:
         assert (p in K) == (p in members), p
-    # offset(d) counts the simplices below dimension d, so n past the top
-    assert [K.offset(d) for d in range(K.dim + 3)] == [
-        sum(len(s) <= d for s in S) for d in range(K.dim + 3)
+    # offset(d) counts the simplices below dimension d: 0 below dimension
+    # 0 and n past the top
+    assert [K.offset(d) for d in range(-2, K.dim + 3)] == [
+        sum(len(s) <= d for s in S) for d in range(-2, K.dim + 3)
     ]
     assert not hasattr(K, "by_dim") and not hasattr(K, "index")
 

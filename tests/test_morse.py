@@ -24,6 +24,7 @@ from morsematch import (
     frontier_edges_matching,
     full_simplex,
     is_acyclic,
+    optimal_morse_matching,
     orient,
     random_complex,
     reduction_matching,
@@ -45,7 +46,9 @@ from helpers import (
     oriented_adjacency,
     profile_of,
     reference_canonicalize_single_critical_vertex,
+    reference_collapse_sequence,
     reference_gamma_graph,
+    reference_morse_inequalities,
     replay_collapses,
 )
 
@@ -382,6 +385,57 @@ def test_surgery_on_the_up_array_equals_the_tuple_reference(K, name, picks):
         # certified on K once and give the same result
         assert canonicalize_single_critical_vertex(K, mm.pairs, p) == want
         assert canonicalize_single_critical_vertex(twin, mm, p) == want
+
+
+COLLAPSE_MATCHINGS = {
+    **SURGERY_MATCHINGS,
+    "oracle": lambda K: optimal_morse_matching(K, 50).matching,
+}
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the ValueError or RuntimeError it raised."""
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(surgery_complexes(), st.sampled_from(sorted(COLLAPSE_MATCHINGS)), st.data())
+def test_collapse_sequence_equals_the_frozen_heap_loop(K, name, data):
+    # sub is the closure of drawn simplices: under faces alone, which
+    # mostly leaves some simplex not matched away, and also under the
+    # partners of its simplices with the critical ones added, which
+    # collapses.  The matching goes in certified or as plain pairs.
+    mm = COLLAPSE_MATCHINGS[name](K)
+    matching = data.draw(st.sampled_from([mm, mm.pairs]))
+    seeds = data.draw(st.lists(st.sampled_from(K.simplices), max_size=4))
+    partner = {}
+    for sigma, tau in mm.pairs:
+        partner[sigma], partner[tau] = tau, sigma
+    critical = [s for s in K if s not in partner]
+    for grow in (False, True):
+        sub, todo = set(), seeds + critical * grow
+        while todo:
+            s = todo.pop()
+            if s not in sub:
+                sub.add(s)
+                todo += facets_of(s)
+                if grow and s in partner:
+                    todo.append(partner[s])
+        got = outcome(collapse_sequence, K, matching, sub)
+        assert got == outcome(reference_collapse_sequence, K, matching, sub), (name, grow)
+        if grow:
+            assert replay_collapses(K.simplices, got) == frozenset(sub)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.integers(0, 9), max_size=7), st.lists(st.integers(0, 9), max_size=7))
+def test_morse_inequalities_equal_the_frozen_double_sum(counts, betti):
+    want = reference_morse_inequalities(counts, betti)
+    assert check_morse_inequalities(counts, betti) == want
+    assert check_morse_inequalities(iter(counts), iter(betti)) == want
 
 
 def test_collapse_single_edge():

@@ -25,10 +25,13 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
+from morsematch.oracle import _core_components, _top_core
 from helpers import (
     brute_optimal_pairs,
     dunce_hat_with_tetrahedron,
+    reference_core_components,
     reference_optimal_morse_matching,
+    reference_top_core,
     replay_collapses,
 )
 
@@ -232,6 +235,32 @@ def test_search_matches_the_frozen_frame_loop(K):
                 got = optimal_morse_matching(K, budget)
                 want = reference_optimal_morse_matching(K, budget)
                 assert _search_outcome(got) == _search_outcome(want), (K.n, budget, starved)
+
+
+TOP_CORE_INPUTS = st.one_of(
+    st.builds(
+        lambda seed, dim, k: random_complex(seed, dim=dim, n_vertices=dim + 5, n_facets=k),
+        st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 14),
+    ),
+    st.builds(
+        lambda base, copies: wedge(base(), 1, copies),
+        st.sampled_from([dunce_hat, rp2]), st.integers(1, 4),
+    ),
+    st.just(dunce_hat_with_tetrahedron()),
+    st.integers(2, 6).map(lambda k: from_maximal_simplices([(v,) for v in range(k)])),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(TOP_CORE_INPUTS, st.data())
+def test_top_core_equals_the_frozen_queue_loop(K, data):
+    # dead is any set of top simplices, given as ascending ids as
+    # erasability gives them; the oracle's floor counts the components
+    # of the core with nothing dead.
+    dead = tuple(sorted(data.draw(st.sets(st.sampled_from(range(K.offset(K.dim), K.n))))))
+    assert _top_core(K, dead) == reference_top_core(K, dead)
+    assert _top_core(K) == reference_top_core(K)
+    assert _core_components(K) == reference_core_components(K)
 
 
 def test_collapsible_full_simplices():
