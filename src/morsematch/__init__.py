@@ -40,14 +40,7 @@ from .generators import (
     simplex_boundary,
     wedge,
 )
-from .hasse import (
-    InvalidMatching,
-    OrientedHasse,
-    Pair,
-    hasse,
-    max_cardinality_matching,
-    orient,
-)
+from .hasse import InvalidMatching, Pair, max_cardinality_matching
 from .heuristics import coreduction_matching, reduction_matching
 from .morse import (
     CriticalProfile,
@@ -58,7 +51,6 @@ from .morse import (
     check_morse_inequalities,
     collapse_sequence,
     critical_profile,
-    is_acyclic,
 )
 from .oracle import (
     CollapsibilityResult,
@@ -81,7 +73,6 @@ __all__ = [
     "MorseInequalityReport",
     "MorseMatching",
     "OracleResult",
-    "OrientedHasse",
     "Pair",
     "ParseError",
     "Simplex",
@@ -101,13 +92,10 @@ __all__ = [
     "from_maximal_simplices",
     "frontier_edges_matching",
     "full_simplex",
-    "hasse",
-    "is_acyclic",
     "is_collapsible",
     "is_connected",
     "max_cardinality_matching",
     "optimal_morse_matching",
-    "orient",
     "parse_complex",
     "parse_matching",
     "random_complex",

@@ -1,9 +1,12 @@
 """Plain-text formats for complexes and matchings.
 
+Both formats share one line grammar: lines are numbered from 1 for error
+messages, a line starting with `#` is a comment, and blank lines are
+skipped.
+
 A complex file lists one maximal simplex per line as whitespace-separated
-vertex ids, each a run of ASCII decimal digits (so non-negative); `#`
-starts a comment line and blank lines are skipped.  The parser rebuilds
-the downward closure, so parse(serialize(K)) == K.
+vertex ids, each a run of ASCII decimal digits (so non-negative).  The
+parser rebuilds the downward closure, so parse(serialize(K)) == K.
 
 A matching file has one pair per line, face and coface separated by a
 semicolon: "0 1 ; 0 1 2".
@@ -35,13 +38,16 @@ def _parse_vertices(token_text: str, lineno: int) -> Simplex:
     return tuple(sorted(verts))
 
 
-def parse_complex(text: str) -> SimplicialComplex:
-    maximal = []
+def _lines(text: str):
+    """(line number from 1, stripped line) for each line that is not blank or a # comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        maximal.append(_parse_vertices(line, lineno))
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_complex(text: str) -> SimplicialComplex:
+    maximal = [_parse_vertices(line, lineno) for lineno, line in _lines(text)]
     if not maximal:
         raise ParseError("no simplices in input")
     return _close(maximal)
@@ -54,10 +60,7 @@ def serialize_complex(K: SimplicialComplex) -> str:
 def parse_matching(text: str) -> list[tuple[Simplex, Simplex]]:
     """Pairs as written; validation against a complex happens elsewhere."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         halves = line.split(";")
         if len(halves) != 2:
             raise ParseError(f"line {lineno}: expected 'face ; coface'")

@@ -5,16 +5,20 @@ one edge joins each simplex to each of its codimension-1 faces.  The
 complex already stores that incidence on simplex ids (K.facet_ids and
 K.cofacet_ids), so there is no separate diagram object: matching,
 validation and orientation take the complex itself and work on ids
-inside.  hasse(K) lists the covering edges as simplex pairs; nothing in
-the package calls it, and it stays only because benchmarks/tracer.py
-wraps it.  A matching selects disjoint covering pairs; orienting the
+inside.  A matching selects disjoint covering pairs; orienting the
 diagram by a matching points matched edges up (face to coface) and
 everything else down.  The maximum matching is grown from coreduction's
 matching, which complexes keeps on the complex, and comes out as a mate
 array on ids; other matchings go in as simplex pairs, with one
-exception: orient, the one matching validator, also takes an
+exception: orient, the validator that morse.certify runs, also takes an
 OrientedHasse whose up array the package's own algorithms filled on
 ids, so that certifying their results never maps ids to tuples and back.
+
+certify is the package's one public matching check.  orient,
+OrientedHasse and hasse(K), which lists the covering edges as simplex
+pairs, are the package's own entries: morsematch does not export them.
+Nothing in the package calls hasse; it stays because benchmarks/tracer.py
+wraps it, as it wraps orient and OrientedHasse.up_pairs.
 """
 from __future__ import annotations
 
@@ -158,18 +162,21 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
         if len(up) != n:
             raise ValueError(f"up array has {len(up)} entries for {n} simplices")
         used = bytearray(n)
-        for a, b in enumerate(up):
-            if b != -1:
-                if not 0 <= b < n or used[b] or up[b] != -1 or a not in F[b]:
-                    break
-                used[b] = 1
-        else:
-            return pairs
+        try:
+            for a, b in enumerate(up):
+                if b != -1:
+                    if not 0 <= b < n or used[b] or up[b] != -1 or a not in F[b]:
+                        break
+                    used[b] = 1
+            else:
+                return pairs
+        except TypeError:  # an entry that is no int; the walk below names it
+            pass
         ids = []
         for a, b in enumerate(up):
             if b != -1:
-                if not 0 <= b < n:
-                    raise ValueError(f"face id {a} has up entry {b}, not -1 or a simplex id")
+                if not (isinstance(b, int) and 0 <= b < n):
+                    raise ValueError(f"face id {a} has up entry {b!r}, not -1 or a simplex id")
                 ids.append((a, b))
     else:
         def id_of(s):

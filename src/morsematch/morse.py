@@ -6,8 +6,11 @@ d-interface (a directed edge changes dimension by exactly one, up from
 d-1 or down from d), so acyclicity is checked one interface at a time,
 on simplex ids: certify takes simplex pairs from outside, or an up array
 of ids from the package's own algorithms, runs both through one
-validator and then a search over the matched cofaces alone; is_acyclic
-is certify's verdict on an OrientedHasse, read as (acyclic, witness).
+validator and then a search over the matched cofaces alone.  certify is
+the package's one public matching check.  is_acyclic, certify's verdict
+on an OrientedHasse read as (acyclic, witness), is not exported from
+morsematch: nothing in the package calls it, and it stays because
+benchmarks/tracer.py wraps it.
 Critical simplices are the unmatched ones.  critical_profile and the two
 surgery functions, canonicalize_single_critical_vertex and
 collapse_sequence, accept a matching by one rule, _accept, and then work
@@ -151,8 +154,9 @@ def is_acyclic(oh: OrientedHasse):
 def certify(K: SimplicialComplex, pairs) -> MorseMatching:
     """Validate a matching and attach its acyclicity certificate.
 
-    pairs are (face, coface) simplex pairs or, from the package's own
-    algorithms, an OrientedHasse of K (see orient): both are validated
+    The package's one public matching check.  pairs are (face, coface)
+    simplex pairs or, from the package's own algorithms, an OrientedHasse
+    of K (see hasse.orient, the validator run here): both are validated
     on ids by the same checks, in one pass, before the cycle search.
     """
     oh = orient(K, pairs)

@@ -76,7 +76,6 @@ from hypothesis import strategies as st
 from morsematch import (
     MorseMatching,
     OracleResult,
-    OrientedHasse,
     SimplicialComplex,
     betti_gf2,
     certify,
@@ -91,7 +90,7 @@ from morsematch import (
     simplex,
 )
 from morsematch.frontier import EdgeComponent, _leading
-from morsematch.hasse import max_matching_mates
+from morsematch.hasse import OrientedHasse, max_matching_mates
 from morsematch.morse import MorseInequalityReport, closes_cycle
 from morsematch.oracle import SIZE_LIMIT
 

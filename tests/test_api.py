@@ -1,10 +1,15 @@
 """The public surface: every exported name has a caller in the package or a reason.
 
-Also the package's shape where it is cheap to pin: one module holds the
-greedy collapse kernel and its heap.
+The package binds its API and its modules and nothing else, so no name
+shadows a module, and certify is its one matching check.  Also the
+package's shape where it is cheap to pin: one module holds the greedy
+collapse kernel and its heap.
 """
 
 import ast
+import importlib
+import sys
+import types
 from pathlib import Path
 
 import morsematch
@@ -20,8 +25,6 @@ ENTRY_POINTS = {
     "erasability": "the exact erasability oracle for 2-complexes",
     "is_collapsible": "the exact collapsibility oracle",
     "write_complex": "the file counterpart of read_complex",
-    "hasse": "benchmarks/tracer.py wraps it",
-    "is_acyclic": "benchmarks/tracer.py wraps it",
 }
 
 
@@ -50,6 +53,40 @@ def test_every_public_name_has_a_caller_in_the_package_or_a_reason():
 
 def test_every_entry_point_is_public():
     assert sorted(ENTRY_POINTS.keys() - set(morsematch.__all__)) == []
+
+
+def package_modules() -> list[str]:
+    """The name of every module of the package, each imported."""
+    names = [path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    for name in names:
+        importlib.import_module("morsematch." + name)
+    return names
+
+
+def public_names_that_are_not_modules() -> set[str]:
+    return {
+        name for name, value in vars(morsematch).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def test_the_package_attribute_of_every_module_is_the_module():
+    # A re-exported function named like its module would shadow it:
+    # import morsematch.hasse as h would bind the function.
+    for name in package_modules():
+        assert getattr(morsematch, name) is sys.modules["morsematch." + name], name
+
+
+def test_the_package_binds_exactly_its_api_besides_modules():
+    assert sorted(public_names_that_are_not_modules()) == sorted(morsematch.__all__)
+
+
+def test_certify_is_the_one_public_matching_check():
+    # orient, OrientedHasse, is_acyclic and hasse stay in morsematch.hasse
+    # and morsematch.morse for certify and the package's algorithms.
+    public = public_names_that_are_not_modules() | set(morsematch.__all__)
+    assert {"orient", "OrientedHasse", "is_acyclic", "hasse"} & public == set()
+    assert "certify" in morsematch.__all__
 
 
 def test_only_complexes_imports_heapq():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morsematch import (
-    OrientedHasse,
     ParseError,
     SimplicialComplex,
     betti_gf2,
@@ -38,7 +37,7 @@ from morsematch import (
 )
 from morsematch import cli, complexes
 from morsematch.complexes import _coreduction, _gf2_rank, _morse_boundary
-from morsematch.hasse import max_matching_mates
+from morsematch.hasse import OrientedHasse, max_matching_mates
 from morsematch.oracle import SIZE_LIMIT
 from helpers import (
     betti_numpy,

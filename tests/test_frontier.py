@@ -3,22 +3,19 @@
 from hypothesis import given, settings, strategies as st
 
 from morsematch import (
-    OrientedHasse,
     certify,
     critical_profile,
     dunce_hat,
     from_maximal_simplices,
     frontier_edges_matching,
-    hasse,
     max_cardinality_matching,
-    orient,
     random_complex,
     rp2,
     simplex_boundary,
     wedge,
 )
 from morsematch.frontier import _leading, bfs_component
-from morsematch.hasse import max_matching_mates
+from morsematch.hasse import OrientedHasse, hasse, max_matching_mates, orient
 from helpers import facets_of, max_matching_pairs, reference_bfs_component
 
 CIRCLE = from_maximal_simplices([(0, 1), (1, 2), (0, 2)])

@@ -8,18 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from morsematch import (
     InvalidMatching,
-    OrientedHasse,
     coreduction_matching,
     dunce_hat,
     from_maximal_simplices,
-    hasse,
     max_cardinality_matching,
-    orient,
     random_complex,
     rp2,
     wedge,
 )
-from morsematch.hasse import max_matching_mates
+from morsematch.hasse import OrientedHasse, hasse, max_matching_mates, orient
 from helpers import (
     brute_max_matching_size,
     is_maximum_matching,
@@ -218,13 +215,16 @@ def test_orient_lists_every_problem_in_pair_order():
 
 
 def test_orient_rejects_a_malformed_up_array():
-    # a wrong length, or an entry outside -1 .. n-1, is no matching at all
+    # a wrong length, or an entry outside -1 .. n-1 or no int, is no matching at all
     n = TRIANGLE.n
     cases = {
         "face id 0 has up entry 12": [n + 5] + [-1] * (n - 1),
         "up array has 8 entries for 7 simplices": [-1] * n + [3],
         "face id 0 has up entry -2": [-2] + [-1] * (n - 1),
         "up array has 6 entries for 7 simplices": [-1] * (n - 1),
+        "face id 0 has up entry 2.0": [2.0] + [-1] * (n - 1),
+        "face id 0 has up entry None": [None] + [-1] * (n - 1),
+        "face id 0 has up entry '1'": ["1"] + [-1] * (n - 1),
     }
     for message, up in cases.items():
         with pytest.raises(ValueError, match=re.escape(message)) as exc:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from morsematch import (
     MorseMatching,
-    OrientedHasse,
     betti_gf2,
     certify,
     check_morse_inequalities,
@@ -22,6 +21,7 @@ from morsematch import (
     simplex_boundary,
     wedge,
 )
+from morsematch.hasse import OrientedHasse
 from helpers import (
     alternating_sum,
     max_matching_pairs,

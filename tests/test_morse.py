@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from morsematch import (
     InvalidMatching,
     MorseMatching,
-    OrientedHasse,
     SimplicialComplex,
     canonical_key,
     canonicalize_single_critical_vertex,
@@ -23,16 +22,15 @@ from morsematch import (
     from_maximal_simplices,
     frontier_edges_matching,
     full_simplex,
-    is_acyclic,
     optimal_morse_matching,
-    orient,
     random_complex,
     reduction_matching,
     rp2,
     simplex_boundary,
     wedge,
 )
-from morsematch.morse import closes_cycle
+from morsematch.hasse import OrientedHasse, orient
+from morsematch.morse import closes_cycle, is_acyclic
 from helpers import (
     all_algorithms,
     alternating_sum,
@@ -64,7 +62,7 @@ def test_empty_matching_is_acyclic():
 
 
 def test_is_acyclic_on_oriented_hasse():
-    from morsematch import orient
+    from morsematch.hasse import orient
 
     ok, witness = is_acyclic(orient(CIRCLE, frozenset()))
     assert ok and witness is None
@@ -84,6 +82,20 @@ def test_is_acyclic_rejects_a_negative_up_entry_other_than_minus_one():
     up[0] = -2
     with pytest.raises(ValueError, match=re.escape("face id 0 has up entry -2")):
         is_acyclic(OrientedHasse(TRIANGLE, up))
+
+
+def test_certify_rejects_an_up_entry_that_is_no_int():
+    # vertex 0 matched up to the edge is sound; the bad entry comes later or first
+    K = full_simplex(1)
+    cases = {
+        "face id 0 has up entry 2.0": [2.0, -1, -1],
+        "face id 2 has up entry None": [2, -1, None],
+        "face id 0 has up entry '1'": ["1", -1, -1],
+    }
+    for message, up in cases.items():
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            certify(K, OrientedHasse(K, up))
+        assert not isinstance(exc.value, InvalidMatching)
 
 
 def test_is_acyclic_rejects_a_coface_matched_up_to_a_face():
