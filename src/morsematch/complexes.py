@@ -10,11 +10,20 @@ Each simplex also has an integer id, its position in the canonical
 order, and the complex stores its incidence once as tuples of facet ids
 and cofacet ids.  Algorithms keep their state in lists indexed by id and
 speak simplex tuples only at the API edge.  The canonical order is kept
-once, in simplices, with the first id of each dimension (offset): a
-level is a slice of simplices, and a simplex's id is found by bisecting
-its level, so no routine that takes simplices from outside (membership,
-orienting given pairs, collapse sequences, canonicalization) needs a
-second copy of the order or a map from simplex to id.
+once, with the first id of each dimension (offset), and one way at a
+time.  A complex is built on packed integer keys: the distinct vertex
+labels are ranked 0..V-1, and a d-simplex is the int of its vertex
+ranks, bits = (V-1).bit_length() bits each (at least 1), the first
+vertex highest, so huge vertex ids cost nothing and keys of one
+dimension sort in canonical order.  Until simplices is first read, the
+order is one sorted key list per dimension; that read decodes the
+tuples level by level, keeps them and drops the keys.  A simplex's id
+is found by bisecting its level either way (the probe is packed first
+while the keys are kept), so no routine that takes simplices from
+outside (membership, orienting given pairs, collapse sequences,
+canonicalization) needs a second copy of the order or a map from
+simplex to id, and the package's algorithms, which run on ids, never
+decode a tuple unless a result is read as simplices.
 
 The collapse routines need no incidence beyond cofacet_ids: in a
 downward-closed set a simplex has one proper coface exactly when it has
@@ -27,22 +36,25 @@ top-dimensional core (oracle._top_core) as well as the two heuristics.
 Only oracle.is_collapsible keeps its own state, since it backtracks and
 undoes its collapses.
 
-One builder fills a complex, from one set of canonical simplices per
-dimension, in a single sweep up the dimensions: it sorts each level into
-ids and looks up the facet ids of its simplices in a map of the level
-below alone, which also fills the cofacet ids and finds the first
-missing face.  It keeps few containers alive at once: each level's set
-is cleared once sorted, a level's map goes once the level above has been
-swept, the cofacet lists of level d-1 become tuples one at a time as
-soon as level d has been swept, and every id is one int object shared by
-the facet and cofacet tuples.  The constructor validates every simplex
-it is given and groups them, dropping its own set of them before the
-build; from_maximal_simplices validates only the maximal ones and closes
-them downward one level at a time, since every face of a valid simplex
-is valid.  The file parser, which checks its simplices as it reads them,
-and every generator share that closure step, and with it one bound,
-CLOSURE_CAP simplices, checked before a too-large simplex makes any
-face and then as the faces are made.
+One builder fills a complex, from one sorted key list per dimension,
+in a single sweep up the dimensions.  No face is ever a tuple: the
+faces of a level's keys that drop the vertex at one position come from
+one chain of C-level maps of shifts, masks and ors (_faces), both to
+close a complex downward and to look up the facet ids of each level in
+a map of the level below alone, which also fills the cofacet ids and
+finds the first missing face, in canonical order.  It keeps few
+containers alive at once: a level's map goes once the level above has
+been swept, the cofacet lists of level d-1 become tuples one at a time
+as soon as level d has been swept, and every id is one int object
+shared by the facet and cofacet tuples.  The constructor validates
+every simplex it is given, packs them (_pack) and drops its own set of
+them before the build; from_maximal_simplices validates only the
+maximal ones, packs them and closes the keys downward one level at a
+time, since every face of a valid simplex is valid.  The file parser,
+which checks its simplices as it reads them, and every generator share
+that closure step, and with it one bound, CLOSURE_CAP simplices,
+checked before a too-large simplex makes any face and then as the
+faces are made.
 
 Homology comes from discrete Morse theory.  The elimination kernel
 lives here, on the incidence it reads, and yields its pairs in order,
@@ -64,7 +76,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, eq, lshift, not_, or_, rshift
 
 Simplex = tuple[int, ...]
 
@@ -87,12 +100,53 @@ def canonical_key(s: Simplex):
     return (len(s), s)
 
 
-def _levels(simplices) -> list[set[Simplex]]:
-    """Canonical simplices grouped into one set per dimension."""
-    levels: list[set[Simplex]] = [set() for _ in range(max(map(len, simplices)))]
-    for s in simplices:
-        levels[len(s) - 1].add(s)
-    return levels
+def _pack(simplices):
+    """The sorted distinct labels of canonical simplices, the bits of a rank, and their keys.
+
+    A simplex's key holds the rank of each vertex among the labels, bits
+    bits each, the first vertex highest, so keys of one dimension sort in
+    canonical order.  The keys come as one set per dimension d, of the
+    simplices of d + 1 vertices; each set is packed from one flat list of
+    ranks, its columns taken by slicing.
+    """
+    labels = tuple(sorted(set(chain.from_iterable(simplices))))
+    bits = max(1, (len(labels) - 1).bit_length())
+    rank = dict(zip(labels, range(len(labels)))).__getitem__
+    lens = [*map(len, simplices)]
+    levels = []
+    for k in range(1, max(lens) + 1):
+        ranks = [*map(rank, chain.from_iterable(compress(simplices, map(eq, lens, repeat(k)))))]
+        keys = ranks[::k]
+        for i in range(1, k):
+            keys = map(or_, map(lshift, keys, repeat(bits)), ranks[i::k])
+        levels.append(set(keys))
+    return labels, bits, levels
+
+
+def _faces(keys, d: int, bits: int) -> list:
+    """The facets of packed d-simplices, as one iterator of keys per vertex position.
+
+    The j-th iterator yields, for each of keys, the key of its face
+    without its vertex at position j (0 the first): the vertices before
+    j move down one place, those after it stay, so dropping the first
+    vertex is a mask and dropping the last a shift.
+    """
+    out = [map(and_, keys, repeat((1 << bits * d) - 1))]
+    for j in range(1, d):
+        low = bits * (d - j)
+        out.append(map(or_, map(lshift, map(rshift, keys, repeat(low + bits)), repeat(low)),
+                       map(and_, keys, repeat((1 << low) - 1))))
+    out.append(map(rshift, keys, repeat(bits)))
+    return out
+
+
+def _decode(keys, k: int, labels, bits: int):
+    """The simplex tuples of packed keys of k vertices each, read column by column."""
+    mask, label = (1 << bits) - 1, labels.__getitem__
+    return zip(*[
+        map(label, map(and_, map(rshift, keys, repeat(bits * (k - 1 - i))), repeat(mask)))
+        for i in range(k)
+    ])
 
 
 class SimplicialComplex:
@@ -105,6 +159,12 @@ class SimplicialComplex:
     and cofacet_ids[i] hold the ids of the codimension-1 faces and
     cofaces of simplex i, ascending, so in canonical order.  Hot loops
     run on ids and turn them back into simplices at the edge.
+
+    The order is kept one way at a time: as the sorted packed keys of
+    each dimension (see _pack) until simplices is first read, then as the
+    simplex tuples, decoded once and kept, the keys dropped.  _id packs a
+    probe to bisect the keys, or bisects the tuples once they exist.
+    vertices is the sorted label tuple the keys rank into.
     Coreduction's up array, the maximum matching grown from it (as a mate
     array) and the Betti numbers of its Morse complex are filled in on
     first request and kept, since the complex never changes; connectivity
@@ -112,7 +172,7 @@ class SimplicialComplex:
     """
 
     __slots__ = (
-        "simplices", "dim", "n", "facet_ids", "cofacet_ids",
+        "_labels", "_bits", "_keys", "_simplices", "dim", "n", "facet_ids", "cofacet_ids",
         "_offsets", "_coreduction", "_mates", "_betti",
     )
 
@@ -120,43 +180,44 @@ class SimplicialComplex:
         members = {simplex(s) for s in simplices}
         if not members:
             raise ValueError("empty complex")
-        levels = _levels(members)
-        del members  # the levels hold every simplex; the build needs no second set
-        self._build(levels)
+        labels, bits, levels = _pack(members)
+        del members  # the keys stand for every simplex; the build needs no tuple
+        for d, level in enumerate(levels):
+            levels[d] = sorted(level)  # each set goes as its list comes
+        self._build(labels, bits, levels)
 
-    def _build(self, levels: list[set[Simplex]]) -> None:
-        """Fill every field from one set of canonical d-simplices per dimension d.
+    def _build(self, labels: tuple[int, ...], bits: int, levels: list[list[int]]) -> None:
+        """Fill every field from one sorted list of packed d-simplex keys per dimension d.
 
         The offsets are the running sums of the level sizes.  One sweep,
-        level by level: sort the level into ids, clearing its set, look up
-        the facet ids of each of its simplices in the map of the level
-        below only, then drop that map for the level's own, whose ids go
+        level by level: the facet ids of the level's simplices are looked
+        up in the map of the level below only, position by position from
+        the last vertex dropped to the first (_faces), which is the order
+        of combinations, so the first face missing in canonical order
+        raises.  That map then gives way to the level's own, whose ids go
         onto the cofacet lists of the level below.  Those lists are
         then complete and become tuples one at a time, so a level's lists
         and tuples are never all alive together; the top level has none.
         Every id is one int object, shared by facet and cofacet tuples.
-        The first face missing in canonical order raises.
+        The key lists are kept as the complex's order.
         """
         offsets = (0, *accumulate(map(len, levels)))
-        simplices: list[Simplex] = []
         facet_ids: list[tuple[int, ...]] = []
         cofacets: list[list[int] | tuple[int, ...]] = []
         below = 0
-        for d, level in enumerate(levels):
-            lo = len(simplices)
-            members = sorted(level)
-            level.clear()
-            simplices += members
+        for d, members in enumerate(levels):
+            lo, hi = offsets[d], offsets[d + 1]
             if d:
                 get = ids.__getitem__
                 try:
-                    fids = [tuple(map(get, combinations(s, d))) for s in members]
+                    fids = [*zip(*[map(get, fs) for fs in reversed(_faces(members, d, bits))])]
                 except KeyError as exc:
-                    raise ValueError(f"not downward closed: missing face {exc.args[0]}") from None
+                    (face,) = _decode([exc.args[0]], d, labels, bits)
+                    raise ValueError(f"not downward closed: missing face {face}") from None
                 del get, ids  # the level below is swept: free its map before this one's
             else:
                 fids = [()] * len(members)
-            ids = dict(zip(members, range(lo, len(simplices))))
+            ids = dict(zip(members, range(lo, hi)))
             cofacets += [[] for _ in range(below, lo)]
             for i, fs in zip(ids.values(), fids):
                 for f in fs:
@@ -165,28 +226,56 @@ class SimplicialComplex:
                 cofacets[f] = tuple(cofacets[f])
             facet_ids += fids
             below = lo
-        cofacets += [()] * (len(simplices) - below)
-        self.simplices: tuple[Simplex, ...] = tuple(simplices)
+        cofacets += [()] * (offsets[-1] - below)
+        self._labels, self._bits, self._keys, self._simplices = labels, bits, levels, None
         self.facet_ids: tuple[tuple[int, ...], ...] = tuple(facet_ids)
         self.cofacet_ids: tuple[tuple[int, ...], ...] = tuple(cofacets)
         self._offsets: tuple[int, ...] = offsets
         self.dim: int = len(levels) - 1
-        self.n: int = len(simplices)
+        self.n: int = offsets[-1]
         self._coreduction = self._mates = self._betti = None
+
+    @property
+    def simplices(self) -> tuple[Simplex, ...]:
+        """Every simplex in canonical order, decoded from the keys on first read and kept."""
+        if self._simplices is None:
+            labels, bits = self._labels, self._bits
+            self._simplices = tuple(chain.from_iterable(
+                _decode(keys, k, labels, bits) for k, keys in enumerate(self._keys, 1)
+            ))
+            self._keys = None
+        return self._simplices
 
     def _id(self, s) -> int:
         """The id of s, bisected within its dimension, or -1 when K lacks s.
 
-        A probe without a length of one to dim + 1 finds no two offsets
-        (ValueError), and one that is no tuple, or whose entries do not
-        compare with ints, fails the comparison (TypeError): both are absent.
+        A probe that is no tuple, or whose length is not one to dim + 1,
+        is absent.  Before simplices is read, s is packed, each vertex
+        found by bisecting the labels, and its key bisected; an entry that
+        is no label is absent, and so is an unsorted or repeated s, whose
+        ranks do not increase, as those of every kept key do.  After, s
+        is bisected among the tuples.  An entry that does not compare
+        with ints fails a comparison (TypeError): absent too.
         """
-        try:
-            lo, hi = self._offsets[len(s) - 1 : len(s) + 1]
-            i = bisect_left(self.simplices, s, lo, hi)
-        except (TypeError, ValueError):
+        if not (isinstance(s, tuple) and 0 < len(s) <= self.dim + 1):
             return -1
-        return i if i < hi and self.simplices[i] == s else -1
+        lo, hi = self._offsets[len(s) - 1 : len(s) + 1]
+        try:
+            if self._keys is None:
+                S = self._simplices
+                i = bisect_left(S, s, lo, hi)
+                return i if i < hi and S[i] == s else -1
+            labels, key = self._labels, 0
+            for v in s:
+                r = bisect_left(labels, v)
+                if r == len(labels) or labels[r] != v:
+                    return -1
+                key = key << self._bits | r
+        except TypeError:
+            return -1
+        keys = self._keys[len(s) - 1]
+        i = bisect_left(keys, key)
+        return lo + i if i < len(keys) and keys[i] == key else -1
 
     def __contains__(self, s) -> bool:
         return self._id(s) >= 0
@@ -216,7 +305,7 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.simplices[: self.offset(1)])
+        return self._labels
 
     def offset(self, d: int) -> int:
         """Id of the first d-simplex: 0 below dimension 0, n past the top dimension.
@@ -226,8 +315,15 @@ class SimplicialComplex:
         return self._offsets[min(max(d, 0), self.dim + 1)]
 
     def facets(self) -> tuple[Simplex, ...]:
-        """Maximal simplices, in canonical order."""
-        return tuple(s for s, cs in zip(self.simplices, self.cofacet_ids) if not cs)
+        """Maximal simplices, in canonical order; only they are decoded while the keys are kept."""
+        C = self.cofacet_ids
+        if self._keys is None:
+            return tuple(compress(self.simplices, map(not_, C)))
+        labels, bits, at = self._labels, self._bits, self._offsets
+        return tuple(chain.from_iterable(
+            _decode([*compress(keys, map(not_, C[at[k - 1] : at[k]]))], k, labels, bits)
+            for k, keys in enumerate(self._keys, 1)
+        ))
 
 
 def from_maximal_simplices(facets) -> SimplicialComplex:
@@ -243,36 +339,54 @@ def from_maximal_simplices(facets) -> SimplicialComplex:
 
 # Most simplices a closure makes.  Building the 478 264-simplex sparse 2-D
 # complex random_complex(7, dim=2, n_vertices=80000, n_facets=160000,
-# connected=True), which it admits, peaks at 185 MB resident, some 0.39 KB
-# a simplex, so about 400 MB at the cap.
+# connected=True), which it admits, peaks at 185 MB resident on Python
+# 3.11, some 0.39 KB a simplex, so about 400 MB at the cap; the complex
+# keeps 88 MB of it, as traced by tracemalloc.
 CLOSURE_CAP = 1 << 20
 
 
 def _close(tops: list[Simplex]) -> SimplicialComplex:
     """The complex of a non-empty list of canonical simplices and all their faces.
 
-    The closure is taken one level at a time, the facets of each distinct
-    d-simplex going into level d-1, and its faces are valid because they
-    are subsets of valid ones, so nothing is checked again here.  It
-    refuses past CLOSURE_CAP simplices: a simplex whose own faces are too
-    many before any face is made (its vertex count clipped at the cap's
-    bit length, so no huge power of two is formed), otherwise as soon as
-    the running count of the levels passes the cap.
+    The list is emptied once its simplices are packed, so that no tuple
+    is alive through the closure and build; both callers hand over a
+    list of their own.
+
+    The closure is taken on packed keys (_pack) one level at a time, the
+    facets of each distinct d-simplex (_faces) going into level d-1, and
+    its faces are valid because they are subsets of valid ones, so
+    nothing is checked again here.  A level is sorted once it is whole,
+    before its own faces are made.  It refuses past CLOSURE_CAP
+    simplices: a simplex whose own faces are too many before any face is
+    made (its vertex count clipped at the cap's bit length, so no huge
+    power of two is formed), otherwise as soon as the running count of
+    the levels passes the cap.  A level is closed in chunks of as many
+    simplices as the room left can take all the faces of, at least one,
+    so the count passes the cap by at most the faces of one simplex.
     """
-    levels = _levels(tops)
-    top = len(levels) - 1
-    room = CLOSURE_CAP - len(levels[top])
-    if (1 << min(top + 1, CLOSURE_CAP.bit_length())) - 1 > CLOSURE_CAP or room < 0:
+    top = max(map(len, tops))
+    if (1 << min(top, CLOSURE_CAP.bit_length())) - 1 > CLOSURE_CAP:
         raise ValueError(f"closure would be over the cap of {CLOSURE_CAP} simplices")
-    for d in range(top, 0, -1):
+    labels, bits, levels = _pack(tops)
+    tops.clear()  # the caller's own list: the keys stand for it from here on
+    room = CLOSURE_CAP - len(levels[-1])
+    if room < 0:
+        raise ValueError(f"closure would be over the cap of {CLOSURE_CAP} simplices")
+    for d in range(top - 1, 0, -1):
         below = levels[d - 1]
-        for s in levels[d]:
-            below.update(combinations(s, d))
+        level = levels[d] = sorted(levels[d])
+        i = 0
+        while i < len(level):
+            step = max(1, (room - len(below)) // (d + 1))
+            for faces in _faces(level[i : i + step], d, bits):
+                below.update(faces)
             if len(below) > room:
                 raise ValueError(f"closure would be over the cap of {CLOSURE_CAP} simplices")
+            i += step
         room -= len(below)
+    levels[0] = sorted(levels[0])
     K = SimplicialComplex.__new__(SimplicialComplex)
-    K._build(levels)
+    K._build(labels, bits, levels)
     return K
 
 

@@ -35,6 +35,8 @@ tests/helpers.py does, and the tests check the bound at every step.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .complexes import Record, SimplicialComplex
 from .hasse import Pair, OrientedHasse, max_matching_mates
 from .morse import MorseMatching, certify, closes_cycle
@@ -46,9 +48,10 @@ class EdgeComponent(Record):
     forward holds the kept pairs in the order they were kept, the seed
     pair first; backward holds the reversed ones.  Its edges are the facet
     edges of the cofaces in both.  bfs_component keeps only _ids, the
-    simplices of the complex and the pairs as id pairs; forward and
-    backward are built from them on first access and kept.  The ids take
-    no part in comparisons, the repr or pickling.
+    complex and the pairs as id pairs; forward and backward are built
+    from them on first access, from the complex's simplices, and kept.
+    The ids take no part in comparisons, the repr or pickling.  dim is
+    read from the complex's offsets by the coface's id.
     """
 
     dim: int
@@ -60,7 +63,8 @@ class EdgeComponent(Record):
         # Called only when lookup fails, so for the pair fields bfs_component left unset.
         if name not in ("forward", "backward") or self._ids is None:
             raise AttributeError(name)
-        S, *pairs = self._ids
+        K, *pairs = self._ids
+        S = K.simplices
         forward, backward = (tuple((S[a], S[b]) for a, b in p) for p in pairs)
         self._set(forward=forward, backward=backward)
         return getattr(self, name)
@@ -125,8 +129,8 @@ def bfs_component(
     for a in forward:
         kept[a] = -1
     return EdgeComponent.__new__(EdgeComponent)._set(  # the pair fields stay unset until read
-        dim=len(K.simplices[b0]) - 1,
-        _ids=(K.simplices, forward_pairs, backward),
+        dim=bisect_right(K._offsets, b0) - 1,
+        _ids=(K, forward_pairs, backward),
     )
 
 

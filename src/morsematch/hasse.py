@@ -144,7 +144,8 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
     """Orient the Hasse diagram of K by a matching, validating it on ids first.
 
     pairs are (face, coface) simplex pairs, mapped to ids here (a simplex
-    K lacks gets an id from K.n on), or an OrientedHasse of K: the id
+    K lacks, or anything that is no simplex tuple, such as a list, gets an
+    id from K.n on), or an OrientedHasse of K: the id
     entry of the package's own algorithms, which hold their pairs as an
     up array already.  Both go through this one validator, which raises
     InvalidMatching listing every unknown simplex, non-covering pair and
@@ -154,7 +155,8 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
     simplex id, is malformed rather than a matching: ValueError.
     """
     n, F = K.n, K.facet_ids
-    unknown: dict[Simplex, int] = {}
+    unknown: list = []  # the simplices K lacks, by id from n on
+    seen: dict[Simplex, int] = {}
     if isinstance(pairs, OrientedHasse):
         if pairs.complex is not K:
             raise ValueError("orientation of another complex")
@@ -181,7 +183,14 @@ def orient(K: SimplicialComplex, pairs) -> OrientedHasse:
     else:
         def id_of(s):
             i = K._id(s)
-            return unknown.setdefault(s, n + len(unknown)) if i < 0 else i
+            if i < 0:
+                try:
+                    i = seen.setdefault(s, n + len(unknown))
+                except TypeError:  # unhashable, a list say: no simplex, and unlike any other
+                    i = n + len(unknown)
+                if i == n + len(unknown):
+                    unknown.append(s)
+            return i
 
         ids = [(id_of(sigma), id_of(tau)) for sigma, tau in pairs]
     up = [-1] * n

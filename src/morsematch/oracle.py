@@ -17,7 +17,8 @@ critical pair per hat, such as a wedge of hats, is proven optimal at the
 root, with no node searched.
 
 All budgets count search-node expansions, so runs are deterministic and
-machine independent.  Each search reports in an immutable Record
+machine independent; a negative budget is refused with ValueError, as
+the CLI refuses one.  Each search reports in an immutable Record
 (OracleResult, CollapsibilityResult, ErasabilityResult).
 """
 from __future__ import annotations
@@ -34,6 +35,11 @@ SIZE_LIMIT = 40
 # Bytes of alive flags is_collapsible may keep in its dead-end memo; one
 # entry costs K.n bytes.
 COLLAPSE_MEMO_BYTES = 1 << 27
+
+
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative or None, got {budget}")
 
 
 class OracleResult(Record):
@@ -80,6 +86,7 @@ def optimal_morse_matching(K: SimplicialComplex, budget: int | None = None) -> O
     complexes over 40 simplices are refused; with one, exhaustion returns
     the incumbent flagged non-optimal.
     """
+    _check_budget(budget)
     if budget is None and K.n > SIZE_LIMIT:
         raise ValueError(
             f"complex has {K.n} simplices, over the no-budget limit {SIZE_LIMIT}"
@@ -203,6 +210,7 @@ def is_collapsible(K: SimplicialComplex, budget: int | None = 200_000) -> Collap
     Live cofacets are enough because every state is downward closed, in
     which one live cofacet means one live proper coface (see complexes).
     """
+    _check_budget(budget)
     if K.n == 1:
         return CollapsibilityResult(True, False, 0, ())
     F, C = K.facet_ids, K.cofacet_ids
@@ -325,6 +333,7 @@ def erasability(K: SimplicialComplex, budget: int | None = 100_000) -> Erasabili
     answer: every smaller size was refuted, and removing all interior
     faces always works.
     """
+    _check_budget(budget)
     if K.dim != 2:
         raise ValueError(f"erasability needs a 2-complex, got dimension {K.dim}")
     F, C = K.facet_ids, K.cofacet_ids

@@ -42,9 +42,11 @@ dunce_hat_with_tetrahedron is a dunce hat with a solid tetrahedron on
 one of its triangles: the oracle's bound stays one pair above the
 optimum on it and its wedges, so budgeted searches there still run out.
 reference_close and reference_complex build through frozen copies of
-the package's closure and builder as they stood before cofacets were
-finalized per level, kept so that both constructions can be held to
-them; reference_simplex_boundary is simplex_boundary's complex as it was
+the package's tuple closure and builder as they stood before cofacets
+were finalized per level and before simplices were packed into integer
+keys, kept so that both constructions can be held to them; they fill a
+plain record with the complex's fields, not a complex.
+reference_simplex_boundary is simplex_boundary's complex as it was
 built then, from every proper face through the validating constructor.
 reference_optimal_morse_matching is a frozen copy of the oracle's
 branch-and-bound as it stood with hand-encoded [s, k, t] frames, kept so
@@ -69,6 +71,7 @@ import random
 from collections import defaultdict, deque
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -882,7 +885,7 @@ def _reference_build(self, levels: list[set[Simplex]]) -> None:
     self._coreduction = self._mates = self._betti = None
 
 
-def reference_close(tops: list[Simplex]) -> SimplicialComplex:
+def reference_close(tops: list[Simplex]) -> SimpleNamespace:
     """The complex of a non-empty list of canonical simplices and all their faces.
 
     The closure is taken one level at a time, the facets of each distinct
@@ -894,17 +897,17 @@ def reference_close(tops: list[Simplex]) -> SimplicialComplex:
         below = levels[d - 1]
         for s in levels[d]:
             below.update(combinations(s, d))
-    K = SimplicialComplex.__new__(SimplicialComplex)
+    K = SimpleNamespace()
     _reference_build(K, levels)
     return K
 
 
-def reference_complex(simplices) -> SimplicialComplex:
+def reference_complex(simplices) -> SimpleNamespace:
     """SimplicialComplex(simplices) as built by the frozen builder above."""
     members = {simplex(s) for s in simplices}
     if not members:
         raise ValueError("empty complex")
-    K = SimplicialComplex.__new__(SimplicialComplex)
+    K = SimpleNamespace()
     _reference_build(K, _reference_levels(members))
     return K
 

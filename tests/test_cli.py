@@ -446,6 +446,25 @@ def test_bench_carries_no_state_between_files(tmp_path, capsys):
         assert run_json(capsys, ["bench", str(alone), *argv])[1]["rows"] == file_rows
 
 
+@pytest.mark.parametrize("algo", cli.ALGOS)
+def test_a_bench_row_decodes_no_simplex_tuple(tmp_path, monkeypatch, algo):
+    # A complex keeps its order as packed keys until its simplices are
+    # read, and no bench row reads them: not the shared facts, the
+    # matching, its certificate or report, nor frontier's components.
+    write_complex(wedge(dunce_hat(), 1, 3), tmp_path / "w.txt")
+    read = []
+    real = cli.read_complex
+
+    def kept(path):
+        read.append(real(path))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "read_complex", kept)
+    (row,) = cli._bench_file(str(tmp_path), "w.txt", [algo], 50)
+    assert row["acyclic"] and row["n"] == read[0].n
+    assert read[0]._simplices is None
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 1\n")

@@ -421,7 +421,7 @@ def test_closure_refuses_past_the_cap(monkeypatch):
 
     # A simplex of 2**21 - 1 faces or more is refused before any face is made.
     with monkeypatch.context() as mp:
-        mp.setattr(complexes, "combinations", build)
+        mp.setattr(complexes, "_faces", build)
         for k in (21, 30):
             with pytest.raises(ValueError, match="closure would be over the cap of 1048576 simplices"):
                 from_maximal_simplices([range(k)])
@@ -436,12 +436,13 @@ def test_closure_refuses_past_the_cap(monkeypatch):
     # 60 disjoint edges leave room for 4 vertices, so the third edge closed
     # is the last: the count is checked as each simplex adds its faces.
     closed = []
+    faces = complexes._faces
 
-    def counted(s, d):
-        closed.append(s)
-        return combinations(s, d)
+    def counted(keys, d, bits):
+        closed.extend(keys)
+        return faces(keys, d, bits)
 
-    monkeypatch.setattr(complexes, "combinations", counted)
+    monkeypatch.setattr(complexes, "_faces", counted)
     with pytest.raises(ValueError, match="over the cap of 64 simplices"):
         from_maximal_simplices([(2 * i, 2 * i + 1) for i in range(60)])
     assert len(closed) == 3
@@ -555,6 +556,50 @@ def test_construction_matches_the_reference_builder(facets, rng):
     assert_same_construction(SimplicialComplex(everything), reference_complex(everything))
 
 
+@st.composite
+def relabelled_tops(draw):
+    """Maximal simplices of a random complex in dims 1-4 on sparse labels.
+
+    The labels are drawn up to 2**70, all of them shifted past 2**64 or
+    none, so a packed key must hold ranks, not labels.  Three spare labels
+    become isolated vertices, and duplicate and nested tops (a subset of
+    a top, or the top again) are mixed in, some as lists.
+    """
+    dim = draw(st.integers(1, 4))
+    K = random_complex(
+        draw(st.integers(0, 2**32 - 1)), dim=dim,
+        n_vertices=dim + 1 + draw(st.integers(0, 8)),
+        n_facets=draw(st.integers(1, 20)), connected=draw(st.booleans()),
+    )
+    shift = draw(st.sampled_from([0, 2**64]))
+    count = len(K.vertices) + 3
+    labels = draw(st.lists(st.integers(0, 2**70), min_size=count, max_size=count, unique=True))
+    relabel = dict(zip(K.vertices, (shift + x for x in labels)))
+    tops = [tuple(relabel[v] for v in f) for f in K.facets()]
+    isolated = [(shift + x,) for x in labels[-3:]]
+    picks = st.tuples(st.integers(0, len(tops) - 1), st.integers(0, 31))
+    nested = [[v for k, v in enumerate(tops[i]) if mask >> k & 1] or tops[i]
+              for i, mask in draw(st.lists(picks, max_size=4))]
+    return draw(st.permutations(tops + isolated + nested))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(relabelled_tops(), st.randoms(use_true_random=False))
+def test_packed_build_matches_the_reference_on_sparse_and_huge_labels(tops, rng):
+    K = from_maximal_simplices(tops)
+    R = reference_close([simplex(f) for f in tops])
+    maximal = K.facets()  # decoded alone, before the simplices are
+    assert_same_construction(K, R)
+    assert maximal == K.facets() == tuple(s for s, cs in zip(R.simplices, R.cofacet_ids) if not cs)
+    assert K.vertices == tuple(s for (s,) in R.simplices[: R._offsets[1]])
+    everything = list(R.simplices)
+    rng.shuffle(everything)
+    J = SimplicialComplex(everything)
+    assert_same_construction(J, reference_complex(everything))
+    assert SimplicialComplex(K.simplices) == K == J
+    assert pickle.loads(pickle.dumps(J)) == J
+
+
 @pytest.mark.parametrize("K", [rp2(), wedge(dunce_hat(), 1, 40)], ids=["rp2", "dunce_wedge"])
 def test_incidence_holds_the_index_ints_in_finished_tuples(K):
     # one int object per id, shared by the facet and cofacet tuples: an id
@@ -608,6 +653,23 @@ def test_ids_membership_and_offsets_come_from_the_one_order(K, probes):
         sum(len(s) <= d for s in S) for d in range(-2, K.dim + 3)
     ]
     assert not hasattr(K, "by_dim") and not hasattr(K, "index")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(relabelled_tops(), st.lists(PROBES, max_size=10))
+def test_ids_agree_with_the_order_before_and_after_it_is_decoded(tops, probes):
+    # fresh keeps its packed keys throughout; K is decoded by reading S
+    fresh, K = from_maximal_simplices(tops), from_maximal_simplices(tops)
+    S = K.simplices
+    gap = next(v + 1 for v in K.vertices if v + 1 not in K.vertices)
+    for s in S:
+        probes += [s, s[::-1], s[:-1] + (gap,), (gap,) + s[1:], s + (gap,), s[1:], list(s), str(s)]
+    probes += [(K.vertices[-1] + 1,), (-1,), (), tuple(K.vertices[: K.dim + 2]), 0, None]
+    for p in probes:
+        expected = S.index(p) if p in S else -1
+        assert fresh._id(p) == K._id(p) == expected, p
+    assert fresh._simplices is None and fresh._keys is not None
+    assert K._keys is None
 
 
 MEMORY_INPUTS = {

@@ -98,6 +98,24 @@ def test_certify_rejects_an_up_entry_that_is_no_int():
         assert not isinstance(exc.value, InvalidMatching)
 
 
+def test_certify_reports_a_simplex_that_is_no_tuple_as_unknown():
+    # a list is unhashable and no simplex: unknown, in pair order, each time it appears
+    K = full_simplex(1)
+    with pytest.raises(InvalidMatching) as exc:
+        certify(K, [([0], [0, 1])])
+    assert exc.value.describe(repr) == [
+        "pair 1: unknown simplex [0]",
+        "pair 1: unknown simplex [0, 1]",
+    ]
+    with pytest.raises(InvalidMatching) as exc:
+        certify(K, [((0,), (0, 1)), ([1], (0, 1)), ([1], (1,))])
+    assert exc.value.describe(repr) == [
+        "pair 2: unknown simplex [1]",
+        "pair 2: simplex (0, 1) matched twice",
+        "pair 3: unknown simplex [1]",
+    ]
+
+
 def test_is_acyclic_rejects_a_coface_matched_up_to_a_face():
     # the triangle's entry names vertex 0: a simplex id, but no matching
     up = [-1] * TRIANGLE.n

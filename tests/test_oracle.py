@@ -79,6 +79,15 @@ def test_size_limit_without_budget():
     assert result.matching.acyclic
 
 
+@pytest.mark.parametrize("search", [optimal_morse_matching, is_collapsible, erasability])
+def test_a_negative_budget_is_refused(search):
+    # as the CLI refuses one; a zero budget is still a budget
+    K = dunce_hat()
+    with pytest.raises(ValueError, match="budget must be non-negative or None, got -1"):
+        search(K, budget=-1)
+    search(K, budget=0)
+
+
 def test_budget_exhaustion_reports_honestly():
     K = dunce_hat_with_tetrahedron()
     result = optimal_morse_matching(K, budget=5_000)

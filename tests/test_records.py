@@ -153,7 +153,9 @@ def test_a_frontier_component_builds_its_pairs_on_first_access():
     assert all(c._ids is not None for c in fresh)
     assert all(b._ids is None for b in back) and back == list(fresh)
     for c in frontier_edges_matching(K).components:
-        S, forward, backward = c._ids
+        owner, forward, backward = c._ids
+        assert owner is K
+        S = K.simplices
         assert c.forward == tuple((S[a], S[b]) for a, b in forward)
         assert c.backward == tuple((S[a], S[b]) for a, b in backward)
         assert repr(c) == repr(EdgeComponent(c.dim, c.forward, c.backward))
