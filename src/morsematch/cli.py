@@ -154,7 +154,7 @@ def cmd_stats(args) -> int:
         "n": K.n,
         "dim": K.dim,
         "counts": [K.offset(d + 1) - K.offset(d) for d in range(K.dim + 1)],
-        "maximal": len(K.facets()),
+        "maximal": K.cofacet_ids.count(()),
         "euler": euler_characteristic(K),
         "betti": list(betti_gf2(K)),
         "connected": is_connected(K),

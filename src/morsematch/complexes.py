@@ -568,8 +568,12 @@ class Record(metaclass=_Fields):
 
     Built by position, the fast path, or by keyword.  Equality, hashing,
     the repr and pickling go over the public fields; assignment and
-    deletion raise AttributeError.  A builder that leaves fields unset
-    until read makes the record with __new__ and names the rest in _set.
+    deletion raise AttributeError.  A builder that leaves public fields
+    unset until read makes the record with __new__ and names the rest,
+    and _ids, in _set.  The first read of an unset field calls the
+    class's _decode(*self._ids), which returns the decoded fields as a
+    dict; they are set and kept.  _ids takes no part in comparisons, the
+    repr or pickling, so a round trip leaves it out.
     """
 
     _fields = _defaults = ()
@@ -595,6 +599,14 @@ class Record(metaclass=_Fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         return self
+
+    def __getattr__(self, name: str):
+        # Called only when lookup fails, so for a field a builder left unset.
+        ids = getattr(self, "_ids", None) if name[0] != "_" else None
+        if ids is None or name not in self._fields:
+            raise AttributeError(name)
+        self._set(**self._decode(*ids))
+        return getattr(self, name)
 
     def _public(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields if f[0] != "_")

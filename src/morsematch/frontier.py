@@ -20,9 +20,11 @@ bfs_component flags a coface when it classifies its pair and never steps
 into or onto a flagged one, so it classifies no pair twice and later
 components stay out of it.  Its queue is its list of kept pairs,
 walked in the order they were kept.  The search runs on simplex ids,
-reading and writing the up array of the orientation, and hands its
-pairs to the EdgeComponent it returns as ids: the component builds their
-simplex tuples only when they are first read, which the CLI never does.
+reading and writing the up array of the orientation, and returns its
+kept and reversed pairs as id pairs.  The FrontierResult keeps them as
+its _ids, and Record decodes its components into EdgeComponent records
+of simplex tuples only when they are first read, which the CLI never
+does.
 
 Cycles alternate up and down edges and need at least three up-edges, so
 the first processed level of a component can never reverse anything.
@@ -35,10 +37,8 @@ tests/helpers.py does, and the tests check the bound at every step.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .complexes import Record, SimplicialComplex
-from .hasse import Pair, OrientedHasse, max_matching_mates
+from .hasse import Pair, OrientedHasse, max_cardinality_matching, max_matching_mates
 from .morse import MorseMatching, certify, closes_cycle
 
 
@@ -47,33 +47,34 @@ class EdgeComponent(Record):
 
     forward holds the kept pairs in the order they were kept, the seed
     pair first; backward holds the reversed ones.  Its edges are the facet
-    edges of the cofaces in both.  bfs_component keeps only _ids, the
-    complex and the pairs as id pairs; forward and backward are built
-    from them on first access, from the complex's simplices, and kept.
-    The ids take no part in comparisons, the repr or pickling.  dim is
-    read from the complex's offsets by the coface's id.
+    edges of the cofaces in both, and dim is the dimension of the seed's
+    coface.  A plain record: FrontierResult decodes it from the id pairs
+    bfs_component returned.
     """
 
     dim: int
     forward: tuple[Pair, ...]
     backward: tuple[Pair, ...]
-    _ids: tuple | None = None
-
-    def __getattr__(self, name: str):
-        # Called only when lookup fails, so for the pair fields bfs_component left unset.
-        if name not in ("forward", "backward") or self._ids is None:
-            raise AttributeError(name)
-        K, *pairs = self._ids
-        S = K.simplices
-        forward, backward = (tuple((S[a], S[b]) for a, b in p) for p in pairs)
-        self._set(forward=forward, backward=backward)
-        return getattr(self, name)
 
 
 class FrontierResult(Record):
+    """The certified matching, its components and the maximum matching's size.
+
+    frontier_edges_matching leaves components unset and keeps _ids, the
+    complex and the (forward, backward) id pairs of each component;
+    Record decodes the components from them on first access.
+    """
+
     morse: MorseMatching
     components: tuple[EdgeComponent, ...]
     source_matching_size: int
+    _ids: tuple | None = None
+
+    @staticmethod
+    def _decode(K: SimplicialComplex, found) -> dict:
+        S = K.simplices
+        pairs = [[tuple((S[a], S[b]) for a, b in ids) for ids in comp] for comp in found]
+        return {"components": tuple(EdgeComponent(len(fw[0][1]) - 1, fw, bw) for fw, bw in pairs)}
 
 
 def _leading(F, up, absorbed, a: int, b: int) -> list[int]:
@@ -88,7 +89,7 @@ def _leading(F, up, absorbed, a: int, b: int) -> list[int]:
 
 def bfs_component(
     oh: OrientedHasse, a0: int, absorbed: bytearray, kept: list[int]
-) -> EdgeComponent:
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Classify every up-edge reachable from the seed face a0, reversing cycle makers.
 
     The seed is the pair (a0, oh.up[a0]); every other pair is named by
@@ -106,7 +107,8 @@ def bfs_component(
     dequeued.  absorbed is a flag per id: cofaces of earlier components
     are set there and are not entered, and this component sets each of
     its own when it classifies the pair, which also keeps it from
-    classifying a pair twice.
+    classifying a pair twice.  Returns the kept and the reversed pairs
+    as (face id, coface id) lists, (forward, backward), the seed first.
     """
     K, up = oh.complex, oh.up
     F = K.facet_ids
@@ -128,10 +130,7 @@ def bfs_component(
     forward_pairs = [(a, kept[a]) for a in forward]
     for a in forward:
         kept[a] = -1
-    return EdgeComponent.__new__(EdgeComponent)._set(  # the pair fields stay unset until read
-        dim=bisect_right(K._offsets, b0) - 1,
-        _ids=(K, forward_pairs, backward),
-    )
+    return forward_pairs, backward
 
 
 def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
@@ -146,18 +145,18 @@ def frontier_edges_matching(K: SimplicialComplex) -> FrontierResult:
     when its coface is absorbed, and a seed is skipped once its coface is.  The returned
     matching is re-certified from scratch rather than trusted: certify
     validates the up array of the repaired orientation on ids and
-    searches it anew.
+    searches it anew.  The components stay id pairs until read.
     """
     mates = max_matching_mates(K)
     oh = OrientedHasse(K, [m if m > i else -1 for i, m in enumerate(mates)])
     absorbed = bytearray(K.n)
     kept = [-1] * K.n
-    components = []
+    found = []
     for b, a in enumerate(mates):
         if 0 <= a < b and not absorbed[b]:
-            components.append(bfs_component(oh, a, absorbed, kept))
-    return FrontierResult(
+            found.append(bfs_component(oh, a, absorbed, kept))
+    return FrontierResult.__new__(FrontierResult)._set(  # components stays unset until read
         morse=certify(K, oh),
-        components=tuple(components),
-        source_matching_size=(K.n - mates.count(-1)) // 2,
+        source_matching_size=max_cardinality_matching(K),
+        _ids=(K, found),
     )

@@ -44,10 +44,10 @@ class MorseMatching(Record):
 
     When the matching is not acyclic, witness holds one alternating cycle
     as a simplex sequence (a1, b1, a2, b2, ...) following the directed
-    edges, with every (a_i, b_i) a matched pair.  certify keeps only _ids,
-    the complex it ran on and the validated up array as a tuple; pairs is
-    built from them on first access and kept, and len counts from them.
-    The ids take no part in comparisons, the repr or pickling.
+    edges, with every (a_i, b_i) a matched pair.  certify leaves pairs
+    unset and keeps _ids, the complex it ran on and the validated up array
+    as a tuple; Record decodes pairs from them on first access, and len
+    counts from them.
     """
 
     pairs: frozenset[Pair]
@@ -55,13 +55,9 @@ class MorseMatching(Record):
     witness: tuple[Simplex, ...] | None = None
     _ids: tuple[SimplicialComplex, tuple[int, ...]] | None = None
 
-    def __getattr__(self, name: str):
-        # Called only when lookup fails, so for pairs when certify left it unset.
-        if name != "pairs" or self._ids is None:
-            raise AttributeError(name)
-        K, up = self._ids
-        self._set(pairs=frozenset(OrientedHasse(K, up).up_pairs()))
-        return self.pairs
+    @staticmethod
+    def _decode(K: SimplicialComplex, up) -> dict:
+        return {"pairs": frozenset(OrientedHasse(K, up).up_pairs())}
 
     def __len__(self) -> int:
         if self._ids is None:

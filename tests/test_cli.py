@@ -10,9 +10,11 @@ import tracemalloc
 import pytest
 
 from morsematch import (
+    EdgeComponent,
     certify,
     dunce_hat,
     from_maximal_simplices,
+    frontier_edges_matching,
     parse_complex,
     parse_matching,
     random_complex,
@@ -21,7 +23,7 @@ from morsematch import (
     wedge,
     write_complex,
 )
-from morsematch import cli, generators
+from morsematch import cli, complexes, generators
 from morsematch.cli import main
 from helpers import dunce_hat_with_tetrahedron
 
@@ -86,6 +88,23 @@ def test_stats_includes_timing_by_default(capsys, sphere_file):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert "elapsed_s" in payload
+
+
+def test_stats_counts_maximal_simplices_without_decoding_one(tmp_path, capsys, monkeypatch):
+    # maximal counts the simplices with no cofacet, so stats reads no simplex tuple
+    path = tmp_path / "mixed.txt"
+    path.write_text("0 1 2\n2 3\n1 2 4\n5\n")
+    calls = []
+    real = complexes._decode
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "_decode", counted)
+    code, payload = run_json(capsys, ["stats", str(path)])
+    assert code == 0 and calls == []
+    assert payload["maximal"] == len(cli.read_complex(str(path)).facets()) == 4
 
 
 def test_match_frontier_report(capsys, sphere_file):
@@ -463,6 +482,24 @@ def test_a_bench_row_decodes_no_simplex_tuple(tmp_path, monkeypatch, algo):
     (row,) = cli._bench_file(str(tmp_path), "w.txt", [algo], 50)
     assert row["acyclic"] and row["n"] == read[0].n
     assert read[0]._simplices is None
+
+
+def test_a_frontier_bench_row_builds_no_edge_component(tmp_path, monkeypatch):
+    # frontier's result keeps its components as id pairs until they are
+    # read, and a bench row reads none; reading them builds one each.
+    write_complex(wedge(dunce_hat(), 1, 3), tmp_path / "w.txt")
+    made = []
+    real = EdgeComponent.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeComponent, "__init__", counted)
+    (row,) = cli._bench_file(str(tmp_path), "w.txt", ["frontier"], None)
+    assert row["acyclic"] and made == []
+    components = frontier_edges_matching(cli.read_complex(str(tmp_path / "w.txt"))).components
+    assert len(made) == len(components) > 0
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from morsematch import (
+    EdgeComponent,
     certify,
     critical_profile,
     dunce_hat,
@@ -53,15 +54,22 @@ def leading(oh, chi):
     return [(S[a], S[oh.up[a]]) for a in faces]
 
 
+def as_component(K, ids):
+    """The (forward, backward) id pairs bfs_component returns, as an EdgeComponent of simplices."""
+    S = K.simplices
+    forward, backward = (tuple((S[a], S[b]) for a, b in pairs) for pairs in ids)
+    return EdgeComponent(len(forward[0][1]) - 1, forward, backward)
+
+
 def component(oh, face, absorbed=None):
     """bfs_component from the given seed face, checking that kept is cleared."""
     K = oh.complex
     if absorbed is None:
         absorbed = bytearray(K.n)
     kept = [-1] * K.n
-    comp = bfs_component(oh, K.simplices.index(face), absorbed, kept)
+    ids = bfs_component(oh, K.simplices.index(face), absorbed, kept)
     assert kept == [-1] * K.n
-    return comp
+    return as_component(K, ids)
 
 
 def test_leading_up_edges_on_hexagon():
@@ -165,10 +173,10 @@ def test_bfs_component_equals_the_reference(K):
         for _ in range(2)
     ]
     (oh, absorbed, kept), (ref_oh, ref_absorbed, ref_kept) = runs
-    components = 0
+    components = []
     for b, a in enumerate(mates):
         if 0 <= a < b and not absorbed[b]:
-            got = bfs_component(oh, a, absorbed, kept)
+            got = as_component(K, bfs_component(oh, a, absorbed, kept))
             want, trace = reference_bfs_component(ref_oh, a, ref_absorbed, ref_kept)
             for field in ("dim", "forward", "backward"):
                 assert getattr(got, field) == getattr(want, field), (field, a)
@@ -177,8 +185,8 @@ def test_bfs_component_equals_the_reference(K):
             assert trace[-1] == (len(want.forward), len(want.backward), 0), (a, trace)
             assert oh.up == ref_oh.up and absorbed == ref_absorbed, a
             assert kept == ref_kept == [-1] * K.n, a
-            components += 1
-    assert components == len(frontier_edges_matching(K).components)
+            components.append(want)
+    assert frontier_edges_matching(K).components == tuple(components)
 
 
 def test_frontier_on_circle():

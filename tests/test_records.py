@@ -31,8 +31,8 @@ FIELDS = {
     CriticalProfile: (("counts",), {}),
     MorseMatching: (("pairs", "acyclic", "witness"), {"witness": None, "_ids": None}),
     MorseInequalityReport: (("ok", "alternating_failures", "pointwise_failures"), {}),
-    EdgeComponent: (("dim", "forward", "backward"), {"_ids": None}),
-    FrontierResult: (("morse", "components", "source_matching_size"), {}),
+    EdgeComponent: (("dim", "forward", "backward"), {}),
+    FrontierResult: (("morse", "components", "source_matching_size"), {"_ids": None}),
     OracleResult: (("matching", "optimal", "nodes", "pair_upper_bound"), {}),
     CollapsibilityResult: (("collapsible", "indeterminate", "nodes", "sequence"), {}),
     ErasabilityResult: (("er", "witness", "lower", "upper", "indeterminate", "tested"), {}),
@@ -144,18 +144,20 @@ def test_a_certified_matching_pickles_without_its_ids():
     assert back == matching
 
 
-def test_a_frontier_component_builds_its_pairs_on_first_access():
-    # bfs_component keeps id pairs only; forward and backward are
-    # built from them when read, and a round trip leaves the ids out
+def test_a_frontier_result_builds_its_components_on_first_access():
+    # frontier_edges_matching keeps the components as id pairs only; they
+    # are built from them when read, and a round trip leaves the ids out
     K = wedge(dunce_hat(), 1, 3)
-    fresh = frontier_edges_matching(K).components
-    back = [pickle.loads(pickle.dumps(c)) for c in fresh]
-    assert all(c._ids is not None for c in fresh)
-    assert all(b._ids is None for b in back) and back == list(fresh)
-    for c in frontier_edges_matching(K).components:
-        owner, forward, backward = c._ids
-        assert owner is K
-        S = K.simplices
+    fresh = frontier_edges_matching(K)
+    back = pickle.loads(pickle.dumps(fresh))
+    assert fresh._ids is not None and back._ids is None and back == fresh
+    result = frontier_edges_matching(K)
+    owner, found = result._ids
+    assert owner is K and len(found) == len(result.components) > 0
+    S = K.simplices
+    for c, (forward, backward) in zip(result.components, found):
+        assert type(c) is EdgeComponent and not hasattr(c, "_ids")
+        assert c.dim == len(S[forward[0][1]]) - 1
         assert c.forward == tuple((S[a], S[b]) for a, b in forward)
         assert c.backward == tuple((S[a], S[b]) for a, b in backward)
         assert repr(c) == repr(EdgeComponent(c.dim, c.forward, c.backward))
