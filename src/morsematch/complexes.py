@@ -50,17 +50,18 @@ shared by the facet and cofacet tuples.  The constructor validates
 every simplex it is given, packs them (_pack) and drops its own set of
 them before the build; from_maximal_simplices validates only the
 maximal ones, packs them and closes the keys downward one level at a
-time, since every face of a valid simplex is valid.  The file parser,
-which checks its simplices as it reads them, and every generator share
-that closure step, and with it one bound, CLOSURE_CAP simplices,
-checked before a too-large simplex makes any face and then as the
-faces are made.
+time (_close), since every face of a valid simplex is valid.  The file
+parser (fileio.parse_complex), which packs the rows of a text in bulk
+without making a simplex tuple, and every generator share that closure
+step, and with it one bound, CLOSURE_CAP simplices, checked from the
+longest simplex before any key of it is made (_refuse_past_cap) and
+then as the faces are made.
 
 Homology comes from discrete Morse theory.  The elimination kernel
-lives here, on the incidence it reads, and yields its pairs in order,
-so that coreduction's up array can be filled from it once per complex
-and kept on it (_coreduction) for the three modules that start from
-it: hasse grows the maximum matching from it, heuristics certifies it
+lives here, on the incidence it reads, and returns its up array and
+the faces in pairing order, so that coreduction's up array is filled
+once per complex and kept on it (_coreduction) for the three modules
+that start from it: hasse grows the maximum matching from it, heuristics certifies it
 as coreduction's result, and betti_gf2 ranks the boundary of its Morse complex, which
 has only the critical simplices as cells.  That Morse complex comes
 from one kernel, _morse_boundary, which takes the up array of any
@@ -107,7 +108,7 @@ def _pack(simplices):
     bits each, the first vertex highest, so keys of one dimension sort in
     canonical order.  The keys come as one set per dimension d, of the
     simplices of d + 1 vertices; each set is packed from one flat list of
-    ranks, its columns taken by slicing.
+    ranks, its columns taken by slicing and joined by _join.
     """
     labels = tuple(sorted(set(chain.from_iterable(simplices))))
     bits = max(1, (len(labels) - 1).bit_length())
@@ -116,11 +117,16 @@ def _pack(simplices):
     levels = []
     for k in range(1, max(lens) + 1):
         ranks = [*map(rank, chain.from_iterable(compress(simplices, map(eq, lens, repeat(k)))))]
-        keys = ranks[::k]
-        for i in range(1, k):
-            keys = map(or_, map(lshift, keys, repeat(bits)), ranks[i::k])
-        levels.append(set(keys))
+        levels.append(set(_join([ranks[i::k] for i in range(k)], bits)))
     return labels, bits, levels
+
+
+def _join(columns: list, bits: int):
+    """The packed keys of simplices given as columns of vertex ranks, the first column highest."""
+    keys = columns[0]
+    for column in columns[1:]:
+        keys = map(or_, map(lshift, keys, repeat(bits)), column)
+    return keys
 
 
 def _faces(keys, d: int, bits: int) -> list:
@@ -334,7 +340,10 @@ def from_maximal_simplices(facets) -> SimplicialComplex:
     tops = [simplex(f) for f in facets]
     if not tops:
         raise ValueError("empty complex")
-    return _close(tops)
+    _refuse_past_cap(max(map(len, tops)))
+    labels, bits, levels = _pack(tops)
+    del tops  # the keys stand for the simplices from here on
+    return _close(labels, bits, levels)
 
 
 # Most simplices a closure makes.  Building the 478 264-simplex sparse 2-D
@@ -345,34 +354,37 @@ def from_maximal_simplices(facets) -> SimplicialComplex:
 CLOSURE_CAP = 1 << 20
 
 
-def _close(tops: list[Simplex]) -> SimplicialComplex:
-    """The complex of a non-empty list of canonical simplices and all their faces.
+def _refuse_past_cap(top: int) -> None:
+    """Refuse simplices of top vertices when one has more faces than CLOSURE_CAP.
 
-    The list is emptied once its simplices are packed, so that no tuple
-    is alive through the closure and build; both callers hand over a
-    list of their own.
-
-    The closure is taken on packed keys (_pack) one level at a time, the
-    facets of each distinct d-simplex (_faces) going into level d-1, and
-    its faces are valid because they are subsets of valid ones, so
-    nothing is checked again here.  A level is sorted once it is whole,
-    before its own faces are made.  It refuses past CLOSURE_CAP
-    simplices: a simplex whose own faces are too many before any face is
-    made (its vertex count clipped at the cap's bit length, so no huge
-    power of two is formed), otherwise as soon as the running count of
-    the levels passes the cap.  A level is closed in chunks of as many
-    simplices as the room left can take all the faces of, at least one,
-    so the count passes the cap by at most the faces of one simplex.
+    The vertex count is clipped at the cap's bit length, so no huge power
+    of two is formed.  Both callers of _close check their longest simplex
+    here before any key of it is made.
     """
-    top = max(map(len, tops))
     if (1 << min(top, CLOSURE_CAP.bit_length())) - 1 > CLOSURE_CAP:
         raise ValueError(f"closure would be over the cap of {CLOSURE_CAP} simplices")
-    labels, bits, levels = _pack(tops)
-    tops.clear()  # the caller's own list: the keys stand for it from here on
+
+
+def _close(labels: tuple[int, ...], bits: int, levels: list[set[int]]) -> SimplicialComplex:
+    """The complex of packed simplices (as _pack makes them) and all their faces.
+
+    levels[d] holds the keys of the given d-simplices; the top one is not
+    empty.  The closure is taken one level at a time, the facets of each
+    distinct d-simplex (_faces) going into level d-1, and its faces are
+    valid because they are subsets of valid ones, so nothing is checked
+    again here.  A level is sorted once it is whole, before its own faces
+    are made.  It refuses past CLOSURE_CAP simplices as soon as the
+    running count of the levels passes the cap (the callers have refused
+    a simplex with too many faces of its own, _refuse_past_cap).  A level
+    is closed in chunks of as many simplices as the room left can take all
+    the faces of, at least one, so the count passes the cap by at most the
+    faces of one simplex.  from_maximal_simplices and the file parser
+    (fileio.parse_complex) both enter here.
+    """
     room = CLOSURE_CAP - len(levels[-1])
     if room < 0:
         raise ValueError(f"closure would be over the cap of {CLOSURE_CAP} simplices")
-    for d in range(top - 1, 0, -1):
+    for d in range(len(levels) - 1, 0, -1):
         below = levels[d - 1]
         level = levels[d] = sorted(levels[d])
         i = 0
@@ -481,47 +493,61 @@ def is_connected(K: SimplicialComplex) -> bool:
     return betti_gf2(K)[0] == 1
 
 
-def _eliminate(K: SimplicialComplex, counted, notified, order):
-    """Greedy elimination over one side of the incidence, yielding its pairs in order.
+def _eliminate(K: SimplicialComplex, counted, notified, order) -> tuple[list[int], list[int]]:
+    """Greedy elimination over one side of the incidence: its up array and faces in pairing order.
 
     counted[s] holds the neighbours of s that its count covers, and
-    notified, the inverse relation, the simplices whose counts drop when
-    s goes.  A simplex with one counted neighbour left pairs with it,
-    smallest id first, through a heap whose stale entries are skipped on
-    pop; when none is left, the next alive id of order is critical, and
-    once order runs out the elimination stops.  Each pair is yielded as
-    (face id, coface id), the coface the larger id of the two.  The
-    heuristics count facets or cofacets of every simplex and run order to
-    its end; collapse_sequence and the oracle's top core count only the
-    faces they may collapse, with order empty.
+    notified the simplices whose counts drop when s goes.  A simplex with
+    one counted neighbour left pairs with it, smallest id first, through a
+    heap whose stale entries are skipped on pop; when none is left, the
+    next live id of order is critical, and once order runs out the
+    elimination stops.  A pair's face is the smaller id of the two, and
+    up[face] is its coface.  The heuristics count facets or cofacets of
+    every simplex and run order to its end; collapse_sequence and the
+    oracle's top core count only the faces they may collapse, with order
+    empty, and read the pairs back through the faces.
+
+    One count array also marks the dead: a simplex that goes gets the
+    count -n - 1.  There notified need not be the inverse of counted, so
+    a live count can drop below 0, but never to -n - 1, since a simplex
+    is notified at most once by each of its n - 1 others.
     """
-    alive = bytearray(b"\x01") * K.n
-    count = [len(xs) for xs in counted]
-    heap = [s for s, k in enumerate(count) if k == 1]
+    n = K.n
+    dead = -n - 1
+    count = [*map(len, counted)]
+    heap = [*compress(range(n), map(eq, count, repeat(1)))]  # ascending, so a heap
+    up = [-1] * n
+    faces: list[int] = []
     crits = iter(order)
     while True:
         while heap:
             x = heappop(heap)
-            if alive[x] and count[x] == 1:
+            if count[x] == 1:
                 for y in counted[x]:
-                    if alive[y]:
+                    if count[y] > dead:
                         break
-                alive[x] = alive[y] = 0
-                yield (x, y) if x < y else (y, x)
+                count[x] = count[y] = dead
+                if x < y:
+                    up[x] = y
+                    faces.append(x)
+                else:
+                    up[y] = x
+                    faces.append(y)
                 gone = notified[x] + notified[y]
                 break
         else:
             for x in crits:
-                if alive[x]:
+                if count[x] > dead:
                     break
             else:
-                return
-            alive[x] = 0
+                return up, faces
+            count[x] = dead
             gone = notified[x]
         for c in gone:
-            if alive[c]:
-                count[c] -= 1
-                if count[c] == 1:
+            k = count[c]
+            if k > dead:
+                count[c] = k - 1
+                if k == 2:
                     heappush(heap, c)
 
 
@@ -535,9 +561,7 @@ def _coreduction(K: SimplicialComplex) -> tuple[int, ...]:
     this array, and heuristics.coreduction_matching certifies it.
     """
     if K._coreduction is None:
-        up = [-1] * K.n
-        for a, b in _eliminate(K, K.facet_ids, K.cofacet_ids, range(K.n)):
-            up[a] = b
+        up, _ = _eliminate(K, K.facet_ids, K.cofacet_ids, range(K.n))
         K._coreduction = tuple(up)
     return K._coreduction
 

@@ -283,7 +283,8 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
     What remains stays downward closed, so a simplex is free when it has
     one live cofacet (see complexes).  The collapse is complexes._eliminate
     with only the faces to collapse counting their cofacets: a face's one
-    live cofacet is then its mate, which goes only with it.
+    live cofacet is then its mate, which goes only with it.  The pairs are
+    read back from the kernel's faces in pairing order and its up array.
     """
     mm = _accept(K, matching)
     if not mm.acyclic:
@@ -311,7 +312,8 @@ def collapse_sequence(K: SimplicialComplex, matching, sub) -> tuple[Pair, ...]:
             faces += 1
     if (s := covered.find(0)) >= 0:
         raise ValueError(f"not matched away: {S[s]}")
-    out = tuple((S[a], S[b]) for a, b in _eliminate(K, counted, F, ()))
-    if len(out) < faces:
+    cofaces, paired = _eliminate(K, counted, F, ())
+    if len(paired) < faces:
         raise RuntimeError("acyclicity violated: no free pair remains")
-    return out
+    get = S.__getitem__
+    return tuple(zip(map(get, paired), map(get, map(cofaces.__getitem__, paired))))

@@ -286,8 +286,8 @@ def _top_core(K: SimplicialComplex, dead=()) -> bytearray:
     face that is free stays free until its one coface goes, and two free
     faces of one D-simplex leave the same set either way.  The deletions
     are complexes._eliminate with only the (D-1)-faces counting, each
-    over its D-cofaces not in dead: the D-simplices it never yields as
-    cofaces are the core.
+    over its D-cofaces not in dead: the D-simplices it never pairs as
+    cofaces, read from its up array through its faces, are the core.
     """
     F = K.facet_ids
     lo, hi = K.offset(K.dim - 1), K.offset(K.dim)
@@ -298,7 +298,8 @@ def _top_core(K: SimplicialComplex, dead=()) -> bytearray:
         alive[t] = 0
         for e in F[t]:
             counted[e] = [x for x in counted[e] if x != t]
-    for _, t in _eliminate(K, counted, F, ()):
+    up, faces = _eliminate(K, counted, F, ())
+    for t in map(up.__getitem__, faces):
         alive[t] = 0
     return alive
 

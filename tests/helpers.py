@@ -62,6 +62,9 @@ elimination kernel can be held to the same pairs and errors.
 reference_morse_inequalities is check_morse_inequalities as it stood
 with a double sum per alternating inequality, kept so that the one-pass
 running sums can be held to the same report.
+reference_parse_complex is the complex parser as it stood reading one
+line at a time into vertex tuples, kept so that the bulk parse straight
+to packed keys can be held to the same complexes and the same errors.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ from hypothesis import strategies as st
 from morsematch import (
     MorseMatching,
     OracleResult,
+    ParseError,
     SimplicialComplex,
     betti_gf2,
     certify,
@@ -1145,3 +1149,33 @@ def reference_morse_inequalities(counts, betti) -> MorseInequalityReport:
         alternating_failures=tuple(alt),
         pointwise_failures=tuple(point),
     )
+
+
+def _reference_parse_vertices(token_text: str, lineno: int) -> Simplex:
+    verts = []
+    try:
+        for tok in token_text.split():
+            if not (tok.isascii() and tok.isdigit()):
+                raise ParseError(f"line {lineno}: bad vertex id {tok!r}")
+            verts.append(int(tok))
+    except ParseError:
+        raise
+    except ValueError:
+        raise ParseError(f"line {lineno}: vertex id of {len(tok)} digits is too long") from None
+    if not verts:
+        raise ParseError(f"line {lineno}: no vertices")
+    if len(set(verts)) != len(verts):
+        raise ParseError(f"line {lineno}: repeated vertex in {token_text.strip()!r}")
+    return tuple(sorted(verts))
+
+
+def reference_parse_complex(text: str) -> SimplicialComplex:
+    """parse_complex as it stood: each line that is not blank or a # comment parsed in turn."""
+    maximal = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            maximal.append(_reference_parse_vertices(line, lineno))
+    if not maximal:
+        raise ParseError("no simplices in input")
+    return from_maximal_simplices(maximal)

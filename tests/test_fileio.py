@@ -4,6 +4,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morsematch import (
     ParseError,
@@ -19,6 +20,7 @@ from morsematch import (
     write_complex,
 )
 from morsematch.fileio import read_matching
+from helpers import reference_parse_complex
 
 
 def test_parse_single_facet():
@@ -142,3 +144,79 @@ def test_reading_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
 def test_serialization_is_stable():
     K = dunce_hat()
     assert serialize_complex(K) == serialize_complex(parse_complex(serialize_complex(K)))
+
+
+def parse_outcome(parse, text):
+    """The complex's ids and incidence, or the type and message of the ValueError raised."""
+    try:
+        K = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return K.vertices, K.simplices, K.facet_ids, K.cofacet_ids
+
+
+# Vertex ids small and past 2**64, drawn into rows in any order.
+VERTICES = [0, 1, 2, 3, 7, 10, 2**64, 2**64 + 3, 10**30]
+ROWS = st.lists(st.sampled_from(VERTICES), min_size=1, max_size=5, unique=True)
+# Lines that are not rows: blank, whitespace only, and # comments, indented
+# too, some holding ids that no row has.
+FILLERS = ["", "   ", "\t", "# a comment", "  # 0 1 2", "\t#", "#x 0", "# 5 99"]
+# Line ends that splitlines breaks on, and whitespace between tokens.
+EOLS = ["\n", "\r\n", "\x1c", "\u2028"]
+SEPS = [" ", "\t", "  ", " \t "]
+# One faulty line each: a repeated vertex (also through a leading zero), a
+# bad token, an id past the interpreter's digit limit, a non-ASCII digit.
+FAULTS = ["4 2 4", "7 07", "1 x 2", "0 " + "9" * 5000, "1 \u0661"]
+
+
+@st.composite
+def row_lines(draw):
+    """Text lines of rows, with leading zeros and mixed spacing, and filler lines between."""
+    lines = []
+    for row in draw(st.lists(ROWS, min_size=1, max_size=8)):
+        lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+        tokens = ["0" * draw(st.integers(0, 2)) + str(v) for v in row]
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + draw(st.sampled_from(SEPS)).join(tokens) + draw(st.sampled_from(["", " "])))
+    return lines
+
+
+def join_lines(draw, lines) -> str:
+    ends = draw(st.lists(st.sampled_from(EOLS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(row_lines(), st.data())
+def test_parse_equals_the_per_line_reference(lines, data):
+    text = join_lines(data.draw, lines)
+    assert parse_outcome(parse_complex, text) == parse_outcome(reference_parse_complex, text)
+
+
+@settings(
+    derandomize=True, deadline=None, database=None, max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(row_lines(), st.sampled_from(FAULTS), st.sampled_from(FAULTS), st.data())
+def test_parse_errors_equal_the_per_line_reference(int_digit_limit, lines, first, second, data):
+    # Two faults on different lines, in both orders: the first in line order wins.
+    i = data.draw(st.integers(0, len(lines)))
+    j = data.draw(st.integers(i, len(lines)))
+    for a, b in ((first, second), (second, first)):
+        faulty = lines[:i] + [a] + lines[i:j] + [b] + lines[j:]
+        text = join_lines(data.draw, faulty)
+        want = parse_outcome(reference_parse_complex, text)
+        assert want[0] is ParseError
+        assert parse_outcome(parse_complex, text) == want
+
+
+def test_a_fault_after_an_oversized_line_is_a_parse_error():
+    # The 30-vertex line alone is refused by the closure cap, but a parse
+    # error on any later line comes first.
+    big = " ".join(map(str, range(30)))
+    for text, want in [
+        (f"{big}\n", (ValueError, "closure would be over the cap of 1048576 simplices")),
+        (f"{big}\n0 1\n2 x\n", (ParseError, "line 3: bad vertex id 'x'")),
+        (f"{big}\n# ok\n5 5\n", (ParseError, "line 3: repeated vertex in '5 5'")),
+    ]:
+        assert parse_outcome(parse_complex, text) == parse_outcome(reference_parse_complex, text) == want

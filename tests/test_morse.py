@@ -460,6 +460,25 @@ def test_collapse_sequence_equals_the_frozen_heap_loop(K, name, data):
             assert replay_collapses(K.simplices, got) == frozenset(sub)
 
 
+def test_collapse_sequence_on_a_disk_equals_the_frozen_heap_loop():
+    # Only the faces to collapse count their cofacets, so an edge matched
+    # down to a vertex counts nothing and drops below 0 as its triangles
+    # go, while it is still alive: the kernel must not read a negative
+    # count as dead.  The fan of four triangles collapses onto the one
+    # critical vertex of coreduction; with nothing kept, that vertex is
+    # not matched away.
+    K = from_maximal_simplices([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
+    mm = coreduction_matching(K)
+    matched = {s for pair in mm.pairs for s in pair}
+    critical = [s for s in K if s not in matched]
+    assert critical == [(0,)]
+    for sub in ([], critical):
+        got = outcome(collapse_sequence, K, mm, sub)
+        assert got == outcome(reference_collapse_sequence, K, mm, sub)
+    assert len(got) == (K.n - 1) // 2
+    assert replay_collapses(K.simplices, got) == frozenset(critical)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(st.lists(st.integers(0, 9), max_size=7), st.lists(st.integers(0, 9), max_size=7))
 def test_morse_inequalities_equal_the_frozen_double_sum(counts, betti):

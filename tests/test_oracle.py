@@ -272,6 +272,15 @@ def test_top_core_equals_the_frozen_queue_loop(K, data):
     assert _core_components(K) == reference_core_components(K)
 
 
+def test_top_core_of_the_hat_with_a_tetrahedron_equals_the_frozen_queue_loop():
+    # The collapse counts only the triangles, so the edges below a
+    # triangle that goes drop below 0 while alive.
+    K = dunce_hat_with_tetrahedron()
+    top = tuple(range(K.offset(K.dim), K.n))
+    for dead in ((), top):
+        assert _top_core(K, dead) == reference_top_core(K, dead)
+
+
 def test_collapsible_full_simplices():
     for n in range(0, 5):
         result = is_collapsible(full_simplex(n))
